@@ -118,16 +118,7 @@ def cmd_gen(args) -> int:
 def _load_dataset(data_dir: Path) -> Dataset:
     sidecar = json.loads((data_dir / "dataset.json").read_text())
     kernel = KernelSpec(sidecar["kernel"]["family"], sidecar["kernel"]["k"])
-    dom = sidecar["domain"]
-    if dom["shape"] == "unit_square":
-        domain = DomainSpec.unit_square()
-    elif dom["shape"] == "polar_curve":
-        terms = [PolarTerm(k, a, f) for k, a, f in dom["outer"]["terms"]]
-        domain = DomainSpec.polar(dom["outer"]["base"], terms, tuple(dom["outer"]["center"]))
-    elif dom["shape"] == "sphere3d":
-        domain = DomainSpec.sphere(tuple(dom["center"]), dom["radius"])
-    else:
-        raise SystemExit(f"cannot rebuild domain shape {dom['shape']!r}")
+    domain = DomainSpec.from_payload(sidecar["domain"])
     spec = DatasetSpec(
         kernel=kernel,
         domain=domain,
@@ -312,8 +303,14 @@ def _parse_grid_name(name: str):
 
 
 def _read_column(path: Path) -> np.ndarray:
-    vals = [float(line.strip()) for line in path.read_text().splitlines() if line.strip()]
-    return np.array(vals)
+    """One finite value per non-blank line; a ValueError names the file."""
+    try:
+        vals = np.array([float(s) for s in path.read_text().splitlines() if s.strip()])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if vals.size == 0 or not np.isfinite(vals).all():
+        raise ValueError(f"{path}: expected one finite value per line")
+    return vals
 
 
 def cmd_quadbench(args) -> int:

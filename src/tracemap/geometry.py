@@ -113,6 +113,34 @@ class DomainSpec:
             raise InvalidDomainError("sphere radius must be positive")
         return cls(shape="sphere3d", center3d=tuple(center), radius3d=float(radius))
 
+    def to_payload(self) -> dict:
+        """JSON-ready description; :meth:`from_payload` inverts it."""
+        payload: dict = {"shape": self.shape}
+        if self.shape in ("polar_curve", "multi_loop"):
+            payload["outer"] = _curve_payload(self.outer)
+            if self.inner is not None:
+                payload["inner"] = _curve_payload(self.inner)
+        elif self.shape == "sphere3d":
+            payload["center"] = list(self.center3d)
+            payload["radius"] = self.radius3d
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "DomainSpec":
+        shape = payload["shape"]
+        if shape == "unit_square":
+            return cls.unit_square()
+        if shape == "polar_curve":
+            c = _curve_from_payload(payload["outer"])
+            return cls.polar(c.base, c.terms, c.center)
+        if shape == "multi_loop":
+            return cls.multi_loop(
+                _curve_from_payload(payload["outer"]), _curve_from_payload(payload["inner"])
+            )
+        if shape == "sphere3d":
+            return cls.sphere(tuple(payload["center"]), payload["radius"])
+        raise InvalidDomainError(f"unknown domain shape {shape!r}")
+
     @property
     def dimension(self) -> int:
         return 3 if self.shape == "sphere3d" else 2
@@ -128,6 +156,19 @@ class DomainSpec:
         c = np.asarray(self.center3d)
         r = self.radius3d
         return c - r, c + r
+
+
+def _curve_payload(c: PolarCurve) -> dict:
+    return {
+        "base": c.base,
+        "terms": [[t.kind, t.amplitude, t.frequency] for t in c.terms],
+        "center": list(c.center),
+    }
+
+
+def _curve_from_payload(payload: dict) -> PolarCurve:
+    terms = tuple(PolarTerm(k, a, f) for k, a, f in payload["terms"])
+    return PolarCurve(payload["base"], terms, tuple(payload["center"]))
 
 
 def _check_positive_radius(curve: PolarCurve, n_probe: int = 4096) -> None:

@@ -1,6 +1,6 @@
 """Bias-free linear boundary-to-boundary operators and their training.
 
-The operator is a stack of dense matrices (one 400x400 layer by default)
+The operator is one dense bias-free matrix ``W`` (400x400 by default)
 mapping an input trace vector to the complementary trace vector.  Vector
 slots are described by layout blocks so mixed boundary problems can state
 which points and which trace type (g or h) each slot carries.
@@ -11,15 +11,15 @@ Training minimizes the weighted squared trace misfit
 averaged over the batch, with plain Adam on the matrix entries and a
 best-loss checkpoint.  Because the model is linear the loss gradient is
 matrix algebra; no autodiff framework is involved.  A ridge-regularized
-normal-equations solve provides the exact single-layer minimizer as an
-independent oracle.
+normal-equations solve provides the exact minimizer as an independent
+oracle.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,35 +130,26 @@ def scatter(layout: Layout, vec: np.ndarray, g_out: np.ndarray, h_out: np.ndarra
 
 @dataclass(eq=False)
 class LinearBoundaryOperator:
-    """Stack of bias-free dense layers; ``apply`` composes them in order."""
+    """One bias-free dense matrix ``W``; ``apply`` maps ``v`` to ``W v``."""
 
-    layers: list[np.ndarray]
+    W: np.ndarray
     input_layout: Layout
     output_layout: Layout
 
     def __post_init__(self):
-        for a, b in zip(self.layers, self.layers[1:]):
-            if b.shape[1] != a.shape[0]:
-                raise LayoutError("consecutive layer shapes do not compose")
-        if self.layers[0].shape[1] != layout_size(self.input_layout):
-            raise LayoutError("first layer width does not match the input layout")
-        if self.layers[-1].shape[0] != layout_size(self.output_layout):
-            raise LayoutError("last layer height does not match the output layout")
+        want = (layout_size(self.output_layout), layout_size(self.input_layout))
+        if self.W.shape != want:
+            raise LayoutError(
+                f"matrix shape {self.W.shape} does not match the layouts {want}"
+            )
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].shape[1]
+        return self.W.shape[1]
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1].shape[0]
-
-    def collapsed(self) -> np.ndarray:
-        """The product of all layers as a single matrix."""
-        total = self.layers[0]
-        for w in self.layers[1:]:
-            total = w @ total
-        return total
+        return self.W.shape[0]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -166,14 +157,7 @@ class LinearBoundaryOperator:
             raise LayoutError(
                 f"input has {v.shape[-1]} slots, operator expects {self.input_dim}"
             )
-        out = v
-        for w in self.layers:
-            out = out @ w.T
-        return out
-
-
-def apply(op: LinearBoundaryOperator, v: np.ndarray) -> np.ndarray:
-    return op.apply(v)
+        return v @ self.W.T
 
 
 @dataclass(frozen=True)
@@ -187,7 +171,6 @@ class TrainingConfig:
     lambda1: float = 1.0
     lambda2: float = 1.0
     seed: int = 0
-    checkpoint_on_best: bool = True
 
     def __post_init__(self):
         if self.learning_rate < 0.0:
@@ -243,25 +226,12 @@ def compute_loss(
     return float(np.sum(lam * resid * resid) / (inputs.shape[0] * op.output_dim))
 
 
-def _loss_and_grads(layers, x, t, lam, inv_count):
-    """Weighted MSE and dL/dW per layer, all in closed form.
-
-    Forward pass caches activations; the backward pass is the usual
-    product-of-linear-maps chain rule.
-    """
-    acts = [x]
-    for w in layers:
-        acts.append(acts[-1] @ w.T)
-    resid = acts[-1] - t
+def _loss_and_grad(W, x, t, lam, inv_count):
+    """Weighted MSE and its gradient dL/dW, both in closed form."""
+    resid = x @ W.T - t
     weighted = lam * resid
     loss = float(np.sum(weighted * resid) * inv_count)
-    delta = 2.0 * inv_count * weighted
-    grads = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        grads[i] = delta.T @ acts[i]
-        if i > 0:
-            delta = delta @ layers[i]
-    return loss, grads
+    return loss, (2.0 * inv_count * weighted).T @ x
 
 
 def train_adam(
@@ -270,13 +240,9 @@ def train_adam(
     input_layout: Layout,
     output_layout: Layout,
     cfg: TrainingConfig = TrainingConfig(),
-    hidden_dims: tuple[int, ...] = (),
 ) -> tuple[LinearBoundaryOperator, TrainReport]:
-    """Adam on the layer entries; returns the best-loss checkpoint.
-
-    ``hidden_dims`` inserts extra bias-free linear layers (the depth/width
-    study); the default is the single-matrix model.  One epoch is a full
-    pass over the data in shuffled batches.
+    """Adam on the matrix entries from ``W = 0``; returns the best-loss
+    checkpoint.  One epoch is a full pass over the data in shuffled batches.
     """
     inputs = np.ascontiguousarray(inputs, dtype=float)
     targets = np.ascontiguousarray(targets, dtype=float)
@@ -289,23 +255,16 @@ def train_adam(
         raise ValueError("batch size exceeds the dataset size")
 
     rng = np.random.default_rng(cfg.seed)
-    dims = [n_in, *hidden_dims, n_out]
-    layers = []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        if len(dims) == 2:
-            layers.append(np.zeros((d_out, d_in)))
-        else:
-            layers.append(rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_out, d_in)))
-
+    W = np.zeros((n_out, n_in))
     lam = slot_weights(output_layout, cfg)
-    m = [np.zeros_like(w) for w in layers]
-    v = [np.zeros_like(w) for w in layers]
+    m = np.zeros_like(W)
+    v = np.zeros_like(W)
     b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
 
     losses = np.empty(cfg.epochs)
     best_loss = np.inf
     best_epoch = -1
-    best_layers = [w.copy() for w in layers]
+    best_W = W.copy()
     t0 = time.perf_counter()
     step = 0
     for epoch in range(cfg.epochs):
@@ -315,7 +274,7 @@ def train_adam(
             idx = order[start : start + cfg.batch_size]
             x, t = inputs[idx], targets[idx]
             inv_count = 1.0 / (len(idx) * n_out)
-            loss, grads = _loss_and_grads(layers, x, t, lam, inv_count)
+            loss, g = _loss_and_grad(W, x, t, lam, inv_count)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, step {step}; "
@@ -323,23 +282,18 @@ def train_adam(
                 )
             epoch_losses.append(loss)
             step += 1
-            for i, g in enumerate(grads):
-                m[i] = b1 * m[i] + (1.0 - b1) * g
-                v[i] = b2 * v[i] + (1.0 - b2) * g * g
-                m_hat = m[i] / (1.0 - b1**step)
-                v_hat = v[i] / (1.0 - b2**step)
-                layers[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1**step)
+            v_hat = v / (1.0 - b2**step)
+            W -= lr * m_hat / (np.sqrt(v_hat) + eps)
         losses[epoch] = float(np.mean(epoch_losses))
-        if cfg.checkpoint_on_best and losses[epoch] < best_loss:
+        if losses[epoch] < best_loss:
             best_loss = losses[epoch]
             best_epoch = epoch
-            best_layers = [w.copy() for w in layers]
+            best_W = W.copy()
     wall = time.perf_counter() - t0
-    if not cfg.checkpoint_on_best:
-        best_layers = layers
-        best_epoch = cfg.epochs - 1
-        best_loss = losses[-1] if cfg.epochs else np.inf
-    op = LinearBoundaryOperator(best_layers, input_layout, output_layout)
+    op = LinearBoundaryOperator(best_W, input_layout, output_layout)
     report = TrainReport(losses=losses, best_loss=float(best_loss), best_epoch=best_epoch, wall_time=wall)
     return op, report
 
@@ -351,7 +305,7 @@ def fit_least_squares(
     output_layout: Layout,
     ridge_factor: float = 1e-10,
 ) -> LinearBoundaryOperator:
-    """Exact single-layer minimizer via ridge-regularized normal equations.
+    """Exact minimizer via ridge-regularized normal equations.
 
     Solves ``(X^T X + eps I) W^T = X^T T`` with
     ``eps = ridge_factor * trace(X^T X) / n`` so the conditioning guard is
@@ -376,7 +330,7 @@ def fit_least_squares(
         raise IllConditionedError(
             f"normal equations unsolvable (cond ~ {cond:.2e}) despite ridge {eps:.2e}"
         ) from exc
-    return LinearBoundaryOperator([wt.T], input_layout, output_layout)
+    return LinearBoundaryOperator(wt.T, input_layout, output_layout)
 
 
 # ---------------------------------------------------------------------------
@@ -399,29 +353,41 @@ def _layout_from_payload(payload) -> Layout:
 
 
 def save_model(op: LinearBoundaryOperator) -> str:
+    """JSON text; ``W`` is stored as the single entry of a ``"layers"`` list."""
     payload = {
         "input_layout": _layout_payload(op.input_layout),
         "output_layout": _layout_payload(op.output_layout),
         "layers": [
-            {"shape": list(w.shape), "entries": [repr(float(v)) for v in w.ravel()]}
-            for w in op.layers
+            {"shape": list(op.W.shape), "entries": [repr(float(v)) for v in op.W.ravel()]}
         ],
     }
     return json.dumps(payload)
 
 
 def load_model(text: str) -> LinearBoundaryOperator:
+    """Inverse of :func:`save_model`.
+
+    Files with several ``"layers"`` entries (linear stacks applied in file
+    order) load as their product ``W = L_k @ ... @ L_1``.
+    """
     try:
         payload = json.loads(text)
         layers = [
             np.array([float(v) for v in layer["entries"]]).reshape(layer["shape"])
             for layer in payload["layers"]
         ]
+        if not layers:
+            raise ValueError("no layers")
+        if not all(np.isfinite(w).all() for w in layers):
+            raise ValueError("non-finite entry")
+        W = layers[0]
+        for w in layers[1:]:
+            W = w @ W
         inp = _layout_from_payload(payload["input_layout"])
         out = _layout_from_payload(payload["output_layout"])
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"malformed model file: {exc}") from exc
-    return LinearBoundaryOperator(layers, inp, out)
+    return LinearBoundaryOperator(W, inp, out)
 
 
 def constant_annihilation(op: LinearBoundaryOperator) -> float:

@@ -129,14 +129,6 @@ def _points_in_closed_mesh(mesh: TriMesh, pts: np.ndarray) -> np.ndarray:
     return closed
 
 
-def _points_in_mesh(mesh: TriMesh, pts: np.ndarray) -> np.ndarray:
-    """Strict domain-interior test: in some triangle's closure and off the
-    outer mesh boundary (points on interior element edges count)."""
-    return _points_in_closed_mesh(mesh, pts) & (
-        _distance_to_mesh_boundary(mesh, pts) > 1e-12
-    )
-
-
 def _distance_to_mesh_boundary(mesh: TriMesh, pts: np.ndarray) -> np.ndarray:
     edges = mesh.boundary_edges()
     p0 = mesh.vertices[edges[:, 0]]

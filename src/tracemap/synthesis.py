@@ -15,7 +15,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class DatasetSpec:
     def to_json(self) -> str:
         payload = {
             "kernel": {"family": self.kernel.family, "k": self.kernel.k},
-            "domain": _domain_payload(self.domain),
+            "domain": self.domain.to_payload(),
             "n_points": self.n_points,
             "n_samples": self.n_samples,
             "n_kernels_per_sample": self.n_kernels_per_sample,
@@ -97,25 +97,6 @@ class DatasetSpec:
             "normalization": self.normalization_mode,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _domain_payload(domain: DomainSpec) -> dict:
-    payload: dict = {"shape": domain.shape}
-    if domain.shape in ("polar_curve", "multi_loop"):
-        def curve(c):
-            return {
-                "base": c.base,
-                "terms": [[t.kind, t.amplitude, t.frequency] for t in c.terms],
-                "center": list(c.center),
-            }
-
-        payload["outer"] = curve(domain.outer)
-        if domain.inner is not None:
-            payload["inner"] = curve(domain.inner)
-    elif domain.shape == "sphere3d":
-        payload["center"] = list(domain.center3d)
-        payload["radius"] = domain.radius3d
-    return payload
 
 
 def sample_source_points(spec: DatasetSpec, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -271,7 +252,6 @@ class Dataset:
     grid: BoundaryGrid
     g_rows: np.ndarray  # (n_samples, n_points)
     h_rows: np.ndarray
-    records: tuple[NormRecord, ...] = field(repr=False, default=())
 
     def __post_init__(self):
         self.g_rows.setflags(write=False)
@@ -314,13 +294,11 @@ def build_dataset(spec: DatasetSpec, grid: BoundaryGrid | None = None) -> Datase
         raise ConfigurationError("grid size does not match the dataset spec")
     g_rows = np.empty((spec.n_samples, spec.n_points))
     h_rows = np.empty((spec.n_samples, spec.n_points))
-    records = []
     for i in range(spec.n_samples):
         pair = build_sample(spec, grid, i)
         g_rows[i] = pair.g
         h_rows[i] = pair.h
-        records.append(pair.norm_record)
-    return Dataset(spec=spec, grid=grid, g_rows=g_rows, h_rows=h_rows, records=tuple(records))
+    return Dataset(spec=spec, grid=grid, g_rows=g_rows, h_rows=h_rows)
 
 
 # ---------------------------------------------------------------------------

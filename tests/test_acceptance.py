@@ -217,8 +217,8 @@ def test_criterion_04_desk_scale_laplace_dirichlet(square_grid, laplace_desk, la
 
 def test_criterion_05_adam_vs_ls_agreement(laplace_desk):
     ds = laplace_desk["dataset"]
-    w_ls = laplace_desk["ls"].layers[0]
-    w_adam = laplace_desk["adam"].layers[0]
+    w_ls = laplace_desk["ls"].W
+    w_adam = laplace_desk["adam"].W
     fro = np.linalg.norm(w_adam - w_ls) / np.linalg.norm(w_ls)
     loss_ls = compute_loss(laplace_desk["ls"], ds.g_rows, ds.h_rows)
     loss_adam = compute_loss(laplace_desk["adam"], ds.g_rows, ds.h_rows)
@@ -355,7 +355,7 @@ def test_criterion_10_property_suite(square_grid):
     from tracemap.operator import LinearBoundaryOperator
 
     W = rng.normal(size=(30, 30))
-    op = LinearBoundaryOperator([W], inp, out)
+    op = LinearBoundaryOperator(W, inp, out)
     u, v = rng.normal(size=30), rng.normal(size=30)
     np.testing.assert_allclose(
         op.apply(2.0 * u - 3.0 * v), 2.0 * op.apply(u) - 3.0 * op.apply(v), atol=1e-12

@@ -92,6 +92,21 @@ class TestTrain:
         assert payload["input_layout"][1]["trace"] == "h"
         assert payload["output_layout"][0]["trace"] == "h"
 
+    def test_ls_on_annulus_dataset_written_by_library(self, tmp_path):
+        from tracemap.geometry import DomainSpec, PolarCurve
+        from tracemap.kernels import KernelSpec
+        from tracemap.synthesis import DatasetSpec, build_dataset, dataset_to_csv
+
+        domain = DomainSpec.multi_loop(PolarCurve(1.0), PolarCurve(0.4))
+        spec = DatasetSpec(KernelSpec("laplace2d"), domain, n_points=40, n_samples=60, seed=3)
+        data = tmp_path / "annulus"
+        data.mkdir()
+        (data / "dataset.csv").write_text(dataset_to_csv(build_dataset(spec)))
+        (data / "dataset.json").write_text(spec.to_json())
+        model = tmp_path / "model.json"
+        assert run(["train", "--data", data, "--method", "ls", "--out", model]) == 0
+        assert json.loads(model.read_text())["layers"][0]["shape"] == [40, 40]
+
 
 class TestEvalSolve:
     def test_eval_laplace_summary(self, laplace_run, tmp_path):
@@ -174,6 +189,28 @@ class TestEvalSolve:
         pred = np.array([float(r[2]) for r in rows])
         pts = np.array([[float(r[0]), float(r[1])] for r in rows])
         assert np.linalg.norm(pred - pts.sum(axis=1)) / np.linalg.norm(pts.sum(axis=1)) < 5e-2
+
+    def test_non_finite_or_empty_column_files_rejected(self, laplace_run, tmp_path, capsys):
+        _, data, model = laplace_run
+        mixed = tmp_path / "mixed.json"
+        assert run(
+            ["train", "--data", data, "--method", "ls", "--dirichlet-edges", "1",
+             "--out", mixed]
+        ) == 0
+        good = tmp_path / "good.csv"
+        good.write_text("\n".join(["0.5"] * 80))
+        out = tmp_path / "field.csv"
+        for content in ["nan\n", "", "\n\n", "1.0\ninf\n"]:
+            bad = tmp_path / "bad.csv"
+            bad.write_text(content)
+            for extra in (
+                ["--model", model, "--g", bad],
+                ["--model", mixed, "--g", good, "--h", bad, "--dirichlet-edges", "1"],
+                ["--model", model, "--g", good, "--source", bad, "--mesh-h", 0.5],
+            ):
+                assert run(["solve", "--grid", "square80", *extra, "--out", out]) == 1
+                assert str(bad) in capsys.readouterr().err
+                assert not out.exists()
 
     def test_missing_artifact_exits_nonzero(self, tmp_path):
         code = run(

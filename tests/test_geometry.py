@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -133,6 +134,29 @@ class TestAnnulusGrid:
     def test_inner_must_be_inside_outer(self):
         with pytest.raises(InvalidDomainError):
             DomainSpec.multi_loop(PolarCurve(0.5), PolarCurve(0.7))
+
+
+class TestDomainPayload:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DomainSpec.unit_square(),
+            STAR,
+            DomainSpec.multi_loop(
+                PolarCurve(1.0, (PolarTerm("cos", 0.1, 3),), (0.2, -0.1)), PolarCurve(0.4)
+            ),
+            DomainSpec.sphere((0.5, 0.0, -1.0), 2.0),
+        ],
+        ids=lambda spec: spec.shape,
+    )
+    def test_json_round_trip(self, spec):
+        payload = json.loads(json.dumps(spec.to_payload()))
+        assert payload["shape"] == spec.shape
+        assert DomainSpec.from_payload(payload) == spec
+
+    def test_unknown_shape_rejected(self):
+        with pytest.raises(InvalidDomainError):
+            DomainSpec.from_payload({"shape": "torus"})
 
 
 class TestSphereGrid:

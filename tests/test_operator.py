@@ -12,7 +12,7 @@ from tracemap.operator import (
     LinearBoundaryOperator,
     TrainingConfig,
     TrainingDivergedError,
-    _loss_and_grads,
+    _loss_and_grad,
     compute_loss,
     constant_annihilation,
     dirichlet_layouts,
@@ -29,14 +29,12 @@ from tracemap.geometry import DomainSpec, make_boundary_grid
 
 def identity_op(n=4):
     inp, out = dirichlet_layouts(n)
-    return LinearBoundaryOperator([np.eye(n)], inp, out)
+    return LinearBoundaryOperator(np.eye(n), inp, out)
 
 
-def random_op(rng, n_in=6, n_out=6, layers=1):
-    inp, out = dirichlet_layouts(n_in)
-    dims = [n_in] + [7] * (layers - 1) + [n_out]
-    mats = [rng.normal(size=(b, a)) for a, b in zip(dims[:-1], dims[1:])]
-    return LinearBoundaryOperator(mats, inp, out)
+def random_op(rng, n=6):
+    inp, out = dirichlet_layouts(n)
+    return LinearBoundaryOperator(rng.normal(size=(n, n)), inp, out)
 
 
 class TestApply:
@@ -46,14 +44,14 @@ class TestApply:
         np.testing.assert_array_equal(op.apply(v), v)
 
     def test_zero_maps_to_zero(self, rng):
-        op = random_op(rng, layers=2)
+        op = random_op(rng)
         np.testing.assert_array_equal(op.apply(np.zeros(6)), np.zeros(6))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6), a=st.floats(-5, 5), b=st.floats(-5, 5))
     def test_linearity(self, seed, a, b):
         r = np.random.default_rng(seed)
-        op = random_op(r, layers=2)
+        op = random_op(r)
         u, v = r.normal(size=6), r.normal(size=6)
         lhs = op.apply(a * u + b * v)
         rhs = a * op.apply(u) + b * op.apply(v)
@@ -63,15 +61,15 @@ class TestApply:
         with pytest.raises(LayoutError):
             identity_op(4).apply(np.ones(5))
 
-    def test_collapsed_equals_composition(self, rng):
-        op = random_op(rng, layers=3)
-        v = rng.normal(size=6)
-        np.testing.assert_allclose(op.collapsed() @ v, op.apply(v), rtol=1e-13)
-
     def test_shape_composition_enforced(self):
         inp, out = dirichlet_layouts(4)
         with pytest.raises(LayoutError):
-            LinearBoundaryOperator([np.eye(4), np.ones((4, 5))], inp, out)
+            LinearBoundaryOperator(np.ones((4, 5)), inp, out)
+        with pytest.raises(LayoutError):
+            LinearBoundaryOperator(np.ones((5, 4)), inp, out)
+        grid = make_boundary_grid(DomainSpec.unit_square(), 8)
+        m_inp, m_out = mixed_layouts(grid, {"G1"})
+        LinearBoundaryOperator(np.zeros((8, 8)), m_inp, m_out)  # sizes agree
 
 
 class TestLayouts:
@@ -121,7 +119,7 @@ class TestComputeLoss:
     def test_zero_operator_closed_form(self, rng):
         n = 5
         inp, out = dirichlet_layouts(n)
-        op = LinearBoundaryOperator([np.zeros((n, n))], inp, out)
+        op = LinearBoundaryOperator(np.zeros((n, n)), inp, out)
         t = rng.normal(size=(8, n))
         expected = float(np.sum(t * t) / (8 * n))
         assert compute_loss(op, rng.normal(size=(8, n)), t) == pytest.approx(expected)
@@ -130,7 +128,7 @@ class TestComputeLoss:
         grid = make_boundary_grid(DomainSpec.unit_square(), 8)
         inp, out = mixed_layouts(grid, {"G1"})
         W = rng.normal(size=(8, 8))
-        op = LinearBoundaryOperator([W], inp, out)
+        op = LinearBoundaryOperator(W, inp, out)
         x = rng.normal(size=(4, 8))
         t = rng.normal(size=(4, 8))
         plain = float(np.mean((x @ W.T - t) ** 2))
@@ -148,7 +146,7 @@ class TestGradients:
         W = rng.normal(size=(5, 6))
         lam = np.array([1.3, 1.3, 0.4, 0.4, 2.0])
         inv = 1.0 / (7 * 5)
-        _, grads = _loss_and_grads([W], X, T, lam, inv)
+        _, grad = _loss_and_grad(W, X, T, lam, inv)
         eps = 1e-6
         r = np.random.default_rng(5)
         for _ in range(10):
@@ -156,27 +154,10 @@ class TestGradients:
             Wp, Wm = W.copy(), W.copy()
             Wp[i, j] += eps
             Wm[i, j] -= eps
-            lp, _ = _loss_and_grads([Wp], X, T, lam, inv)
-            lm, _ = _loss_and_grads([Wm], X, T, lam, inv)
+            lp, _ = _loss_and_grad(Wp, X, T, lam, inv)
+            lm, _ = _loss_and_grad(Wm, X, T, lam, inv)
             fd = (lp - lm) / (2 * eps)
-            assert grads[0][i, j] == pytest.approx(fd, rel=1e-6)
-
-    def test_two_layer_matches_finite_differences(self, rng):
-        X = rng.normal(size=(5, 4))
-        T = rng.normal(size=(5, 3))
-        layers = [rng.normal(size=(6, 4)), rng.normal(size=(3, 6))]
-        lam = np.ones(3)
-        inv = 1.0 / (5 * 3)
-        _, grads = _loss_and_grads(layers, X, T, lam, inv)
-        eps = 1e-6
-        for li in (0, 1):
-            Wp = [w.copy() for w in layers]
-            Wm = [w.copy() for w in layers]
-            Wp[li][1, 2] += eps
-            Wm[li][1, 2] -= eps
-            lp, _ = _loss_and_grads(Wp, X, T, lam, inv)
-            lm, _ = _loss_and_grads(Wm, X, T, lam, inv)
-            assert grads[li][1, 2] == pytest.approx((lp - lm) / (2 * eps), rel=1e-5)
+            assert grad[i, j] == pytest.approx(fd, rel=1e-6)
 
 
 class TestTrainAdam:
@@ -191,7 +172,7 @@ class TestTrainAdam:
         cfg = TrainingConfig(learning_rate=1e-2, batch_size=200, epochs=5000, seed=1)
         op, report = train_adam(X, T, inp, out, cfg)
         assert report.best_loss < 1e-10
-        rel = np.linalg.norm(op.layers[0] - Wstar) / np.linalg.norm(Wstar)
+        rel = np.linalg.norm(op.W - Wstar) / np.linalg.norm(Wstar)
         assert rel < 1e-3
 
     def test_zero_learning_rate_keeps_parameters(self, rng):
@@ -199,7 +180,7 @@ class TestTrainAdam:
         inp, out = dirichlet_layouts(6)
         cfg = TrainingConfig(learning_rate=0.0, batch_size=30, epochs=20, seed=1)
         op, report = train_adam(X, T, inp, out, cfg)
-        np.testing.assert_array_equal(op.layers[0], np.zeros((6, 6)))
+        np.testing.assert_array_equal(op.W, np.zeros((6, 6)))
         # flat up to shuffle-order rounding in the batch sum
         assert np.ptp(report.losses) < 1e-15
 
@@ -209,7 +190,7 @@ class TestTrainAdam:
         cfg = TrainingConfig(learning_rate=1e-3, batch_size=20, epochs=50, seed=9)
         op1, rep1 = train_adam(X, T, inp, out, cfg)
         op2, rep2 = train_adam(X, T, inp, out, cfg)
-        np.testing.assert_array_equal(op1.layers[0], op2.layers[0])
+        np.testing.assert_array_equal(op1.W, op2.W)
         np.testing.assert_array_equal(rep1.losses, rep2.losses)
 
     def test_best_checkpoint_is_running_minimum(self, rng):
@@ -236,14 +217,6 @@ class TestTrainAdam:
         with pytest.raises(ValueError):
             train_adam(X, T, inp, out, TrainingConfig(batch_size=31, epochs=1))
 
-    def test_hidden_layer_stack_trains(self, rng):
-        _, X, T = self.planted(rng, n=10, samples=80)
-        inp, out = dirichlet_layouts(10)
-        cfg = TrainingConfig(learning_rate=1e-2, batch_size=80, epochs=800, seed=4)
-        op, report = train_adam(X, T, inp, out, cfg, hidden_dims=(16,))
-        assert len(op.layers) == 2
-        assert report.best_loss < 1e-3
-
     def test_training_log_csv_shape(self, rng):
         _, X, T = self.planted(rng, n=6, samples=30)
         inp, out = dirichlet_layouts(6)
@@ -259,7 +232,7 @@ class TestLeastSquares:
         X = rng.normal(size=(100, 12))
         inp, out = dirichlet_layouts(12)
         op = fit_least_squares(X, X @ Wstar.T, inp, out)
-        rel = np.linalg.norm(op.layers[0] - Wstar) / np.linalg.norm(Wstar)
+        rel = np.linalg.norm(op.W - Wstar) / np.linalg.norm(Wstar)
         assert rel < 1e-8
 
     def test_underdetermined_takes_ridge_path(self, rng):
@@ -281,17 +254,16 @@ class TestLeastSquares:
         T = rng.normal(size=(30, 8))
         op = fit_least_squares(X, T, inp, out)
         base = compute_loss(op, X, T)
-        for w in (op.layers[0] + 1e-6 * rng.normal(size=(8, 8)) for _ in range(3)):
-            other = LinearBoundaryOperator([w], inp, out)
+        for w in (op.W + 1e-6 * rng.normal(size=(8, 8)) for _ in range(3)):
+            other = LinearBoundaryOperator(w, inp, out)
             assert compute_loss(other, X, T) >= base
 
 
 class TestModelIO:
     def test_round_trip_bitwise(self, rng):
-        op = random_op(rng, layers=2)
+        op = random_op(rng)
         again = load_model(save_model(op))
-        for a, b in zip(op.layers, again.layers):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(op.W, again.W)
         v = rng.normal(size=6)
         np.testing.assert_array_equal(op.apply(v), again.apply(v))
         assert again.input_layout == op.input_layout
@@ -308,11 +280,40 @@ class TestModelIO:
         with pytest.raises(ValueError):
             load_model(json.dumps(payload))
 
+    @pytest.mark.parametrize("edit", ["empty", "nan", "inf"])
+    def test_empty_or_non_finite_layers_rejected(self, rng, edit):
+        payload = json.loads(save_model(random_op(rng)))
+        if edit == "empty":
+            payload["layers"] = []
+        else:
+            payload["layers"][0]["entries"][3] = edit
+        with pytest.raises(ValueError, match="malformed model file"):
+            load_model(json.dumps(payload))
+
+    def test_legacy_two_layer_file_loads_as_product(self, rng):
+        # Stacks saved by earlier versions apply their layers in file order.
+        inp, out = dirichlet_layouts(3)
+        L1 = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
+        L2 = np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 3.0]])
+        text = json.dumps({
+            "input_layout": [{"trace": "g", "segment": "all", "indices": [0, 1, 2]}],
+            "output_layout": [{"trace": "h", "segment": "all", "indices": [0, 1, 2]}],
+            "layers": [
+                {"shape": [2, 3], "entries": ["1.0", "2.0", "0.0", "0.0", "1.0", "-1.0"]},
+                {"shape": [3, 2], "entries": ["1.0", "0.0", "0.5", "1.0", "0.0", "3.0"]},
+            ],
+        })
+        op = load_model(text)
+        assert op.input_layout == inp and op.output_layout == out
+        np.testing.assert_array_equal(op.W, L2 @ L1)
+        v = rng.normal(size=3)
+        np.testing.assert_allclose(op.apply(v), L2 @ (L1 @ v), rtol=1e-14)
+
     def test_constant_annihilation_metric(self):
         n = 4
         inp, out = dirichlet_layouts(n)
-        op = LinearBoundaryOperator([np.eye(n)], inp, out)
+        op = LinearBoundaryOperator(np.eye(n), inp, out)
         assert constant_annihilation(op) == pytest.approx(1.0)
         row_killer = np.eye(n) - np.full((n, n), 1.0 / n)
-        op2 = LinearBoundaryOperator([row_killer], inp, out)
+        op2 = LinearBoundaryOperator(row_killer, inp, out)
         assert constant_annihilation(op2) < 1e-14
