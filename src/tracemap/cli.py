@@ -82,18 +82,26 @@ def _domain_from_name(name: str) -> DomainSpec:
     return presets[name]()
 
 
-def _kernel_from_args(args) -> KernelSpec:
-    if args.equation == "laplace":
+def _kernel(equation: str, k: float) -> KernelSpec:
+    if equation == "laplace":
         return KernelSpec("laplace2d")
-    if args.equation == "helmholtz":
-        return KernelSpec("helmholtz2d", args.k)
-    if args.equation == "helmholtz3d":
-        return KernelSpec("helmholtz3d", args.k)
-    raise SystemExit(f"unknown equation {args.equation!r}")
+    if equation == "helmholtz":
+        return KernelSpec("helmholtz2d", k)
+    if equation == "helmholtz3d":
+        return KernelSpec("helmholtz3d", k)
+    raise SystemExit(f"unknown equation {equation!r}")
+
+
+def _load_model_for(path: str, kernel: KernelSpec):
+    """The model at ``path``; refused if it records another training kernel."""
+    op = load_model(Path(path).read_text())
+    if op.kernel not in (None, kernel):
+        raise ValueError(f"{path}: model was trained on {op.kernel} data, this run needs {kernel}")
+    return op
 
 
 def cmd_gen(args) -> int:
-    kernel = _kernel_from_args(args)
+    kernel = _kernel(args.equation, args.k)
     domain = _domain_from_name(args.domain)
     spec = DatasetSpec(
         kernel=kernel,
@@ -107,10 +115,11 @@ def cmd_gen(args) -> int:
     ds = build_dataset(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "dataset.csv").write_text(dataset_to_csv(ds))
+    csv_text = dataset_to_csv(ds)
+    (out / "dataset.csv").write_text(csv_text)
     (out / "dataset.json").write_text(spec.to_json())
     print(f"wrote {ds.n_samples} samples ({spec.n_points} points) to {out}")
-    print(f"sha256 {dataset_checksum(ds)}")
+    print(f"sha256 {dataset_checksum(csv_text)}")
     _emit_provenance(args, out / "dataset.csv", out / "dataset.json")
     return 0
 
@@ -163,6 +172,7 @@ def cmd_train(args) -> int:
         )
         log_text = report.to_csv()
     print(f"constant annihilation {constant_annihilation(op):.3e}")
+    op.kernel = ds.spec.kernel
     Path(args.out).write_text(save_model(op))
     written = [Path(args.out)]
     if args.log:
@@ -174,12 +184,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    op = load_model(Path(args.model).read_text())
+    # accept spellings like "laplace-u1..u5"
+    args.suite = args.suite.split("-")[0]
+    if args.suite not in ("laplace", "helmholtz", "poisson", "helmholtz3d"):
+        raise SystemExit(f"unknown suite {args.suite!r}")
+    kernel = _kernel("laplace" if args.suite == "poisson" else args.suite, args.k)
+    op = _load_model_for(args.model, kernel)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     domain = _domain_from_name(args.domain)
-    # accept spellings like "laplace-u1..u5"
-    args.suite = args.suite.split("-")[0]
 
     if args.suite == "helmholtz3d":
         grid = make_boundary_grid(DomainSpec.sphere(), args.n)
@@ -199,9 +212,7 @@ def cmd_eval(args) -> int:
         cases = [c for fam in families for c in make_test_suite(fam, domain, seed=args.seed)]
 
         def solve_one(case):
-            fld = solve_dirichlet(
-                op, KernelSpec("laplace2d"), grid, case.dirichlet(grid), eval_points, exact=case.u
-            )
+            fld = solve_dirichlet(op, kernel, grid, case.dirichlet(grid), eval_points, exact=case.u)
             return fld, case.neumann(grid)
 
     elif args.suite == "helmholtz":
@@ -215,7 +226,7 @@ def cmd_eval(args) -> int:
             fld = solve_helmholtz(op, args.k, grid, case.dirichlet(grid), eval_points, exact=case.u)
             return fld, case.neumann(grid)
 
-    elif args.suite == "poisson":
+    else:  # poisson
         mesh = triangulate_square(args.mesh_h)
         cases = poisson_cases()
 
@@ -224,9 +235,6 @@ def cmd_eval(args) -> int:
                 op, case.source, case.dirichlet(grid), mesh, grid, eval_points, exact=case.u
             )
             return fld, case.neumann(grid)
-
-    else:
-        raise SystemExit(f"unknown suite {args.suite!r}")
 
     summary = evaluate_suite(cases, solve_one)
     (out_dir / "summary.json").write_text(summary_to_json(summary))
@@ -239,7 +247,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    op = load_model(Path(args.model).read_text())
+    # mixed and source problems are solved with the Laplace kernel
+    laplace = args.dirichlet_edges or args.source
+    kernel = _kernel("laplace" if laplace else args.equation, args.k)
+    op = _load_model_for(args.model, kernel)
     domain, n = _parse_grid_name(args.grid)
     grid = make_boundary_grid(domain, n)
     g = _read_column(Path(args.g)) if args.g else None
@@ -263,7 +274,7 @@ def cmd_solve(args) -> int:
     elif args.equation == "helmholtz":
         fld = solve_helmholtz(op, args.k, grid, g, eval_points)
     else:
-        fld = solve_dirichlet(op, KernelSpec("laplace2d"), grid, g, eval_points)
+        fld = solve_dirichlet(op, kernel, grid, g, eval_points)
     Path(args.out).write_text(fld.to_csv())
     print(f"wrote field ({len(fld.points)} points) to {args.out}")
     _emit_provenance(args, Path(args.out))
@@ -406,7 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "solve" and args.dirichlet_edges and not args.h:
+        parser.error("solve --dirichlet-edges needs --h (the Neumann values, one per line)")
     try:
         return args.fn(args)
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:

@@ -2,9 +2,11 @@
 
 Supports the 2D log kernel, the 2D Helmholtz kernel (i/4) H0^(1)(kr) with
 H0^(1) = J0 + i Y0, and the 3D Helmholtz kernel e^{ikr}/(4 pi r).  Bessel
-functions J0, J1, Y0, Y1 are evaluated from their power series for small
-arguments and from the large-argument amplitude/phase asymptotic
-expansion beyond ``X_SWITCH``; no special-function library is used.
+functions J0, J1, Y0, Y1 come from one evaluator, ``_bessel(x, nu, kind)``:
+up to ``X_SWITCH`` a single power series whose term is shared by J and Y
+(the Y sum is accumulated in the same pass as J), beyond it the
+large-argument amplitude/phase expansion, each computing only the function
+asked for.  No special-function library is used.
 
 All kernels here satisfy L G = -delta (potential-theory sign), so the
 interior representation used elsewhere is
@@ -62,162 +64,118 @@ class KernelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _j0_series(x):
-    q = 0.25 * x * x
-    total = np.ones_like(x)
-    term = np.ones_like(x)
+def _series_terms(q_max: float, nu: int, kind: str) -> int:
+    """Series terms after which every term at q <= q_max is below _SERIES_TOL."""
+    t = weight = 1.0
     for m in range(1, _SERIES_MAX_TERMS + 1):
-        term = term * (-q) / (m * m)
-        total = total + term
-        if np.all(np.abs(term) < _SERIES_TOL * np.maximum(np.abs(total), 1.0)):
-            break
-    return total
+        t *= q_max / (m * (m + nu))
+        if kind == "Y":
+            weight += 1.0 / m + 1.0 / (m + nu)  # bounds H_m + H_{m+nu}
+        if t * weight < _SERIES_TOL:
+            return m
+    return _SERIES_MAX_TERMS
 
 
-def _j1_series(x):
-    q = 0.25 * x * x
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for m in range(1, _SERIES_MAX_TERMS + 1):
-        term = term * (-q) / (m * (m + 1))
-        total = total + term
-        if np.all(np.abs(term) < _SERIES_TOL * np.maximum(np.abs(total), 1.0)):
-            break
-    return 0.5 * x * total
+def _series(x, nu: int, kind: str):
+    """J_nu or Y_nu, nu in {0, 1}, from the power series (A&S 9.1.10-11).
+
+    With q = x^2/4 and the shared term t_m = (-q)^m / (m! (m+nu)!):
+    J_nu = (x/2)^nu sum t_m and
+    Y_nu = (2/pi)(ln(x/2) + gamma) J_nu
+           - (1/pi)(x/2)^nu sum (H_m + H_{m+nu}) t_m  [- 2/(pi x) if nu = 1].
+    """
+    neg_q = -0.25 * x * x
+    term = np.ones_like(x)  # t_0 = 1 for nu in {0, 1}
+    j_sum = term.copy()
+    h_m, h_mnu = 0.0, float(nu)  # H_m, H_{m+nu}; one running sum of both drifts ~1e-12
+    y_sum = (h_m + h_mnu) * term
+    for m in range(1, _series_terms(0.25 * float(x.max()) ** 2, nu, kind) + 1):
+        term *= neg_q
+        term /= m * (m + nu)
+        j_sum += term
+        if kind == "Y":
+            h_m += 1.0 / m
+            h_mnu += 1.0 / (m + nu)
+            y_sum += (h_m + h_mnu) * term
+    half_pow = 0.5 * x if nu else 1.0
+    j = half_pow * j_sum
+    if kind == "J":
+        return j
+    y = (2.0 / math.pi) * (np.log(0.5 * x) + EULER_GAMMA) * j - (half_pow / math.pi) * y_sum
+    return y - 2.0 / (math.pi * x) if nu else y
 
 
-def _y0_series(x):
-    # (2/pi) [ (ln(x/2) + gamma) J0 + sum_{m>=1} (-1)^{m+1} H_m q^m / (m!)^2 ],
-    # q = x^2/4; the digamma combination reduces to harmonic numbers.
-    q = 0.25 * x * x
-    term = np.ones_like(x)
-    total = np.zeros_like(x)
-    harmonic = 0.0
-    for m in range(1, _SERIES_MAX_TERMS + 1):
-        term = term * (-q) / (m * m)
-        harmonic += 1.0 / m
-        contrib = -harmonic * term  # (-1)^{m+1} H_m q^m/(m!)^2
-        total = total + contrib
-        if np.all(np.abs(contrib) < _SERIES_TOL * np.maximum(np.abs(total), 1.0)):
-            break
-    return (2.0 / math.pi) * ((np.log(0.5 * x) + EULER_GAMMA) * _j0_series(x) + total)
-
-
-def _y1_series(x):
-    # (2/pi)(ln(x/2)+gamma) J1 - 2/(pi x)
-    #   - (x/(2 pi)) sum_{m>=0} (-1)^m (H_m + H_{m+1}) q^m / (m! (m+1)!)
-    q = 0.25 * x * x
-    term = np.ones_like(x)
-    h_m = 0.0
-    h_m1 = 1.0
-    total = np.full_like(x, h_m + h_m1)
-    for m in range(1, _SERIES_MAX_TERMS + 1):
-        term = term * (-q) / (m * (m + 1))
-        h_m += 1.0 / m
-        h_m1 += 1.0 / (m + 1)
-        contrib = (h_m + h_m1) * term
-        total = total + contrib
-        if np.all(np.abs(contrib) < _SERIES_TOL * np.maximum(np.abs(total), 1.0)):
-            break
-    return (
-        (2.0 / math.pi) * (np.log(0.5 * x) + EULER_GAMMA) * _j1_series(x)
-        - 2.0 / (math.pi * x)
-        - (x / (2.0 * math.pi)) * total
-    )
-
-
-def _amplitude_phase(x, nu):
-    """P, Q of the large-argument expansion, truncated at the smallest term."""
+def _asymptotic(x, nu: int, kind: str):
+    """J_nu or Y_nu from the large-argument amplitude/phase expansion
+    (A&S 9.2.5-9.2.10), truncated at its smallest term at min(x)."""
     mu = 4.0 * nu * nu
     p = np.ones_like(x)
     q = np.zeros_like(x)
     a = np.ones_like(x)
+    a_max = 1.0  # the term at min(x), the largest in magnitude
+    x_min = float(x.min())
     prev = np.inf
     for k in range(1, _ASYMPTOTIC_MAX_TERMS + 1):
-        a = a * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        mag = float(np.max(np.abs(a))) if a.size else 0.0
+        a_max = a_max * (mu - (2 * k - 1) ** 2) / (8.0 * k * x_min)
+        mag = abs(a_max)
         if mag >= prev:  # asymptotic series: stop at the smallest term
             break
         prev = mag
+        a = a * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
         if k % 2 == 1:
             q = q + a * (-1.0) ** ((k - 1) // 2)
         else:
             p = p + a * (-1.0) ** (k // 2)
         if mag < 1e-18:
             break
-    return p, q
-
-
-def _bessel_asymptotic(x, nu):
-    p, q = _amplitude_phase(x, nu)
     omega = x - (0.5 * nu + 0.25) * math.pi
     amp = np.sqrt(2.0 / (math.pi * x))
-    j = amp * (p * np.cos(omega) - q * np.sin(omega))
-    y = amp * (p * np.sin(omega) + q * np.cos(omega))
-    return j, y
+    if kind == "J":
+        return amp * (p * np.cos(omega) - q * np.sin(omega))
+    return amp * (p * np.sin(omega) + q * np.cos(omega))
 
 
-def _eval_piecewise(x, series_fn, nu):
+def _bessel(x, nu: int, kind: str):
+    """J or Y of order nu: series up to X_SWITCH, asymptotic expansion above.
+
+    J needs x >= 0 and Y needs x > 0; scalar in, scalar out; arrays keep
+    their shape.
+    """
     x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0 if kind == "Y" else x < 0.0):
+        raise BesselDomainError(f"{kind}{nu} requires x {'>' if kind == 'Y' else '>='} 0")
     out = np.empty_like(x)
     small = x <= X_SWITCH
     if np.any(small):
-        out[small] = series_fn(x[small])
-    if np.any(~small):
-        j, y = _bessel_asymptotic(x[~small], nu)
-        out[~small] = j if series_fn in (_j0_series, _j1_series) else y
-    return out
+        out[small] = _series(x[small], nu, kind)
+    if not np.all(small):
+        out[~small] = _asymptotic(x[~small], nu, kind)
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_j0(x):
     """J0 for x >= 0; scalar in, scalar out; arrays supported."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise BesselDomainError("J0 requires x >= 0")
-    out = _eval_piecewise(x, _j0_series, 0.0)
-    return float(out) if out.ndim == 0 else out
+    return _bessel(x, 0, "J")
 
 
 def bessel_j1(x):
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise BesselDomainError("J1 requires x >= 0")
-    out = _eval_piecewise(x, _j1_series, 1.0)
-    return float(out) if out.ndim == 0 else out
+    return _bessel(x, 1, "J")
 
 
 def bessel_y0(x):
     """Y0 for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise BesselDomainError("Y0 requires x > 0")
-    out = _eval_piecewise(x, _y0_series, 0.0)
-    return float(out) if out.ndim == 0 else out
+    return _bessel(x, 0, "Y")
 
 
 def bessel_y1(x):
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise BesselDomainError("Y1 requires x > 0")
-    out = _eval_piecewise(x, _y1_series, 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-_BESSEL_TABLE = {
-    ("J", 0): bessel_j0,
-    ("J", 1): bessel_j1,
-    ("Y", 0): bessel_y0,
-    ("Y", 1): bessel_y1,
-}
+    return _bessel(x, 1, "Y")
 
 
 def bessel(kind: str, order: int, x):
-    """Dispatch to J0/J1/Y0/Y1 by kind in {"J", "Y"} and order in {0, 1}."""
-    try:
-        fn = _BESSEL_TABLE[(kind, order)]
-    except KeyError:
-        raise ValueError(f"unsupported Bessel function {kind}{order}") from None
-    return fn(x)
+    """J0/J1/Y0/Y1 by kind in {"J", "Y"} and order in {0, 1}."""
+    if kind not in ("J", "Y") or order not in (0, 1):
+        raise ValueError(f"unsupported Bessel function {kind}{order}")
+    return _bessel(x, order, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -282,24 +240,25 @@ def kernel_normal_derivative_y(spec: KernelSpec, x, y, normal) -> complex:
     return complex(np.dot(grad, np.asarray(normal, dtype=float)))
 
 
-def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
-    """G(x_i, y_j) for point sets; shape (len(xs), len(ys))."""
+def _pairwise(xs, ys):
+    """Differences y_j - x_i and distances for point sets; no pair may coincide."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    diff = ys[None, :, :] - xs[:, None, :]
-    r = np.sqrt(np.sum(diff * diff, axis=2))
+    diff, r = _distances(xs[:, None, :], ys[None, :, :])
     if np.any(r == 0.0):
         raise SingularEvaluationError("kernel matrix has coincident point pairs")
+    return diff, r
+
+
+def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
+    """G(x_i, y_j) for point sets; shape (len(xs), len(ys))."""
+    _, r = _pairwise(xs, ys)
     return _value_from_r(spec, r)
+
 
 def kernel_normal_matrix(spec: KernelSpec, xs, ys, normals) -> np.ndarray:
     """dG/dn_y (x_i, y_j) for point sets with unit normals at the y points."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    diff, r = _pairwise(xs, ys)
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    diff = ys[None, :, :] - xs[:, None, :]
-    r = np.sqrt(np.sum(diff * diff, axis=2))
-    if np.any(r == 0.0):
-        raise SingularEvaluationError("kernel matrix has coincident point pairs")
     proj = np.einsum("ijd,jd->ij", diff, normals) / r
     return _radial_derivative(spec, r) * proj

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BoundaryGrid
+from .kernels import KernelSpec
 
 
 class LayoutError(ValueError):
@@ -130,11 +131,13 @@ def scatter(layout: Layout, vec: np.ndarray, g_out: np.ndarray, h_out: np.ndarra
 
 @dataclass(eq=False)
 class LinearBoundaryOperator:
-    """One bias-free dense matrix ``W``; ``apply`` maps ``v`` to ``W v``."""
+    """One bias-free dense matrix ``W``; ``apply`` maps ``v`` to ``W v``.
+    ``kernel``, when known, is the fundamental solution of the training data."""
 
     W: np.ndarray
     input_layout: Layout
     output_layout: Layout
+    kernel: KernelSpec | None = None
 
     def __post_init__(self):
         want = (layout_size(self.output_layout), layout_size(self.input_layout))
@@ -361,6 +364,8 @@ def save_model(op: LinearBoundaryOperator) -> str:
             {"shape": list(op.W.shape), "entries": [repr(float(v)) for v in op.W.ravel()]}
         ],
     }
+    if op.kernel is not None:
+        payload["kernel"] = {"family": op.kernel.family, "k": op.kernel.k}
     return json.dumps(payload)
 
 
@@ -368,7 +373,8 @@ def load_model(text: str) -> LinearBoundaryOperator:
     """Inverse of :func:`save_model`.
 
     Files with several ``"layers"`` entries (linear stacks applied in file
-    order) load as their product ``W = L_k @ ... @ L_1``.
+    order) load as their product ``W = L_k @ ... @ L_1``.  Files without a
+    ``"kernel"`` record load with ``kernel=None``.
     """
     try:
         payload = json.loads(text)
@@ -385,9 +391,10 @@ def load_model(text: str) -> LinearBoundaryOperator:
             W = w @ W
         inp = _layout_from_payload(payload["input_layout"])
         out = _layout_from_payload(payload["output_layout"])
+        kernel = KernelSpec(**payload["kernel"]) if "kernel" in payload else None
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"malformed model file: {exc}") from exc
-    return LinearBoundaryOperator(W, inp, out)
+    return LinearBoundaryOperator(W, inp, out, kernel)
 
 
 def constant_annihilation(op: LinearBoundaryOperator) -> float:

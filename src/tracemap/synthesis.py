@@ -334,5 +334,6 @@ def dataset_from_csv(text: str, spec: DatasetSpec, grid: BoundaryGrid) -> Datase
     return Dataset(spec=spec, grid=grid, g_rows=np.array(g_list), h_rows=np.array(h_list))
 
 
-def dataset_checksum(ds: Dataset) -> str:
-    return hashlib.sha256(dataset_to_csv(ds).encode()).hexdigest()
+def dataset_checksum(csv_text: str) -> str:
+    """SHA-256 of dataset CSV text as written by :func:`dataset_to_csv`."""
+    return hashlib.sha256(csv_text.encode()).hexdigest()

@@ -212,6 +212,33 @@ class TestEvalSolve:
                 assert str(bad) in capsys.readouterr().err
                 assert not out.exists()
 
+    def test_model_for_another_kernel_refused(self, laplace_run, tmp_path, capsys):
+        _, _, model = laplace_run
+        assert json.loads(model.read_text())["kernel"] == {"family": "laplace2d", "k": 0.0}
+        g_file = tmp_path / "g.csv"
+        g_file.write_text("\n".join(["0.5"] * 80))
+        out = tmp_path / "field.csv"
+        for argv in (
+            ["solve", "--model", model, "--grid", "square80", "--g", g_file,
+             "--equation", "helmholtz", "--k", 10, "--out", out],
+            ["eval", "--model", model, "--suite", "helmholtz", "--k", 10, "--n", 80,
+             "--out", tmp_path / "eval"],
+        ):
+            assert run(argv) == 1
+            err = capsys.readouterr().err
+            assert "'laplace2d'" in err and "'helmholtz2d', k=10.0" in err
+        assert not out.exists()
+
+    def test_mixed_solve_without_h_is_usage_error(self, laplace_run, tmp_path, capsys):
+        _, _, model = laplace_run
+        g_file = tmp_path / "g.csv"
+        g_file.write_text("\n".join(["0.5"] * 80))
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--model", model, "--grid", "square80", "--g", g_file,
+                 "--dirichlet-edges", "1", "--out", tmp_path / "field.csv"])
+        assert exc.value.code == 2
+        assert "--h" in capsys.readouterr().err
+
     def test_missing_artifact_exits_nonzero(self, tmp_path):
         code = run(
             ["eval", "--model", tmp_path / "nope.json", "--suite", "laplace",

@@ -50,7 +50,12 @@ class TestBessel:
     @pytest.mark.parametrize("kind,order", [("J", 0), ("J", 1), ("Y", 0), ("Y", 1)])
     def test_against_oracle_across_the_switch(self, kind, order):
         xs = np.concatenate(
-            [np.linspace(0.05, 11.9, 31), np.linspace(12.1, 60.0, 23), [150.0, 900.0]]
+            [
+                [1e-8, 1e-6, 1e-3, 1e-2],
+                np.linspace(0.05, 11.9, 31),
+                np.linspace(12.1, 60.0, 23),
+                [150.0, 900.0],
+            ]
         )
         for x in xs:
             ref = bessel_series_oracle(kind, order, x)
@@ -73,6 +78,15 @@ class TestBessel:
             bessel_j0(-0.5)
         with pytest.raises(ValueError):
             bessel("J", 2, 1.0)
+
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_y0, bessel_y1])
+    def test_array_shape_kept(self, fn):
+        assert fn(np.empty(0)).shape == (0,)
+        assert fn(np.empty((0, 3))).shape == (0, 3)
+        x = np.array([[0.5, 3.0, 11.0], [12.5, 20.0, 40.0]])  # both branches
+        out = fn(x)
+        assert out.shape == (2, 3)
+        np.testing.assert_array_equal(out.ravel(), fn(x.ravel()))
 
     def test_vectorized_matches_scalar(self):
         xs = np.array([0.3, 5.0, 20.0])

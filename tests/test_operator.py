@@ -25,6 +25,7 @@ from tracemap.operator import (
     train_adam,
 )
 from tracemap.geometry import DomainSpec, make_boundary_grid
+from tracemap.kernels import KernelSpec
 
 
 def identity_op(n=4):
@@ -267,6 +268,13 @@ class TestModelIO:
         v = rng.normal(size=6)
         np.testing.assert_array_equal(op.apply(v), again.apply(v))
         assert again.input_layout == op.input_layout
+
+    def test_kernel_recorded_when_known(self, rng):
+        op = random_op(rng)
+        assert "kernel" not in json.loads(save_model(op))
+        assert load_model(save_model(op)).kernel is None
+        op.kernel = KernelSpec("helmholtz2d", 10.0)
+        assert load_model(save_model(op)).kernel == KernelSpec("helmholtz2d", 10.0)
 
     def test_truncated_file_rejected(self, rng):
         text = save_model(random_op(rng))
