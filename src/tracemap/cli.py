@@ -100,6 +100,13 @@ def _load_model_for(path: str, kernel: KernelSpec):
     return op
 
 
+def _source_mesh(domain: DomainSpec, name: str, h: float):
+    """The mesh a Poisson source is integrated over; only the unit square is meshed."""
+    if domain.shape != "unit_square":
+        raise ValueError(f"Poisson sources are integrated over the unit square only; cannot mesh {name!r}")
+    return triangulate_square(h)
+
+
 def cmd_gen(args) -> int:
     kernel = _kernel(args.equation, args.k)
     domain = _domain_from_name(args.domain)
@@ -227,7 +234,7 @@ def cmd_eval(args) -> int:
             return fld, case.neumann(grid)
 
     else:  # poisson
-        mesh = triangulate_square(args.mesh_h)
+        mesh = _source_mesh(domain, args.domain, args.mesh_h)
         cases = poisson_cases()
 
         def solve_one(case):
@@ -263,7 +270,7 @@ def cmd_solve(args) -> int:
         )
         fld = solve_mixed(op, grid, partition, g, h, eval_points)
     elif args.source:
-        mesh = triangulate_square(args.mesh_h)
+        mesh = _source_mesh(domain, args.grid, args.mesh_h)
         f_vertex = _read_column(Path(args.source))
         if len(f_vertex) != len(mesh.vertices):
             raise SystemExit(

@@ -241,13 +241,30 @@ def kernel_normal_derivative_y(spec: KernelSpec, x, y, normal) -> complex:
 
 
 def _pairwise(xs, ys):
-    """Differences y_j - x_i and distances for point sets; no pair may coincide."""
+    """Per-coordinate differences y_j - x_i, each (len(xs), len(ys)), and the
+    distances r, from one pass over the point sets; no pair may coincide."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    diff, r = _distances(xs[:, None, :], ys[None, :, :])
+    if xs.shape[1] != ys.shape[1]:
+        raise ValueError(f"point sets of dimension {xs.shape[1]} and {ys.shape[1]}")
+    diffs = [ys[None, :, c] - xs[:, None, c] for c in range(xs.shape[1])]
+    r = diffs[0] * diffs[0]
+    for d in diffs[1:]:
+        r += d * d
+    np.sqrt(r, out=r)
     if np.any(r == 0.0):
         raise SingularEvaluationError("kernel matrix has coincident point pairs")
-    return diff, r
+    return diffs, r
+
+
+def _normal_projection(diffs, normals, r) -> np.ndarray:
+    """(y_j - x_i) . n_j / r_ij, summed from +0.0 in coordinate order."""
+    normals = np.atleast_2d(np.asarray(normals, dtype=float))
+    proj = np.zeros_like(r)
+    for d, n in zip(diffs, normals.T):
+        proj += d * n
+    proj /= r
+    return proj
 
 
 def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
@@ -258,7 +275,18 @@ def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
 
 def kernel_normal_matrix(spec: KernelSpec, xs, ys, normals) -> np.ndarray:
     """dG/dn_y (x_i, y_j) for point sets with unit normals at the y points."""
-    diff, r = _pairwise(xs, ys)
-    normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    proj = np.einsum("ijd,jd->ij", diff, normals) / r
+    diffs, r = _pairwise(xs, ys)
+    proj = _normal_projection(diffs, normals, r)
     return _radial_derivative(spec, r) * proj
+
+
+def kernel_matrices(spec: KernelSpec, xs, ys, normals):
+    """``(G, dG/dn_y, r)`` for point sets from one pairwise pass.
+
+    G and dG/dn_y equal :func:`kernel_matrix` and
+    :func:`kernel_normal_matrix` bit for bit; r holds the distances.
+    """
+    diffs, r = _pairwise(xs, ys)
+    proj = _normal_projection(diffs, normals, r)
+    del diffs  # only r and proj stay alive through the Bessel calls
+    return _value_from_r(spec, r), _radial_derivative(spec, r) * proj, r

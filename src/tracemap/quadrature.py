@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BoundaryGrid, TriMesh
-from .kernels import KernelSpec, kernel_matrix, kernel_normal_matrix
+from .kernels import KernelSpec, kernel_matrices
 
 _SQRT15 = math.sqrt(15.0)
 
@@ -246,7 +246,11 @@ def boundary_integral(values, grid: BoundaryGrid):
 
 
 class BoundaryReconstructor:
-    """Interior evaluation from boundary traces, with cached kernel matrices.
+    """Interior evaluation from boundary traces.
+
+    Each instance builds its weighted kernel matrices once, from one
+    pairwise pass over (points x boundary nodes); nothing is shared
+    between instances.
 
     Implements ``u(x) = sum_i w_i [G(x, y_i) h_i - g_i dG/dn(x, y_i)]``;
     the sign convention is fixed by the requirement that exact traces of
@@ -257,12 +261,11 @@ class BoundaryReconstructor:
         self.kernel = kernel
         self.grid = grid
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        w = grid.weights[None, :]
-        self.single = kernel_matrix(kernel, self.points, grid.points) * w
-        self.double = kernel_normal_matrix(kernel, self.points, grid.points, grid.normals) * w
-        diff = grid.points[None, :, :] - self.points[:, None, :]
-        rmin = np.sqrt((diff**2).sum(axis=2)).min(axis=1)
-        self.near_flags = rmin < 2.0 * grid.min_spacing()
+        single, double, r = kernel_matrices(kernel, self.points, grid.points, grid.normals)
+        single *= grid.weights
+        double *= grid.weights
+        self.single, self.double = single, double
+        self.near_flags = r.min(axis=1) < 2.0 * grid.min_spacing()
 
     def field(self, g, h) -> np.ndarray:
         g = np.asarray(g)

@@ -11,8 +11,6 @@ degree one in the boundary data.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -97,17 +95,16 @@ class SolutionField:
         return float(np.linalg.norm(self.pred.imag) / denom) if denom else 0.0
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["x", "y", "u_pred_re", "u_pred_im", "u_exact", "abs_err", "flag"])
-        exact = self.exact if self.exact is not None else np.full(len(self.points), np.nan)
-        for i, p in enumerate(self.points):
-            err = abs(self.pred.real[i] - exact[i]) if np.isfinite(exact[i]) else np.nan
-            w.writerow(
-                [repr(float(p[0])), repr(float(p[1])), repr(float(self.pred.real[i])), repr(float(self.pred.imag[i])),
-                 repr(float(exact[i])), repr(float(err)), int(self.near_flags[i])]
-            )
-        return buf.getvalue()
+        n = len(self.points)
+        exact = np.full(n, np.nan) if self.exact is None else np.asarray(self.exact, dtype=float)
+        err = np.where(np.isfinite(exact), np.abs(self.pred.real - exact), np.nan)
+        columns = (self.points[:, 0], self.points[:, 1], self.pred.real, self.pred.imag, exact, err,
+                   np.asarray(self.near_flags))
+        rows = [
+            f"{x!r},{y!r},{re!r},{im!r},{ex!r},{e!r},{int(flag)}"
+            for x, y, re, im, ex, e, flag in zip(*(c.tolist() for c in columns))
+        ]
+        return "\r\n".join(["x,y,u_pred_re,u_pred_im,u_exact,abs_err,flag", *rows]) + "\r\n"
 
 
 def make_eval_grid(domain: DomainSpec, m: int = 100, margin: float = 0.0) -> np.ndarray:

@@ -165,6 +165,27 @@ class TestEvalSolve:
         exact = case_u(pts)
         assert np.linalg.norm(pred - exact) / np.linalg.norm(exact) < 5e-2
 
+    def test_poisson_refused_off_the_unit_square(self, laplace_run, tmp_path, capsys):
+        _, _, model = laplace_run
+        from tracemap.geometry import triangulate_square
+
+        g_file = tmp_path / "g.csv"
+        g_file.write_text("\n".join(["0.25"] * 80))
+        src = tmp_path / "f.csv"
+        src.write_text("\n".join("1.0" for _ in range(len(triangulate_square(0.5).vertices))))
+        out = tmp_path / "field.csv"
+        for argv, name in (
+            (["solve", "--model", model, "--grid", "circle80", "--g", g_file,
+              "--source", src, "--mesh-h", 0.5, "--out", out], "circle80"),
+            (["eval", "--model", model, "--suite", "poisson", "--domain", "star5", "--n", 80,
+              "--mesh-h", 0.5, "--out", tmp_path / "eval"], "star5"),
+        ):
+            assert run(argv) == 1
+            err = capsys.readouterr().err
+            assert "unit square" in err and repr(name) in err
+        assert not out.exists()
+        assert not list(tmp_path.glob("eval/*"))
+
     def test_solve_mixed_from_files(self, laplace_run, tmp_path):
         _, data, _ = laplace_run
         model = tmp_path / "mixed.json"

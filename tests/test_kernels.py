@@ -19,6 +19,7 @@ from tracemap.kernels import (
     kernel_gradient_y,
     kernel_matrix,
     kernel_normal_derivative_y,
+    kernel_normal_matrix,
     kernel_value,
 )
 
@@ -202,6 +203,12 @@ class TestKernelGradient:
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 assert mat[i, j] == pytest.approx(kernel_value(HELM1, x, y))
+
+    def test_matrix_point_sets_must_share_dimension(self):
+        with pytest.raises(ValueError):
+            kernel_matrix(HELM3D, np.zeros((2, 3)), np.ones((4, 2)))
+        with pytest.raises(ValueError):
+            kernel_normal_matrix(LAPLACE, np.zeros((2, 2)), np.ones((4, 3)), np.ones((4, 3)))
 
 
 def _shift(p, d, eps):

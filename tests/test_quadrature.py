@@ -5,7 +5,7 @@ import pytest
 
 from oracles import duffy_triangle_integral, log_square_integral_oracle
 from tracemap.geometry import DomainSpec, make_boundary_grid, triangulate_square
-from tracemap.kernels import KernelSpec
+from tracemap.kernels import KernelSpec, SingularEvaluationError, kernel_matrix, kernel_normal_matrix
 from tracemap.quadrature import (
     BoundaryReconstructor,
     DegenerateTriangleError,
@@ -220,6 +220,26 @@ class TestReconstruction:
         rec = BoundaryReconstructor(LAPLACE, square_grid, [[0.5, 0.012], [0.5, 0.5]])
         assert rec.near_flags[0]
         assert not rec.near_flags[1]
+
+    @pytest.mark.parametrize(
+        "kernel", [LAPLACE, KernelSpec("helmholtz2d", 10.0)], ids=["laplace2d", "helmholtz2d"]
+    )
+    def test_fused_build_matches_separate_matrices_bitwise(self, kernel):
+        grid = make_boundary_grid(DomainSpec.unit_square(), 40)
+        gx, gy = np.meshgrid(np.linspace(0.2, 0.8, 7), np.linspace(0.2, 0.8, 7))
+        near = [[0.003, 0.004], [0.5, 0.002], [0.998, 0.6], [0.513, 0.0]]  # corner, edges, on an edge
+        pts = np.vstack([np.column_stack([gx.ravel(), gy.ravel()]), near])
+        rec = BoundaryReconstructor(kernel, grid, pts)
+        w = grid.weights[None, :]
+        single = kernel_matrix(kernel, pts, grid.points) * w
+        double = kernel_normal_matrix(kernel, pts, grid.points, grid.normals) * w
+        for got, want in ((rec.single, single), (rec.double, double)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()  # signed zeros too
+        rmin = np.array([np.sqrt(((grid.points - p) ** 2).sum(axis=1)).min() for p in pts])
+        assert np.array_equal(rec.near_flags, rmin < 2.0 * grid.min_spacing())
+        assert rec.near_flags[-len(near):].all() and not rec.near_flags[:-len(near)].any()
+        with pytest.raises(SingularEvaluationError):
+            BoundaryReconstructor(kernel, grid, np.vstack([pts, grid.points[7]]))
 
     def test_trace_length_checked(self, square_grid):
         rec = BoundaryReconstructor(LAPLACE, square_grid, [[0.5, 0.5]])

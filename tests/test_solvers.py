@@ -298,6 +298,30 @@ class TestSolutionField:
         assert lines[0] == "x,y,u_pred_re,u_pred_im,u_exact,abs_err,flag"
         assert len(lines) == len(eval_pts) + 1
 
+    def test_csv_bytes_match_row_writer(self):
+        import csv
+        import io
+
+        pts = np.array([[0.1, 0.2], [0.3, -0.0], [1e-300, 0.7], [0.5, 0.5], [0.9, 0.4]])
+        pred = np.array([1.5 + 2e-9j, -0.0, 1e300 - 1j, 0.25, -3.0])
+        exact = np.array([1.25, np.nan, np.inf, -0.0, -3.0000000000000004])
+        flags = np.array([False, True, False, True, False])
+
+        def reference(fld):
+            buf = io.StringIO()
+            w = csv.writer(buf)
+            w.writerow(["x", "y", "u_pred_re", "u_pred_im", "u_exact", "abs_err", "flag"])
+            ex = fld.exact if fld.exact is not None else np.full(len(fld.points), np.nan)
+            for i, p in enumerate(fld.points):
+                err = abs(fld.pred.real[i] - ex[i]) if np.isfinite(ex[i]) else np.nan
+                w.writerow([repr(float(v)) for v in (p[0], p[1], fld.pred.real[i], fld.pred.imag[i], ex[i], err)]
+                           + [int(fld.near_flags[i])])
+            return buf.getvalue()
+
+        for ex in (exact, None):
+            fld = SolutionField(points=pts, pred=pred, near_flags=flags, exact=ex)
+            assert fld.to_csv() == reference(fld)
+
     def test_error_excludes_flagged_points(self, small_grid, small_laplace):
         _, op = small_laplace
         pts = np.array([[0.5, 0.5], [0.5, 0.001]])  # second is near-boundary
