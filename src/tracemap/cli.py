@@ -198,7 +198,6 @@ def cmd_eval(args) -> int:
     kernel = _kernel("laplace" if args.suite == "poisson" else args.suite, args.k)
     op = _load_model_for(args.model, kernel)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     domain = _domain_from_name(args.domain)
 
     if args.suite == "helmholtz3d":
@@ -208,6 +207,7 @@ def cmd_eval(args) -> int:
             op, grid, case.dirichlet(grid), case.neumann(grid)
         )
         summary = {"plane3d": {"n_cases": 1, "dudn_error": err}}
+        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
         print(f"3D normal-derivative relative error {err:.4e}")
         return 0
@@ -244,6 +244,7 @@ def cmd_eval(args) -> int:
             return fld, case.neumann(grid)
 
     summary = evaluate_suite(cases, solve_one)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.json").write_text(summary_to_json(summary))
     for i, case in enumerate(cases):
         fld, _ = solve_one(case)
@@ -289,25 +290,14 @@ def cmd_solve(args) -> int:
 
 
 def _vertex_interpolant(mesh, vertex_values):
-    """Piecewise-linear interpolation of per-vertex source values."""
+    """Piecewise-linear interpolation of per-vertex source values, with points
+    placed by :meth:`TriMesh.locate`; 0 at points no triangle holds."""
+    corner_values = vertex_values[mesh.triangles]
 
     def f(pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros(len(pts))
-        a, b, c = mesh.corner_arrays()
-        va = vertex_values[mesh.triangles[:, 0]]
-        vb = vertex_values[mesh.triangles[:, 1]]
-        vc = vertex_values[mesh.triangles[:, 2]]
-        det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
-        for i, p in enumerate(pts):
-            l1 = ((b[:, 0] - p[0]) * (c[:, 1] - p[1]) - (c[:, 0] - p[0]) * (b[:, 1] - p[1])) / det
-            l2 = ((c[:, 0] - p[0]) * (a[:, 1] - p[1]) - (a[:, 0] - p[0]) * (c[:, 1] - p[1])) / det
-            l3 = 1.0 - l1 - l2
-            ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l3 >= -1e-12)
-            if ok.any():
-                t = int(np.argmax(ok))
-                out[i] = l1[t] * va[t] + l2[t] * vb[t] + l3[t] * vc[t]
-        return out
+        tri, lam = mesh.locate(pts)
+        v = corner_values[tri]
+        return np.where(tri >= 0, lam[:, 0] * v[:, 0] + lam[:, 1] * v[:, 1] + lam[:, 2] * v[:, 2], 0.0)
 
     return f
 

@@ -19,6 +19,15 @@ import numpy as np
 
 SQUARE_SEGMENTS = ("G1", "G2", "G3", "G4")
 
+# Point-element pairs per block of the all-pairs searches below: bounds
+# their temporaries whatever the number of points.
+_PAIR_BLOCK = 1 << 16
+
+
+def _point_blocks(n_points: int, n_elements: int) -> list[slice]:
+    step = max(1, _PAIR_BLOCK // n_elements)
+    return [slice(s, s + step) for s in range(0, n_points, step)]
+
 
 class InvalidDomainError(ValueError):
     """The domain description violates a geometric precondition."""
@@ -385,14 +394,10 @@ def boundary_distance(spec: DomainSpec, p) -> np.ndarray | float:
     else:
         theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
         loops = [spec.outer] if spec.shape == "polar_curve" else [spec.outer, spec.inner]
-        d = np.full(len(pts), np.inf)
-        for loop in loops:
-            poly = loop.points(theta)
-            for start in range(0, len(pts), 512):
-                block = pts[start : start + 512]
-                diff = block[:, None, :] - poly[None, :, :]
-                dist = np.sqrt((diff**2).sum(axis=2)).min(axis=1)
-                d[start : start + 512] = np.minimum(d[start : start + 512], dist)
+        poly = np.vstack([loop.points(theta) for loop in loops])
+        d = np.empty(len(pts))
+        for blk in _point_blocks(len(pts), len(poly)):
+            d[blk] = np.sqrt(((pts[blk, None, :] - poly) ** 2).sum(axis=2)).min(axis=1)
     if np.asarray(p).ndim == 1:
         return float(d[0])
     return d
@@ -424,21 +429,58 @@ class TriMesh:
         return self.triangles.shape[0]
 
     def corner_arrays(self):
-        v = self.vertices
-        t = self.triangles
-        return v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+        corners = np.take(self.vertices, self.triangles, axis=0)
+        return corners[:, 0], corners[:, 1], corners[:, 2]
 
     def areas(self) -> np.ndarray:
         a, b, c = self.corner_arrays()
         return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
 
-    def boundary_edges(self) -> np.ndarray:
-        """Edges belonging to exactly one triangle, as index pairs."""
-        t = self.triangles
-        edges = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        key = np.sort(edges, axis=1)
-        _, idx, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
-        return edges[idx[counts == 1]]
+    def locate(self, pts) -> tuple[np.ndarray, np.ndarray]:
+        """``(tri, bary)``: the first triangle (in index order) holding each
+        point, and the point's barycentric weights of ``triangles[tri]``.
+
+        A triangle holds a point when all three weights are >= -1e-12, a
+        scale-free rule that takes in edges and vertices.  A point that no
+        triangle holds gets ``tri = -1`` and zero weights.
+        """
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        # One contiguous row per corner coordinate: the block loop streams them.
+        ax, bx, cx = np.take(self.vertices[:, 0], self.triangles.T)
+        ay, by, cy = np.take(self.vertices[:, 1], self.triangles.T)
+        det = 2.0 * self.areas()
+        tri = np.full(len(pts), -1)
+        bary = np.zeros((len(pts), 3))
+        for blk in _point_blocks(len(pts), self.n_triangles):
+            px, py = pts[blk, 0, None], pts[blk, 1, None]
+            dcx, dcy = cx - px, cy - py
+            l1 = ((bx - px) * dcy - dcx * (by - py)) / det
+            l2 = (dcx * (ay - py) - (ax - px) * dcy) / det
+            l3 = 1.0 - l1 - l2
+            ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l3 >= -1e-12)
+            rows, first = np.arange(len(ok)), ok.argmax(axis=1)
+            held = ok[rows, first]
+            tri[blk] = np.where(held, first, -1)
+            lam = np.column_stack([l1[rows, first], l2[rows, first], l3[rows, first]])
+            bary[blk] = np.where(held[:, None], lam, 0.0)
+        return tri, bary
+
+    def boundary_distance(self, pts) -> np.ndarray:
+        """Distance from each point to the nearest boundary edge, an edge of
+        exactly one triangle."""
+        pts = np.asarray(pts, dtype=float)
+        edges = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        _, idx, counts = np.unique(np.sort(edges, axis=1), axis=0, return_index=True, return_counts=True)
+        edges = edges[idx[counts == 1]]
+        p0 = self.vertices[edges[:, 0]]
+        seg = self.vertices[edges[:, 1]] - p0
+        seg_len2 = np.maximum((seg**2).sum(axis=1), 1e-300)
+        d = np.empty(len(pts))
+        for blk in _point_blocks(len(pts), len(edges)):
+            p = pts[blk, None, :]
+            t = np.clip(((p - p0) * seg).sum(axis=2) / seg_len2, 0.0, 1.0)
+            d[blk] = np.sqrt(((p - (p0 + t[:, :, None] * seg)) ** 2).sum(axis=2)).min(axis=1)
+        return d
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -497,12 +539,8 @@ def triangulate_square(h: float) -> TriMesh:
 
 
 def _oriented_mesh(vertices: np.ndarray, triangles: np.ndarray, h: float) -> TriMesh:
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    signed = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
+    neg = TriMesh(vertices, triangles).areas() < 0.0
     flipped = triangles.copy()
-    neg = signed < 0.0
     flipped[neg] = flipped[neg][:, [0, 2, 1]]
     return TriMesh(vertices, flipped, target_h=h)
 

@@ -115,34 +115,6 @@ def _log_disc_integral(r0: float) -> float:
     return 2.0 * math.pi * (0.5 * r0 * r0 * math.log(r0) - 0.25 * r0 * r0)
 
 
-def _points_in_closed_mesh(mesh: TriMesh, pts: np.ndarray) -> np.ndarray:
-    """Membership in the closure of some triangle (edges included)."""
-    a, b, c = mesh.corner_arrays()
-    tol = 1e-12
-    closed = np.zeros(len(pts), dtype=bool)
-    for i, p in enumerate(pts):
-        d1 = (b[:, 0] - a[:, 0]) * (p[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (p[0] - a[:, 0])
-        d2 = (c[:, 0] - b[:, 0]) * (p[1] - b[:, 1]) - (c[:, 1] - b[:, 1]) * (p[0] - b[:, 0])
-        d3 = (a[:, 0] - c[:, 0]) * (p[1] - c[:, 1]) - (a[:, 1] - c[:, 1]) * (p[0] - c[:, 0])
-        hit = (d1 >= -tol) & (d2 >= -tol) & (d3 >= -tol)
-        closed[i] = bool(hit.any())
-    return closed
-
-
-def _distance_to_mesh_boundary(mesh: TriMesh, pts: np.ndarray) -> np.ndarray:
-    edges = mesh.boundary_edges()
-    p0 = mesh.vertices[edges[:, 0]]
-    p1 = mesh.vertices[edges[:, 1]]
-    seg = p1 - p0
-    seg_len2 = np.maximum((seg**2).sum(axis=1), 1e-300)
-    d = np.empty(len(pts))
-    for i, p in enumerate(pts):
-        t = np.clip(((p - p0) * seg).sum(axis=1) / seg_len2, 0.0, 1.0)
-        proj = p0 + t[:, None] * seg
-        d[i] = np.sqrt(((p - proj) ** 2).sum(axis=1)).min()
-    return d
-
-
 def newton_potential(
     kernel: KernelSpec,
     f,
@@ -164,18 +136,18 @@ def newton_potential_many(
 ):
     """Vectorized Newton potential at many evaluation points.
 
-    Returns ``(values, near_boundary_flags)``.  A point is flagged when it
-    lies inside the domain but closer than ``r0`` to the mesh boundary, in
-    which case the full-disc correction is kept but clipped area is not
-    accounted for (error O(r0^2 |log r0|)).
+    Returns ``(values, near_boundary_flags)``.  A point held by a triangle
+    (:meth:`TriMesh.locate`) and more than 1e-12 from the mesh boundary
+    gets the disc term; it is flagged within ``r0`` of the boundary, where
+    the full disc is kept but the clipped area is not (error O(r0^2 |log r0|)).
     """
     if kernel.family != "laplace2d":
         raise ValueError("the Newton potential is implemented for the 2D log kernel")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     pts, w = mesh_quadrature_nodes(mesh)
     fvals = np.asarray(f(pts), dtype=float)
-    dist = _distance_to_mesh_boundary(mesh, xs)
-    inside = _points_in_closed_mesh(mesh, xs) & (dist > 1e-12)
+    dist = mesh.boundary_distance(xs)
+    inside = (mesh.locate(xs)[0] >= 0) & (dist > 1e-12)
     disc = -_log_disc_integral(cfg.r0) / (2.0 * math.pi)  # integral of G over the disc
     values = np.empty(len(xs))
     flags = np.zeros(len(xs), dtype=bool)

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from tracemap.cli import main
+from tracemap.cli import _vertex_interpolant, main
+from tracemap.geometry import triangulate_square
+from tracemap.quadrature import mesh_quadrature_nodes
 
 
 def run(argv):
@@ -184,7 +186,7 @@ class TestEvalSolve:
             err = capsys.readouterr().err
             assert "unit square" in err and repr(name) in err
         assert not out.exists()
-        assert not list(tmp_path.glob("eval/*"))
+        assert not (tmp_path / "eval").exists()
 
     def test_solve_mixed_from_files(self, laplace_run, tmp_path):
         _, data, _ = laplace_run
@@ -266,6 +268,19 @@ class TestEvalSolve:
              "--out", tmp_path / "out"]
         )
         assert code != 0
+
+
+def test_vertex_interpolant_reproduces_a_linear_source():
+    mesh = triangulate_square(0.1)
+    linear = lambda p: 2.0 + 3.0 * p[:, 0] - p[:, 1]
+    f = _vertex_interpolant(mesh, linear(mesh.vertices))
+    interior = np.random.default_rng(3).uniform(0.0, 1.0, size=(500, 2))
+    nodes, _ = mesh_quadrature_nodes(mesh)
+    for pts in (interior, nodes):
+        np.testing.assert_allclose(f(pts), linear(pts), rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(f(nodes[3][None, :]), linear(nodes[3][None, :]), rtol=0.0, atol=1e-14)
+    off_mesh = np.array([[-0.1, 0.5], [0.5, 1.0 + 1e-9], [3.0, -2.0]])
+    np.testing.assert_array_equal(f(off_mesh), 0.0)
 
 
 class TestQuadbench:

@@ -285,6 +285,117 @@ class TestMshParser:
         assert tri_set(mesh) == tri_set(again)
 
 
+def _reference_locate(mesh, pts):
+    """Per-point loop of the former CLI interpolant: first triangle whose
+    barycentric coordinates are all >= -1e-12."""
+    a, b, c = mesh.corner_arrays()
+    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
+    tri = np.full(len(pts), -1)
+    bary = np.zeros((len(pts), 3))
+    for i, p in enumerate(pts):
+        l1 = ((b[:, 0] - p[0]) * (c[:, 1] - p[1]) - (c[:, 0] - p[0]) * (b[:, 1] - p[1])) / det
+        l2 = ((c[:, 0] - p[0]) * (a[:, 1] - p[1]) - (a[:, 0] - p[0]) * (c[:, 1] - p[1])) / det
+        l3 = 1.0 - l1 - l2
+        ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l3 >= -1e-12)
+        if ok.any():
+            t = int(np.argmax(ok))
+            tri[i] = t
+            bary[i] = (l1[t], l2[t], l3[t])
+    return tri, bary
+
+
+def _reference_boundary_distance(mesh, pts):
+    """Per-point loop of the former Newton-potential helper."""
+    t = mesh.triangles
+    edges = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    _, idx, counts = np.unique(np.sort(edges, axis=1), axis=0, return_index=True, return_counts=True)
+    edges = edges[idx[counts == 1]]
+    p0 = mesh.vertices[edges[:, 0]]
+    p1 = mesh.vertices[edges[:, 1]]
+    seg = p1 - p0
+    seg_len2 = np.maximum((seg**2).sum(axis=1), 1e-300)
+    d = np.empty(len(pts))
+    for i, p in enumerate(pts):
+        t = np.clip(((p - p0) * seg).sum(axis=1) / seg_len2, 0.0, 1.0)
+        proj = p0 + t[:, None] * seg
+        d[i] = np.sqrt(((p - proj) ** 2).sum(axis=1)).min()
+    return d
+
+
+# One triangle of the 2 x 1 rectangle is written clockwise.
+FLIPPED_MSH = """$Nodes
+5
+1 0 0 0
+2 2 0 0
+3 2 1 0
+4 0 1 0
+5 1 0.5 0
+$EndNodes
+$Elements
+4
+1 2 0 1 2 5
+2 2 0 5 3 2
+3 2 0 3 4 5
+4 2 0 4 1 5
+$EndElements
+"""
+
+
+class TestMeshLocator:
+    def test_located_points_on_the_square_mesh(self):
+        mesh = triangulate_square(0.1)
+        pts = np.array([
+            [0.0, 0.0],  # vertex of triangles 0 and 1 (and no other)
+            [0.05, 0.05],  # on the diagonal shared by triangles 0 and 1
+            [0.35, 0.35],  # on a diagonal and three cells in
+            [0.05, 0.0],  # on the outer edge
+            [0.05, 1e-9],  # just inside
+            [0.05, -1e-9],  # just outside
+            [1.0 + 1e-9, 0.5],
+            [5.0, -3.0],  # far outside
+        ])
+        tri, bary = mesh.locate(pts)
+        np.testing.assert_array_equal(tri, [0, 0, 66, 0, 0, -1, -1, -1])
+        np.testing.assert_array_equal(bary[0], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(bary[5:], 0.0)
+        a, b, c = mesh.corner_arrays()
+        held = tri >= 0
+        corners = np.stack([a[tri[held]], b[tri[held]], c[tri[held]]], axis=1)
+        np.testing.assert_allclose(np.einsum("ik,ikd->id", bary[held], corners), pts[held], atol=1e-15)
+
+    @pytest.mark.parametrize("mesh", [triangulate_square(0.1), parse_msh(FLIPPED_MSH)], ids=["square", "flipped_msh"])
+    def test_matches_the_reference_loops(self, mesh):
+        rng = np.random.default_rng(11)
+        lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+        a, b, c = mesh.corner_arrays()
+        edge_points = 0.5 * (a + b)
+        pts = np.vstack([
+            rng.uniform(lo - 0.2, hi + 0.2, size=(5000, 2)),
+            mesh.vertices,
+            edge_points,
+            edge_points + [0.0, 1e-9],
+            edge_points - [0.0, 1e-9],
+            [[50.0, 50.0], [-7.0, 0.3]],
+        ])
+        tri, bary = mesh.locate(pts)
+        ref_tri, ref_bary = _reference_locate(mesh, pts)
+        np.testing.assert_array_equal(tri, ref_tri)
+        np.testing.assert_array_equal(bary, ref_bary)
+        held = tri >= 0
+        assert held.any() and not held.all()
+        np.testing.assert_allclose(bary[held].sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(bary[~held], 0.0)
+        assert mesh.boundary_distance(pts).tobytes() == _reference_boundary_distance(mesh, pts).tobytes()
+
+    def test_flipped_triangle_is_located(self):
+        mesh = parse_msh(FLIPPED_MSH)
+        tri, bary = mesh.locate(np.array([[1.8, 0.5], [1.0, 0.5]]))
+        assert tri[0] == 1
+        assert (bary[0] > 0.0).all()
+        assert tri[1] == 0  # the shared centre vertex: the first triangle wins
+        np.testing.assert_allclose(bary[1], [0.0, 0.0, 1.0], atol=1e-15)
+
+
 def test_boundary_grid_csv_has_documented_header(square_grid):
     text = square_grid.to_csv()
     assert text.splitlines()[0] == "x,y,nx,ny,weight,segment"

@@ -141,12 +141,13 @@ class TestNewtonPotential:
         mesh = triangulate_square(0.1)
         vals, flags = newton_potential_many(
             LAPLACE, lambda p: np.ones(len(p)), mesh,
-            np.array([[0.5, 0.5], [0.5, 0.005], [0.5, -0.5]]),
+            np.array([[0.5, 0.5], [0.5, 0.005], [0.5, -0.5], [0.5, -5e-12]]),
             SingularIntegralConfig(r0=0.01),
         )
         assert not flags[0]
         assert flags[1]
         assert not flags[2]  # outside: no disc, no flag
+        assert not flags[3]  # outside by more than the locator's barycentric tolerance
         assert np.isfinite(vals).all()
 
     def test_non_log_kernel_rejected(self):
