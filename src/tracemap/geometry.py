@@ -194,6 +194,16 @@ def _inside_polar(curve: PolarCurve, pts: np.ndarray) -> np.ndarray:
     return rho < curve.radius(ang)
 
 
+def freeze_arrays(obj, *names: str) -> None:
+    """Replace the named array fields of a frozen dataclass by read-only
+    views: the stored arrays cannot be written, the caller's stay writable,
+    and no data is copied."""
+    for name in names:
+        view = getattr(obj, name).view()
+        view.setflags(write=False)
+        object.__setattr__(obj, name, view)
+
+
 @dataclass(frozen=True, eq=False)
 class BoundaryGrid:
     """Collocation points on a closed boundary.
@@ -211,8 +221,7 @@ class BoundaryGrid:
     spec: DomainSpec = field(compare=False)
 
     def __post_init__(self):
-        for arr in (self.points, self.normals, self.weights):
-            arr.setflags(write=False)
+        freeze_arrays(self, "points", "normals", "weights")
 
     @property
     def n_points(self) -> int:
@@ -421,8 +430,7 @@ class TriMesh:
     target_h: float = 0.0
 
     def __post_init__(self):
-        self.vertices.setflags(write=False)
-        self.triangles.setflags(write=False)
+        freeze_arrays(self, "vertices", "triangles")
 
     @property
     def n_triangles(self) -> int:

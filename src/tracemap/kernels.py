@@ -6,7 +6,12 @@ functions J0, J1, Y0, Y1 come from one evaluator, ``_bessel(x, nu, kind)``:
 up to ``X_SWITCH`` a single power series whose term is shared by J and Y
 (the Y sum is accumulated in the same pass as J), beyond it the
 large-argument amplitude/phase expansion, each computing only the function
-asked for.  No special-function library is used.
+asked for.  The evaluator walks its argument in blocks of ``_BLOCK`` points,
+so its temporaries stay cache-sized, but both truncations are chosen once
+from the whole array (the series term count from the largest series
+argument, the asymptotic cut from the smallest asymptotic one): values do
+not depend on the block size.  NaN and infinite arguments raise.  No
+special-function library is used.
 
 All kernels here satisfy L G = -delta (potential-theory sign), so the
 interior representation used elsewhere is
@@ -25,6 +30,7 @@ X_SWITCH = 12.0  # series below, asymptotic expansion above
 _SERIES_TOL = 1e-17
 _SERIES_MAX_TERMS = 60
 _ASYMPTOTIC_MAX_TERMS = 30
+_BLOCK = 1 << 15  # points per evaluator block: temporaries stay cache-sized
 
 FAMILIES = ("laplace2d", "helmholtz2d", "helmholtz3d")
 
@@ -76,7 +82,7 @@ def _series_terms(q_max: float, nu: int, kind: str) -> int:
     return _SERIES_MAX_TERMS
 
 
-def _series(x, nu: int, kind: str):
+def _series(x, nu: int, kind: str, n_terms: int):
     """J_nu or Y_nu, nu in {0, 1}, from the power series (A&S 9.1.10-11).
 
     With q = x^2/4 and the shared term t_m = (-q)^m / (m! (m+nu)!):
@@ -89,7 +95,7 @@ def _series(x, nu: int, kind: str):
     j_sum = term.copy()
     h_m, h_mnu = 0.0, float(nu)  # H_m, H_{m+nu}; one running sum of both drifts ~1e-12
     y_sum = (h_m + h_mnu) * term
-    for m in range(1, _series_terms(0.25 * float(x.max()) ** 2, nu, kind) + 1):
+    for m in range(1, n_terms + 1):
         term *= neg_q
         term /= m * (m + nu)
         j_sum += term
@@ -105,15 +111,14 @@ def _series(x, nu: int, kind: str):
     return y - 2.0 / (math.pi * x) if nu else y
 
 
-def _asymptotic(x, nu: int, kind: str):
+def _asymptotic(x, nu: int, kind: str, x_min: float):
     """J_nu or Y_nu from the large-argument amplitude/phase expansion
-    (A&S 9.2.5-9.2.10), truncated at its smallest term at min(x)."""
+    (A&S 9.2.5-9.2.10), truncated at its smallest term at x_min <= min(x)."""
     mu = 4.0 * nu * nu
     p = np.ones_like(x)
     q = np.zeros_like(x)
     a = np.ones_like(x)
-    a_max = 1.0  # the term at min(x), the largest in magnitude
-    x_min = float(x.min())
+    a_max = 1.0  # the term at x_min, the largest in magnitude
     prev = np.inf
     for k in range(1, _ASYMPTOTIC_MAX_TERMS + 1):
         a_max = a_max * (mu - (2 * k - 1) ** 2) / (8.0 * k * x_min)
@@ -138,18 +143,30 @@ def _asymptotic(x, nu: int, kind: str):
 def _bessel(x, nu: int, kind: str):
     """J or Y of order nu: series up to X_SWITCH, asymptotic expansion above.
 
-    J needs x >= 0 and Y needs x > 0; scalar in, scalar out; arrays keep
-    their shape.
+    J needs finite x >= 0 and Y finite x > 0; scalar in, scalar out; arrays
+    keep their shape.  Runs over blocks of ``_BLOCK`` points, each branch
+    truncated as chosen from the whole array.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0 if kind == "Y" else x < 0.0):
-        raise BesselDomainError(f"{kind}{nu} requires x {'>' if kind == 'Y' else '>='} 0")
-    out = np.empty_like(x)
-    small = x <= X_SWITCH
-    if np.any(small):
-        out[small] = _series(x[small], nu, kind)
-    if not np.all(small):
-        out[~small] = _asymptotic(x[~small], nu, kind)
+    out = np.empty(x.shape)
+    if x.size:
+        lo, hi = float(x.min()), float(x.max())  # NaN propagates into both
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise BesselDomainError(f"{kind}{nu} requires finite x")
+        if lo <= 0.0 if kind == "Y" else lo < 0.0:
+            raise BesselDomainError(f"{kind}{nu} requires x {'>' if kind == 'Y' else '>='} 0")
+        if hi > X_SWITCH >= lo:  # both branches: truncate each from its own part
+            hi = float(np.max(x, where=x <= X_SWITCH, initial=0.0))
+            lo = float(np.min(x, where=x > X_SWITCH, initial=np.inf))
+        n_terms = _series_terms(0.25 * hi ** 2, nu, kind) if hi <= X_SWITCH else 0
+        flat, out_flat = x.reshape(-1), out.reshape(-1)
+        for start in range(0, flat.size, _BLOCK):
+            xb, ob = flat[start:start + _BLOCK], out_flat[start:start + _BLOCK]
+            small = xb <= X_SWITCH
+            if small.any():
+                ob[small] = _series(xb[small], nu, kind, n_terms)
+            if not small.all():
+                ob[~small] = _asymptotic(xb[~small], nu, kind, lo)
     return float(out) if out.ndim == 0 else out
 
 
@@ -202,9 +219,12 @@ def kernel_value(spec: KernelSpec, x, y) -> complex:
 def _value_from_r(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     if spec.family == "laplace2d":
         return -np.log(r) / (2.0 * math.pi)
-    if spec.family == "helmholtz2d":
+    if spec.family == "helmholtz2d":  # (i/4) H0 = (-Y0 + i J0) / 4
         kr = spec.k * r
-        return 0.25 * (-bessel_y0(kr) + 1j * bessel_j0(kr))
+        g = np.empty(r.shape, dtype=complex)
+        np.multiply(bessel_y0(kr), -0.25, out=g.real)
+        np.multiply(bessel_j0(kr), 0.25, out=g.imag)
+        return g
     kr = spec.k * r
     return (np.cos(kr) + 1j * np.sin(kr)) / (4.0 * math.pi * r)
 
@@ -213,9 +233,13 @@ def _radial_derivative(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     """dG/dr as a function of the distance r."""
     if spec.family == "laplace2d":
         return -1.0 / (2.0 * math.pi * r)
-    if spec.family == "helmholtz2d":
+    if spec.family == "helmholtz2d":  # (k/4) (Y1 - i J1)
         kr = spec.k * r
-        return 0.25 * spec.k * (bessel_y1(kr) - 1j * bessel_j1(kr))
+        c = 0.25 * spec.k
+        dg = np.empty(r.shape, dtype=complex)
+        np.multiply(bessel_y1(kr), c, out=dg.real)
+        np.multiply(bessel_j1(kr), -c, out=dg.imag)
+        return dg
     kr = spec.k * r
     phase = np.cos(kr) + 1j * np.sin(kr)
     return phase * (1j * kr - 1.0) / (4.0 * math.pi * r * r)
@@ -247,6 +271,8 @@ def _pairwise(xs, ys):
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if xs.shape[1] != ys.shape[1]:
         raise ValueError(f"point sets of dimension {xs.shape[1]} and {ys.shape[1]}")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("kernel matrix of non-finite point coordinates")
     diffs = [ys[None, :, c] - xs[:, None, c] for c in range(xs.shape[1])]
     r = diffs[0] * diffs[0]
     for d in diffs[1:]:
@@ -277,7 +303,9 @@ def kernel_normal_matrix(spec: KernelSpec, xs, ys, normals) -> np.ndarray:
     """dG/dn_y (x_i, y_j) for point sets with unit normals at the y points."""
     diffs, r = _pairwise(xs, ys)
     proj = _normal_projection(diffs, normals, r)
-    return _radial_derivative(spec, r) * proj
+    dg = _radial_derivative(spec, r)
+    dg *= proj
+    return dg
 
 
 def kernel_matrices(spec: KernelSpec, xs, ys, normals):
@@ -285,8 +313,16 @@ def kernel_matrices(spec: KernelSpec, xs, ys, normals):
 
     G and dG/dn_y equal :func:`kernel_matrix` and
     :func:`kernel_normal_matrix` bit for bit; r holds the distances.
+    dG/dn_y is built first, so the normal projection is freed before G.
+    At the peak, while G's second Bessel function is evaluated, r, dG/dn_y,
+    kr = k r, G and that Bessel result are alive: seven real arrays of the
+    matrix size for the complex kernels, plus the evaluator's block-sized
+    temporaries.
     """
     diffs, r = _pairwise(xs, ys)
     proj = _normal_projection(diffs, normals, r)
-    del diffs  # only r and proj stay alive through the Bessel calls
-    return _value_from_r(spec, r), _radial_derivative(spec, r) * proj, r
+    del diffs
+    dg = _radial_derivative(spec, r)
+    dg *= proj
+    del proj
+    return _value_from_r(spec, r), dg, r

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundaryGrid, TriMesh
+from .geometry import BoundaryGrid, TriMesh, freeze_arrays
 from .kernels import KernelSpec, kernel_matrices
 
 _SQRT15 = math.sqrt(15.0)
@@ -33,8 +33,7 @@ class TriangleQuadratureRule:
     weights: np.ndarray  # (q,)
 
     def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
+        freeze_arrays(self, "nodes", "weights")
 
 
 def seven_point_rule() -> TriangleQuadratureRule:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundaryGrid, DomainSpec, boundary_distance, contains
+from .geometry import BoundaryGrid, DomainSpec, boundary_distance, contains, freeze_arrays
 from .kernels import KernelSpec, bessel_j0, bessel_j1, bessel_y0, bessel_y1
 
 _REJECTION_LIMIT = 10**6
@@ -51,8 +51,7 @@ class TracePair:
     norm_record: NormRecord | None = None
 
     def __post_init__(self):
-        self.g.setflags(write=False)
-        self.h.setflags(write=False)
+        freeze_arrays(self, "g", "h")
 
 
 @dataclass(frozen=True)
@@ -254,8 +253,7 @@ class Dataset:
     h_rows: np.ndarray
 
     def __post_init__(self):
-        self.g_rows.setflags(write=False)
-        self.h_rows.setflags(write=False)
+        freeze_arrays(self, "g_rows", "h_rows")
 
     @property
     def n_samples(self) -> int:
@@ -307,13 +305,14 @@ def build_dataset(spec: DatasetSpec, grid: BoundaryGrid | None = None) -> Datase
 
 
 def dataset_to_csv(ds: Dataset) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["kind", "n_points"])
-    for i in range(ds.n_samples):
-        w.writerow(["g"] + [repr(float(v)) for v in ds.g_rows[i]])
-        w.writerow(["h"] + [repr(float(v)) for v in ds.h_rows[i]])
-    return buf.getvalue()
+    """One ``g`` and one ``h`` row per sample, values as ``repr`` floats and
+    CRLF line ends: the bytes a default ``csv.writer`` would write."""
+    lines = ["kind,n_points"]
+    for g, h in zip(ds.g_rows, ds.h_rows):
+        lines.append(",".join(["g", *map(repr, g.tolist())]))
+        lines.append(",".join(["h", *map(repr, h.tolist())]))
+    lines.append("")
+    return "\r\n".join(lines)
 
 
 def dataset_from_csv(text: str, spec: DatasetSpec, grid: BoundaryGrid) -> Dataset:

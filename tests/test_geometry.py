@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracemap.geometry import (
+    BoundaryGrid,
     DomainSpec,
     InvalidDomainError,
     MshParseError,
     PolarCurve,
     PolarTerm,
+    TriMesh,
     boundary_distance,
     contains,
     make_boundary_grid,
@@ -405,3 +407,24 @@ def test_boundary_grid_csv_has_documented_header(square_grid):
 def test_grid_arrays_read_only(square_grid):
     with pytest.raises(ValueError):
         square_grid.points[0, 0] = 5.0
+
+
+def test_stored_arrays_are_read_only_views_of_the_callers():
+    from tracemap.quadrature import TriangleQuadratureRule
+
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    t = np.array([[0, 1, 2]])
+    pts, nrm, w = np.zeros((2, 2)), np.ones((2, 2)), np.ones(2)
+    nodes, weights = np.full((1, 3), 1.0 / 3.0), np.ones(1)
+    mesh = TriMesh(v, t)
+    grid = BoundaryGrid(pts, nrm, w, ("G1", "G1"), DomainSpec.unit_square())
+    rule = TriangleQuadratureRule(nodes, weights)
+    pairs = [(v, mesh.vertices), (t, mesh.triangles), (pts, grid.points), (nrm, grid.normals),
+             (w, grid.weights), (nodes, rule.nodes), (weights, rule.weights)]
+    for mine, stored in pairs:
+        assert mine.flags.writeable and not stored.flags.writeable
+        assert np.shares_memory(mine, stored)
+    v[0, 0] = 0.5  # the caller keeps a writable array
+    assert mesh.vertices[0, 0] == 0.5
+    with pytest.raises(ValueError):
+        mesh.vertices[0, 0] = 1.0

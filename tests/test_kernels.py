@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bessel_series_oracle, j0_first_zero, laplacian_stencil
+from tracemap.geometry import DomainSpec, make_boundary_grid
 from tracemap.kernels import (
+    _BLOCK,
     X_SWITCH,
     BesselDomainError,
     KernelSpec,
     SingularEvaluationError,
+    _asymptotic,
+    _series,
+    _series_terms,
     bessel,
     bessel_j0,
     bessel_j1,
@@ -22,6 +28,7 @@ from tracemap.kernels import (
     kernel_normal_matrix,
     kernel_value,
 )
+from tracemap.quadrature import BoundaryReconstructor
 
 # Frozen from the arbitrary-precision oracle (tests/oracles.py).
 J0_FIRST_ZERO = 2.404825557695773
@@ -92,6 +99,78 @@ class TestBessel:
     def test_vectorized_matches_scalar(self):
         xs = np.array([0.3, 5.0, 20.0])
         np.testing.assert_allclose(bessel_j0(xs), [bessel_j0(float(x)) for x in xs], rtol=1e-15)
+
+
+def _unblocked(x, nu, kind):
+    """The evaluator without blocks: each branch over its whole masked part."""
+    small = x <= X_SWITCH
+    out = np.empty_like(x)
+    n_terms = _series_terms(0.25 * float(x[small].max()) ** 2, nu, kind)
+    out[small] = _series(x[small], nu, kind, n_terms)
+    out[~small] = _asymptotic(x[~small], nu, kind, float(x[~small].min()))
+    return out
+
+
+class TestBlockedEvaluator:
+    @staticmethod
+    def _straddling_input():
+        """Over three blocks: mixed, all-series, all-asymptotic, then a
+        mixed partial block, with X_SWITCH crossed at the block edges."""
+        rng = np.random.default_rng(3)
+        parts = [rng.uniform(1e-3, 30.0, _BLOCK), rng.uniform(1e-3, X_SWITCH, _BLOCK),
+                 rng.uniform(X_SWITCH + 0.5, 60.0, _BLOCK), rng.uniform(1e-3, 30.0, 1001)]
+        parts[0][-1] = X_SWITCH + 1e-9
+        parts[1][0], parts[1][-1] = X_SWITCH, X_SWITCH - 1e-9
+        parts[2][-1] = X_SWITCH + 1e-12
+        parts[3][0] = 0.25
+        return np.concatenate(parts)
+
+    @pytest.mark.parametrize("kind,order", [("J", 0), ("J", 1), ("Y", 0), ("Y", 1)])
+    def test_bitwise_equal_to_unblocked(self, kind, order):
+        x = self._straddling_input()
+        assert x.size > 3 * _BLOCK and x.size % _BLOCK
+        out = bessel(kind, order, x)
+        np.testing.assert_array_equal(out.view(np.uint64), _unblocked(x, order, kind).view(np.uint64))
+
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_y0, bessel_y1])
+    def test_shapes(self, fn):
+        assert isinstance(fn(np.float64(3.0)), float)
+        assert isinstance(fn(np.asarray(15.0)), float)
+        assert fn(np.empty((0, 4))).shape == (0, 4)
+        x = self._straddling_input()[: 3 * (_BLOCK // 2 + 7)].reshape(3, -1)
+        out = fn(x)
+        assert out.shape == x.shape
+        np.testing.assert_array_equal(out.ravel(), fn(x.ravel()))
+        np.testing.assert_array_equal(fn(x[:, ::2]), out[:, ::2])  # strided input
+
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_y0, bessel_y1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_arguments_raise(self, fn, bad):
+        with pytest.raises(BesselDomainError):
+            fn(np.array([1.0, bad, 20.0]))
+        with pytest.raises(BesselDomainError):
+            fn(bad)
+
+    def test_call_peak_memory_is_about_one_result(self):
+        x = np.random.default_rng(4).uniform(1e-3, 14.0, 10**6)
+        tracemalloc.start()
+        try:
+            out = bessel_y0(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes
+
+    def test_helmholtz_build_peak_memory(self):
+        grid = make_boundary_grid(DomainSpec.unit_square(), 100)
+        pts = np.random.default_rng(5).uniform(0.001, 0.999, (10**4, 2))
+        tracemalloc.start()
+        try:
+            BoundaryReconstructor(KernelSpec("helmholtz2d", 10.0), grid, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80e6
 
 
 class TestKernelValue:
@@ -203,6 +282,15 @@ class TestKernelGradient:
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 assert mat[i, j] == pytest.approx(kernel_value(HELM1, x, y))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_matrix_of_non_finite_points_raises(self, bad):
+        xs = np.array([[0.0, 0.0], [0.5, bad]])
+        ys = np.array([[1.0, 0.0], [0.0, 2.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            kernel_matrix(HELM1, xs, ys)
+        with pytest.raises(ValueError, match="non-finite"):
+            kernel_normal_matrix(LAPLACE, ys, xs, np.ones((2, 2)))
 
     def test_matrix_point_sets_must_share_dimension(self):
         with pytest.raises(ValueError):

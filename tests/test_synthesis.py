@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -286,6 +288,37 @@ class TestBuildDataset:
         again = dataset_from_csv(text, spec, grid)
         np.testing.assert_array_equal(again.g_rows, ds.g_rows)
         np.testing.assert_array_equal(again.h_rows, ds.h_rows)
+
+    def test_csv_bytes_match_csv_writer(self):
+        def reference(ds):
+            buf = io.StringIO()
+            w = csv.writer(buf)
+            w.writerow(["kind", "n_points"])
+            for i in range(ds.n_samples):
+                w.writerow(["g"] + [repr(float(v)) for v in ds.g_rows[i]])
+                w.writerow(["h"] + [repr(float(v)) for v in ds.h_rows[i]])
+            return buf.getvalue()
+
+        spec = small_spec()
+        grid = make_boundary_grid(SQUARE, 8)
+        odd = np.array([[np.nan, np.inf, -np.inf, -0.0, 0.1 + 0.2, 1e-300, -5e-324, 1.0]])
+        for g, h in ((odd, -odd), (np.zeros((0, 8)), np.zeros((0, 8)))):
+            ds = Dataset(spec=spec, grid=grid, g_rows=g, h_rows=h)
+            assert dataset_to_csv(ds) == reference(ds)
+        ds = build_dataset(spec)
+        assert dataset_to_csv(ds) == reference(ds)
+
+    def test_stored_arrays_are_read_only_views(self):
+        g, h = np.arange(4.0), np.ones(4)
+        pair = TracePair(g=g, h=h)
+        g_rows, h_rows = np.zeros((2, 8)), np.ones((2, 8))
+        ds = Dataset(spec=small_spec(), grid=make_boundary_grid(SQUARE, 8),
+                     g_rows=g_rows, h_rows=h_rows)
+        for mine, stored in ((g, pair.g), (h, pair.h), (g_rows, ds.g_rows), (h_rows, ds.h_rows)):
+            assert mine.flags.writeable and not stored.flags.writeable
+            assert np.shares_memory(mine, stored)
+        g[0] = 7.0
+        assert pair.g[0] == 7.0
 
     def test_sidecar_mentions_normalization(self):
         spec = small_spec(kernel=KernelSpec("helmholtz2d", 5.0))
