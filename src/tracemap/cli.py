@@ -20,6 +20,7 @@ from .geometry import DomainSpec, PolarTerm, make_boundary_grid, triangulate_squ
 from .kernels import KernelSpec
 from .operator import (
     TrainingConfig,
+    TrainingDivergedError,
     compute_loss,
     constant_annihilation,
     dirichlet_layouts,
@@ -53,6 +54,7 @@ from .synthesis import (
     dataset_to_csv,
     build_dataset,
 )
+from .textio import float_cells, parse_floats, table_text
 
 LOG_REFERENCE_CORNER = float(np.log(2.0) + np.pi / 2.0 - 3.0)
 LOG_REFERENCE_CENTER = float(np.pi / 2.0 - np.log(2.0) - 3.0)
@@ -312,11 +314,8 @@ def _parse_grid_name(name: str):
 
 def _read_column(path: Path) -> np.ndarray:
     """One finite value per non-blank line; a ValueError names the file."""
-    try:
-        vals = np.array([float(s) for s in path.read_text().splitlines() if s.strip()])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    if vals.size == 0 or not np.isfinite(vals).all():
+    vals = parse_floats([s for s in path.read_text().splitlines() if s.strip()], str(path))
+    if vals.size == 0:
         raise ValueError(f"{path}: expected one finite value per line")
     return vals
 
@@ -330,7 +329,7 @@ def cmd_quadbench(args) -> int:
         if args.kernel not in integrands:
             raise SystemExit(f"unknown benchmark kernel {args.kernel!r}")
         integrands = {args.kernel: integrands[args.kernel]}
-    rows = ["integrand,h,computed,reference,rel_error"]
+    rows = []
     worst = 0.0
     for h in args.h:
         mesh = triangulate_square(h)
@@ -338,8 +337,8 @@ def cmd_quadbench(args) -> int:
             val = singular_log_integral(mesh, x0, args.r0)
             rel = abs(val - ref) / abs(ref)
             worst = max(worst, rel)
-            rows.append(f"{label},{h},{val!r},{ref!r},{rel!r}")
-    report = "\n".join(rows) + "\n"
+            rows.append([label, *float_cells([h, val, ref, rel])])
+    report = table_text("integrand,h,computed,reference,rel_error", rows, end="\n")
     print(report, end="")
     if args.out:
         Path(args.out).write_text(report)
@@ -420,7 +419,7 @@ def main(argv=None) -> int:
         parser.error("solve --dirichlet-edges needs --h (the Neumann values, one per line)")
     try:
         return args.fn(args)
-    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, np.linalg.LinAlgError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,12 +10,12 @@ provide triangle meshes for volume quadrature.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .textio import float_cells, parse_floats, table_text
 
 SQUARE_SEGMENTS = ("G1", "G2", "G3", "G4")
 
@@ -235,17 +235,10 @@ class BoundaryGrid:
         return float(np.linalg.norm(d, axis=1).min())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        d = self.points.shape[1]
-        coord = ["x", "y", "z"][:d]
-        w.writerow(coord + [f"n{c}" for c in coord] + ["weight", "segment"])
-        for i in range(self.n_points):
-            row = [repr(float(v)) for v in self.points[i]]
-            row += [repr(float(v)) for v in self.normals[i]]
-            row += [repr(float(self.weights[i])), self.segment_id[i]]
-            w.writerow(row)
-        return buf.getvalue()
+        coord = ["x", "y", "z"][: self.points.shape[1]]
+        header = ",".join([*coord, *(f"n{c}" for c in coord), "weight", "segment"])
+        columns = map(float_cells, [*self.points.T, *self.normals.T, self.weights])
+        return table_text(header, zip(*columns, self.segment_id))
 
 
 def make_boundary_grid(spec: DomainSpec, n: int = 400) -> BoundaryGrid:
@@ -491,31 +484,22 @@ class TriMesh:
         return d
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["x1", "y1", "x2", "y2", "x3", "y3"])
-        a, b, c = self.corner_arrays()
-        for i in range(self.n_triangles):
-            w.writerow([repr(float(v)) for v in (*a[i], *b[i], *c[i])])
-        return buf.getvalue()
+        return table_text("x1,y1,x2,y2,x3,y3", zip(*map(float_cells, np.hstack(self.corner_arrays()).T)))
 
 
 def trimesh_from_csv(text: str) -> TriMesh:
     """Rebuild a TriMesh from its CSV form (vertices deduplicated)."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["x1", "y1", "x2", "y2", "x3", "y3"]:
+    lines = text.splitlines()
+    if not lines or lines[0] != "x1,y1,x2,y2,x3,y3":
         raise MshParseError("line 1: expected triangle CSV header")
     verts: dict[tuple[float, float], int] = {}
     tris = []
-    for row in rows[1:]:
-        coords = [float(v) for v in row]
-        ids = []
-        for k in range(3):
-            key = (coords[2 * k], coords[2 * k + 1])
-            ids.append(verts.setdefault(key, len(verts)))
-        tris.append(ids)
-    vertices = np.array(list(verts.keys()), dtype=float)
-    return _oriented_mesh(vertices, np.array(tris, dtype=int), 0.0)
+    for ln, line in enumerate(lines[1:], start=2):
+        coords = parse_floats(line.split(","), f"line {ln}").tolist()
+        if len(coords) != 6:
+            raise MshParseError(f"line {ln}: {len(coords)} coordinates, expected 6")
+        tris.append([verts.setdefault((coords[k], coords[k + 1]), len(verts)) for k in (0, 2, 4)])
+    return _oriented_mesh(np.array(list(verts), dtype=float), np.array(tris, dtype=int), 0.0)
 
 
 def triangulate_square(h: float) -> TriMesh:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .geometry import BoundaryGrid
 from .kernels import KernelSpec
+from .textio import float_cells, parse_floats, table_text
 
 
 class LayoutError(ValueError):
@@ -190,12 +191,9 @@ class TrainReport:
     wall_time: float
 
     def to_csv(self) -> str:
-        lines = ["epoch,mean_loss,best_loss"]
-        best = np.inf
-        for e, loss in enumerate(self.losses):
-            best = min(best, loss)
-            lines.append(f"{e},{loss!r},{best!r}")
-        return "\n".join(lines) + "\n"
+        best = np.minimum.accumulate(self.losses)
+        rows = zip(map(str, range(len(self.losses))), float_cells(self.losses), float_cells(best))
+        return table_text("epoch,mean_loss,best_loss", rows, end="\n")
 
 
 def slot_weights(output_layout: Layout, cfg: TrainingConfig) -> np.ndarray:
@@ -361,7 +359,7 @@ def save_model(op: LinearBoundaryOperator) -> str:
         "input_layout": _layout_payload(op.input_layout),
         "output_layout": _layout_payload(op.output_layout),
         "layers": [
-            {"shape": list(op.W.shape), "entries": [repr(float(v)) for v in op.W.ravel()]}
+            {"shape": list(op.W.shape), "entries": list(float_cells(op.W))}
         ],
     }
     if op.kernel is not None:
@@ -379,13 +377,11 @@ def load_model(text: str) -> LinearBoundaryOperator:
     try:
         payload = json.loads(text)
         layers = [
-            np.array([float(v) for v in layer["entries"]]).reshape(layer["shape"])
-            for layer in payload["layers"]
+            parse_floats(layer["entries"], f"layer {i}").reshape(layer["shape"])
+            for i, layer in enumerate(payload["layers"])
         ]
         if not layers:
             raise ValueError("no layers")
-        if not all(np.isfinite(w).all() for w in layers):
-            raise ValueError("non-finite entry")
         W = layers[0]
         for w in layers[1:]:
             W = w @ W

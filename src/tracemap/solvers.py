@@ -19,12 +19,13 @@ import numpy as np
 
 from .geometry import BoundaryGrid, DomainSpec, TriMesh, boundary_distance, contains
 from .kernels import KernelSpec
-from .operator import LayoutError, LinearBoundaryOperator, assemble, layout_size, scatter
+from .operator import LayoutError, LinearBoundaryOperator, assemble, scatter
 from .quadrature import (
     BoundaryReconstructor,
     SingularIntegralConfig,
     newton_potential_many,
 )
+from .textio import float_cells, table_text
 
 
 class UndefinedMetricError(ValueError):
@@ -95,16 +96,11 @@ class SolutionField:
         return float(np.linalg.norm(self.pred.imag) / denom) if denom else 0.0
 
     def to_csv(self) -> str:
-        n = len(self.points)
-        exact = np.full(n, np.nan) if self.exact is None else np.asarray(self.exact, dtype=float)
+        exact = np.full(len(self.points), np.nan) if self.exact is None else np.asarray(self.exact, dtype=float)
         err = np.where(np.isfinite(exact), np.abs(self.pred.real - exact), np.nan)
-        columns = (self.points[:, 0], self.points[:, 1], self.pred.real, self.pred.imag, exact, err,
-                   np.asarray(self.near_flags))
-        rows = [
-            f"{x!r},{y!r},{re!r},{im!r},{ex!r},{e!r},{int(flag)}"
-            for x, y, re, im, ex, e, flag in zip(*(c.tolist() for c in columns))
-        ]
-        return "\r\n".join(["x,y,u_pred_re,u_pred_im,u_exact,abs_err,flag", *rows]) + "\r\n"
+        floats = map(float_cells, (*self.points.T, self.pred.real, self.pred.imag, exact, err))
+        flags = map(str, np.asarray(self.near_flags, dtype=int).tolist())
+        return table_text("x,y,u_pred_re,u_pred_im,u_exact,abs_err,flag", zip(*floats, flags))
 
 
 def make_eval_grid(domain: DomainSpec, m: int = 100, margin: float = 0.0) -> np.ndarray:

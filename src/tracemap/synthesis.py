@@ -11,9 +11,7 @@ divide both traces by the max absolute Neumann value.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 from dataclasses import dataclass
 
@@ -21,6 +19,7 @@ import numpy as np
 
 from .geometry import BoundaryGrid, DomainSpec, boundary_distance, contains, freeze_arrays
 from .kernels import KernelSpec, bessel_j0, bessel_j1, bessel_y0, bessel_y1
+from .textio import float_cells, parse_floats, table_text
 
 _REJECTION_LIMIT = 10**6
 _CHUNK = 4096
@@ -307,30 +306,27 @@ def build_dataset(spec: DatasetSpec, grid: BoundaryGrid | None = None) -> Datase
 def dataset_to_csv(ds: Dataset) -> str:
     """One ``g`` and one ``h`` row per sample, values as ``repr`` floats and
     CRLF line ends: the bytes a default ``csv.writer`` would write."""
-    lines = ["kind,n_points"]
-    for g, h in zip(ds.g_rows, ds.h_rows):
-        lines.append(",".join(["g", *map(repr, g.tolist())]))
-        lines.append(",".join(["h", *map(repr, h.tolist())]))
-    lines.append("")
-    return "\r\n".join(lines)
+    rows = ([kind, *float_cells(r)] for pair in zip(ds.g_rows, ds.h_rows) for kind, r in zip("gh", pair))
+    return table_text("kind,n_points", rows)
 
 
 def dataset_from_csv(text: str, spec: DatasetSpec, grid: BoundaryGrid) -> Dataset:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0][:2] != ["kind", "n_points"]:
+    """Inverse of :func:`dataset_to_csv` (LF or CRLF); a ``ValueError`` names a bad line."""
+    lines = text.splitlines()
+    if not lines or lines[0].split(",")[:2] != ["kind", "n_points"]:
         raise ValueError("line 1: expected dataset header 'kind,n_points'")
-    g_list, h_list = [], []
-    for ln, row in enumerate(rows[1:], start=2):
-        kind, vals = row[0], np.array([float(v) for v in row[1:]])
-        if kind == "g":
-            g_list.append(vals)
-        elif kind == "h":
-            h_list.append(vals)
-        else:
-            raise ValueError(f"line {ln}: unknown row kind {kind!r}")
-    if len(g_list) != len(h_list):
-        raise ValueError("unpaired g/h rows")
-    return Dataset(spec=spec, grid=grid, g_rows=np.array(g_list), h_rows=np.array(h_list))
+    rows = np.empty((2, len(lines) // 2, spec.n_points))  # [g or h, sample, point]
+    for i, line in enumerate(lines[1:]):
+        kind, _, cells = line.partition(",")
+        if kind != "gh"[i % 2]:
+            raise ValueError(f"line {i + 2}: expected a {'gh'[i % 2]!r} row, found {line[:20]!r}")
+        vals = parse_floats(cells.split(","), f"line {i + 2}")
+        if len(vals) != spec.n_points:
+            raise ValueError(f"line {i + 2}: {len(vals)} values, expected {spec.n_points}")
+        rows[i % 2, i // 2] = vals
+    if len(lines) % 2 == 0:
+        raise ValueError(f"line {len(lines)}: 'g' row without its 'h' row")
+    return Dataset(spec=spec, grid=grid, g_rows=rows[0], h_rows=rows[1])
 
 
 def dataset_checksum(csv_text: str) -> str:

@@ -82,6 +82,30 @@ class TestTrain:
         assert run(args + ["--out", m2]) == 0
         assert m1.read_bytes() == m2.read_bytes()
 
+    def test_defective_dataset_rows_name_the_line(self, laplace_run, tmp_path, capsys):
+        _, data, _ = laplace_run
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "dataset.json").write_bytes((data / "dataset.json").read_bytes())
+        rows = (data / "dataset.csv").read_text().splitlines()
+        model = tmp_path / "model.json"
+        for edit in ("", rows[4].replace(",", ",nan,", 1).rsplit(",", 1)[0], rows[4].rsplit(",", 1)[0]):
+            (bad / "dataset.csv").write_text("\n".join([*rows[:4], edit, *rows[5:]]) + "\n")
+            for method in ("ls", "adam"):
+                assert run(["train", "--data", bad, "--method", method, "--epochs", 2, "--out", model]) == 1
+                assert capsys.readouterr().err.startswith("error: line 5: ")
+        assert not model.exists()
+
+    def test_adam_divergence_is_an_error_message(self, laplace_run, tmp_path, capsys):
+        _, data, _ = laplace_run
+        model = tmp_path / "model.json"
+        with np.errstate(all="ignore"):
+            code = run(["train", "--data", data, "--method", "adam", "--lr", 1e200, "--epochs", 5,
+                        "--batch", 50, "--out", model])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: non-finite loss")
+        assert not model.exists()
+
     def test_mixed_training_layout_recorded(self, laplace_run, tmp_path):
         _, data, _ = laplace_run
         model = tmp_path / "mixed.json"

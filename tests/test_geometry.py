@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -402,6 +404,65 @@ def test_boundary_grid_csv_has_documented_header(square_grid):
     text = square_grid.to_csv()
     assert text.splitlines()[0] == "x,y,nx,ny,weight,segment"
     assert len(text.splitlines()) == 401
+
+
+# Signed zero, subnormals, the largest finite float and infinities.
+ODD_VALUES = np.array([-0.0, 5e-324, -2.2250738585072014e-308, 1e308, np.inf, -np.inf, 0.1 + 0.2, 1.0])
+
+
+class TestCsvBytes:
+    """The writers emit the bytes of the ``csv.writer`` loops they replaced."""
+
+    def test_boundary_grid_matches_csv_writer(self, square_grid):
+        def reference(grid):
+            buf = io.StringIO()
+            w = csv.writer(buf)
+            coord = ["x", "y", "z"][: grid.points.shape[1]]
+            w.writerow(coord + [f"n{c}" for c in coord] + ["weight", "segment"])
+            for i in range(grid.n_points):
+                row = [repr(float(v)) for v in grid.points[i]]
+                row += [repr(float(v)) for v in grid.normals[i]]
+                row += [repr(float(grid.weights[i])), grid.segment_id[i]]
+                w.writerow(row)
+            return buf.getvalue()
+
+        v = ODD_VALUES
+        grids = [
+            square_grid,
+            make_boundary_grid(DomainSpec.sphere(), 60),
+            BoundaryGrid(np.column_stack([v, v[::-1]]), np.column_stack([-v, v]), v, ("G1",) * 8,
+                         DomainSpec.unit_square()),
+            BoundaryGrid(np.column_stack([v, -v, v[::-1]]), np.ones((8, 3)), v[::-1], ("S",) * 8,
+                         DomainSpec.sphere()),
+        ]
+        for grid in grids:
+            assert grid.to_csv() == reference(grid)
+
+    def test_trimesh_matches_csv_writer(self):
+        def reference(mesh):
+            buf = io.StringIO()
+            w = csv.writer(buf)
+            w.writerow(["x1", "y1", "x2", "y2", "x3", "y3"])
+            a, b, c = mesh.corner_arrays()
+            for i in range(mesh.n_triangles):
+                w.writerow([repr(float(v)) for v in (*a[i], *b[i], *c[i])])
+            return buf.getvalue()
+
+        odd = TriMesh(ODD_VALUES.reshape(4, 2), np.array([[0, 1, 2], [1, 2, 3]]))
+        for mesh in (triangulate_square(0.1), parse_msh(MINIMAL_MSH), odd):
+            assert mesh.to_csv() == reference(mesh)
+
+    @pytest.mark.parametrize("line, edit", [
+        (3, lambda row: ""),
+        (2, lambda row: row.replace("0.0", "nan", 1)),
+        (3, lambda row: row.rsplit(",", 1)[0]),
+        (2, lambda row: row + ",x"),
+    ], ids=["blank", "nan", "short", "non-numeric"])
+    def test_trimesh_reader_names_the_bad_line(self, line, edit):
+        rows = triangulate_square(0.5).to_csv().splitlines()
+        rows[line - 1] = edit(rows[line - 1])
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            trimesh_from_csv("\n".join(rows))
 
 
 def test_grid_arrays_read_only(square_grid):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tracemap.operator import (
     IllConditionedError,
-    LayoutBlock,
     LayoutError,
     LinearBoundaryOperator,
     TrainingConfig,
@@ -226,6 +225,18 @@ class TestTrainAdam:
         assert lines[0] == "epoch,mean_loss,best_loss"
         assert len(lines) == 6
 
+    def test_training_log_cells_are_plain_floats(self, rng):
+        _, X, T = self.planted(rng, n=6, samples=30)
+        inp, out = dirichlet_layouts(6)
+        cfg = TrainingConfig(learning_rate=3e-1, batch_size=10, epochs=40, seed=0)
+        _, report = train_adam(X, T, inp, out, cfg)
+        cells = np.array([[float(c) for c in line.split(",")] for line in report.to_csv().splitlines()[1:]])
+        best = [min(report.losses[: e + 1]) for e in range(cfg.epochs)]
+        assert cells[:, 0].tolist() == list(range(cfg.epochs))
+        assert cells[:, 1].tobytes() == report.losses.tobytes()
+        assert cells[:, 2].tobytes() == np.array(best).tobytes()
+        assert not (cells[:, 1] == cells[:, 2]).all()  # the running minimum is exercised
+
 
 class TestLeastSquares:
     def test_planted_recovery(self, rng):
@@ -275,6 +286,16 @@ class TestModelIO:
         assert load_model(save_model(op)).kernel is None
         op.kernel = KernelSpec("helmholtz2d", 10.0)
         assert load_model(save_model(op)).kernel == KernelSpec("helmholtz2d", 10.0)
+
+    def test_model_bytes_match_per_float_loop(self, rng):
+        W = rng.normal(size=(4, 4))
+        W[0] = [-0.0, 5e-324, -2.2250738585072014e-308, np.inf]
+        W[1] = [-np.inf, 1e308, 0.1 + 0.2, 0.0]
+        op = LinearBoundaryOperator(W, *dirichlet_layouts(4), KernelSpec("helmholtz2d", 10.0))
+        text = save_model(op)
+        payload = json.loads(text)
+        payload["layers"][0]["entries"] = [repr(float(v)) for v in op.W.ravel()]
+        assert json.dumps(payload) == text
 
     def test_truncated_file_rejected(self, rng):
         text = save_model(random_op(rng))

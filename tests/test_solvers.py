@@ -12,7 +12,7 @@ from tracemap.operator import (
     mixed_layouts,
     mixed_training_arrays,
 )
-from tracemap.quadrature import BoundaryReconstructor, SingularIntegralConfig
+from tracemap.quadrature import BoundaryReconstructor
 from tracemap.solvers import (
     MixedPartition,
     SolutionField,

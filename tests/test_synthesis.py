@@ -285,9 +285,10 @@ class TestBuildDataset:
         ds = build_dataset(spec, grid)
         text = dataset_to_csv(ds)
         assert text.splitlines()[0] == "kind,n_points"
-        again = dataset_from_csv(text, spec, grid)
-        np.testing.assert_array_equal(again.g_rows, ds.g_rows)
-        np.testing.assert_array_equal(again.h_rows, ds.h_rows)
+        for end in ("\r\n", "\n"):
+            again = dataset_from_csv(text.replace("\r\n", end), spec, grid)
+            assert again.g_rows.tobytes() == ds.g_rows.tobytes()
+            assert again.h_rows.tobytes() == ds.h_rows.tobytes()
 
     def test_csv_bytes_match_csv_writer(self):
         def reference(ds):
@@ -307,6 +308,25 @@ class TestBuildDataset:
             assert dataset_to_csv(ds) == reference(ds)
         ds = build_dataset(spec)
         assert dataset_to_csv(ds) == reference(ds)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\n"])
+    @pytest.mark.parametrize("line, edit, message", [
+        (5, lambda row: "", "line 5: expected a 'h' row, found ''"),
+        (4, lambda row: row.replace(",", ",nan,", 1).rsplit(",", 1)[0], "line 4: non-finite value nan"),
+        (6, lambda row: row.rsplit(",", 1)[0], "line 6: 79 values, expected 80"),
+        (6, lambda row: row + ",0.5", "line 6: 81 values, expected 80"),
+        (3, lambda row: row + "x", "line 3: could not convert"),
+        (2, lambda row: "h" + row[1:], "line 2: expected a 'g' row"),
+        (21, lambda row: None, "line 20: 'g' row without its 'h' row"),
+    ], ids=["blank", "nan", "short", "long", "non-numeric", "order", "unpaired"])
+    def test_csv_defects_name_the_line(self, end, line, edit, message):
+        spec = small_spec()
+        grid = make_boundary_grid(SQUARE, 80)
+        rows = dataset_to_csv(build_dataset(spec, grid)).splitlines()
+        rows[line - 1] = edit(rows[line - 1])
+        text = end.join(row for row in rows if row is not None) + end
+        with pytest.raises(ValueError, match="^" + message):
+            dataset_from_csv(text, spec, grid)
 
     def test_stored_arrays_are_read_only_views(self):
         g, h = np.arange(4.0), np.ones(4)
