@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -437,6 +438,16 @@ class TriMesh:
         a, b, c = self.corner_arrays()
         return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
 
+    @cached_property
+    def _locate_rows(self) -> np.ndarray:
+        """Read-only (7, nt) rows ax, bx, cx, ay, by, cy and 2 * areas(): one
+        contiguous row per corner coordinate, for the block loop of
+        :meth:`locate` to stream.  Built on the first call and kept, as the
+        mesh's vertices and triangles do not change."""
+        rows = np.vstack([np.take(self.vertices[:, d], self.triangles.T) for d in (0, 1)] + [2.0 * self.areas()])
+        rows.setflags(write=False)
+        return rows
+
     def locate(self, pts) -> tuple[np.ndarray, np.ndarray]:
         """``(tri, bary)``: the first triangle (in index order) holding each
         point, and the point's barycentric weights of ``triangles[tri]``.
@@ -446,10 +457,7 @@ class TriMesh:
         triangle holds gets ``tri = -1`` and zero weights.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        # One contiguous row per corner coordinate: the block loop streams them.
-        ax, bx, cx = np.take(self.vertices[:, 0], self.triangles.T)
-        ay, by, cy = np.take(self.vertices[:, 1], self.triangles.T)
-        det = 2.0 * self.areas()
+        ax, bx, cx, ay, by, cy, det = self._locate_rows
         tri = np.full(len(pts), -1)
         bary = np.zeros((len(pts), 3))
         for blk in _point_blocks(len(pts), self.n_triangles):

@@ -23,6 +23,7 @@ from .textio import float_cells, parse_floats, table_text
 
 _REJECTION_LIMIT = 10**6
 _CHUNK = 4096
+_FILTER_ROWS = 64  # candidates filtered per call: polyline distances are costly
 
 
 class ConfigurationError(ValueError):
@@ -99,7 +100,12 @@ class DatasetSpec:
 
 def sample_source_points(spec: DatasetSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform points in the source box, outside the domain and at least
-    ``min_boundary_distance`` from its boundary; deterministic per rng."""
+    ``min_boundary_distance`` from its boundary; deterministic per rng.
+
+    Candidates are drawn ``_CHUNK`` at a time but filtered ``_FILTER_ROWS``
+    at a time, only until ``n`` are accepted: the accepted points are the
+    first ``n`` that pass, in draw order, as if the whole chunk were
+    filtered."""
     lo, hi = spec.source_box
     dim = spec.domain.dimension
     out = np.empty((n, dim))
@@ -107,13 +113,17 @@ def sample_source_points(spec: DatasetSpec, rng: np.random.Generator, n: int) ->
     rejected = 0
     while got < n:
         cand = rng.uniform(lo, hi, size=(_CHUNK, dim))
-        ok = ~contains(spec.domain, cand)
-        ok &= boundary_distance(spec.domain, cand) >= spec.min_boundary_distance
-        idx = np.nonzero(ok)[0]
-        take = idx[: n - got]
-        out[got : got + len(take)] = cand[take]
-        got += len(take)
-        if len(idx) == 0:
+        got_before = got
+        for start in range(0, _CHUNK, _FILTER_ROWS):
+            part = cand[start : start + _FILTER_ROWS]
+            ok = ~contains(spec.domain, part)
+            ok &= boundary_distance(spec.domain, part) >= spec.min_boundary_distance
+            take = part[ok][: n - got]
+            out[got : got + len(take)] = take
+            got += len(take)
+            if got == n:
+                break
+        if got == got_before:  # no row of the chunk passed
             rejected += _CHUNK
             if rejected >= _REJECTION_LIMIT:
                 raise ConfigurationError(
@@ -311,7 +321,8 @@ def dataset_to_csv(ds: Dataset) -> str:
 
 
 def dataset_from_csv(text: str, spec: DatasetSpec, grid: BoundaryGrid) -> Dataset:
-    """Inverse of :func:`dataset_to_csv` (LF or CRLF); a ``ValueError`` names a bad line."""
+    """Inverse of :func:`dataset_to_csv` (LF or CRLF); a ``ValueError`` names a
+    bad line, or the sample count when it is not ``spec.n_samples``."""
     lines = text.splitlines()
     if not lines or lines[0].split(",")[:2] != ["kind", "n_points"]:
         raise ValueError("line 1: expected dataset header 'kind,n_points'")
@@ -326,6 +337,8 @@ def dataset_from_csv(text: str, spec: DatasetSpec, grid: BoundaryGrid) -> Datase
         rows[i % 2, i // 2] = vals
     if len(lines) % 2 == 0:
         raise ValueError(f"line {len(lines)}: 'g' row without its 'h' row")
+    if rows.shape[1] != spec.n_samples:
+        raise ValueError(f"{rows.shape[1]} samples, expected n_samples = {spec.n_samples}")
     return Dataset(spec=spec, grid=grid, g_rows=rows[0], h_rows=rows[1])
 
 

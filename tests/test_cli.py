@@ -96,6 +96,18 @@ class TestTrain:
                 assert capsys.readouterr().err.startswith("error: line 5: ")
         assert not model.exists()
 
+    def test_truncated_dataset_is_an_error(self, laplace_run, tmp_path, capsys):
+        _, data, _ = laplace_run
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        (cut / "dataset.json").write_bytes((data / "dataset.json").read_bytes())
+        rows = (data / "dataset.csv").read_text().splitlines()
+        (cut / "dataset.csv").write_text("\n".join(rows[:41]) + "\n")  # the first 20 of 150 samples
+        model = tmp_path / "model.json"
+        assert run(["train", "--data", cut, "--method", "ls", "--out", model]) == 1
+        assert capsys.readouterr().err.startswith("error: 20 samples, expected n_samples = 150")
+        assert not model.exists()
+
     def test_adam_divergence_is_an_error_message(self, laplace_run, tmp_path, capsys):
         _, data, _ = laplace_run
         model = tmp_path / "model.json"

@@ -391,6 +391,21 @@ class TestMeshLocator:
         np.testing.assert_array_equal(bary[~held], 0.0)
         assert mesh.boundary_distance(pts).tobytes() == _reference_boundary_distance(mesh, pts).tobytes()
 
+    def test_locate_rows_are_cached_read_only(self):
+        mesh = parse_msh(FLIPPED_MSH)
+        pts = np.array([[1.8, 0.5], [1.0, 0.5], [0.2, 0.9], [2.5, 0.5], [1.0, 0.0]])
+        want = _reference_locate(mesh, pts)
+        rows = mesh._locate_rows
+        assert rows is mesh._locate_rows and not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+        for _ in range(2):  # the rows are built on the first call and reused
+            for got, ref in zip(mesh.locate(pts), want):
+                np.testing.assert_array_equal(got, ref)
+        singles = [mesh.locate(p) for p in pts]
+        np.testing.assert_array_equal(np.concatenate([t for t, _ in singles]), want[0])
+        np.testing.assert_array_equal(np.vstack([b for _, b in singles]), want[1])
+
     def test_flipped_triangle_is_located(self):
         mesh = parse_msh(FLIPPED_MSH)
         tri, bary = mesh.locate(np.array([[1.8, 0.5], [1.0, 0.5]]))

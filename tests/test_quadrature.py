@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import duffy_triangle_integral, log_square_integral_oracle
-from tracemap.geometry import DomainSpec, make_boundary_grid, triangulate_square
-from tracemap.kernels import KernelSpec, SingularEvaluationError, kernel_matrix, kernel_normal_matrix
+from tracemap.geometry import _PAIR_BLOCK, DomainSpec, make_boundary_grid, triangulate_square
+from tracemap.kernels import _BLOCK, KernelSpec, SingularEvaluationError, kernel_matrix, kernel_normal_matrix
 from tracemap.quadrature import (
     BoundaryReconstructor,
     DegenerateTriangleError,
@@ -14,6 +14,7 @@ from tracemap.quadrature import (
     double_layer_identity,
     integrate_mesh,
     integrate_triangle,
+    mesh_quadrature_nodes,
     newton_potential,
     newton_potential_many,
     reconstruct_interior,
@@ -90,6 +91,27 @@ class TestIntegrateMesh:
         assert v == pytest.approx((1 - math.cos(1.0)) ** 2, abs=1e-8)
 
 
+def _reference_newton(f, mesh, xs, r0):
+    """Per-point loop of the former newton_potential_many."""
+    pts, w = mesh_quadrature_nodes(mesh)
+    fvals = np.asarray(f(pts), dtype=float)
+    dist = mesh.boundary_distance(xs)
+    inside = (mesh.locate(xs)[0] >= 0) & (dist > 1e-12)
+    disc = -2.0 * math.pi * (0.5 * r0 * r0 * math.log(r0) - 0.25 * r0 * r0) / (2.0 * math.pi)
+    values = np.empty(len(xs))
+    flags = np.zeros(len(xs), dtype=bool)
+    for i, x in enumerate(xs):
+        r = np.hypot(pts[:, 0] - x[0], pts[:, 1] - x[1])
+        keep = r >= r0
+        g = -np.log(r[keep]) / (2.0 * math.pi)
+        total = float(np.dot(w[keep], g * fvals[keep]))
+        if inside[i]:
+            total += float(np.asarray(f(x[None, :]), dtype=float)[0]) * disc
+            flags[i] = dist[i] <= r0
+        values[i] = total
+    return values, flags
+
+
 class TestNewtonPotential:
     def test_zero_source(self):
         mesh = triangulate_square(0.1)
@@ -149,6 +171,33 @@ class TestNewtonPotential:
         assert not flags[2]  # outside: no disc, no flag
         assert not flags[3]  # outside by more than the locator's barycentric tolerance
         assert np.isfinite(vals).all()
+
+    def test_blocked_sum_matches_the_per_point_loop(self):
+        mesh = triangulate_square(0.1)
+        nodes, _ = mesh_quadrature_nodes(mesh)
+        xs = np.vstack([
+            np.random.default_rng(3).uniform(-0.1, 1.1, size=(150, 2)),
+            nodes[[17, 500]],  # exactly on quadrature nodes
+            [[0.5, 0.004], [0.003, 0.7], [0.999, 0.999]],  # within r0 of the boundary
+            [[1.5, 0.5], [0.5, -0.2], [0.5, 0.0]],  # outside the mesh, on its boundary
+        ])
+        assert len(xs) > 3 * (_PAIR_BLOCK // len(nodes))  # several point blocks
+        calls = []
+
+        def f(p):
+            calls.append(len(p))
+            return 1.0 + np.sin(3.0 * p[:, 0]) * p[:, 1]
+
+        cfg = SingularIntegralConfig(r0=0.01)
+        want, want_flags = _reference_newton(f, mesh, xs, cfg.r0)
+        calls.clear()
+        got, flags = newton_potential_many(LAPLACE, f, mesh, xs, cfg)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(flags, want_flags)
+        np.testing.assert_array_equal(flags[-6:], [True, True, True, False, False, False])
+        inside = (mesh.locate(xs)[0] >= 0) & (mesh.boundary_distance(xs) > 1e-12)
+        assert calls == [len(nodes)] + [1] * int(inside.sum())
+        assert inside[150:152].all() and not inside[-3:].any()
 
     def test_non_log_kernel_rejected(self):
         mesh = triangulate_square(0.2)
@@ -227,9 +276,11 @@ class TestReconstruction:
     )
     def test_fused_build_matches_separate_matrices_bitwise(self, kernel):
         grid = make_boundary_grid(DomainSpec.unit_square(), 40)
-        gx, gy = np.meshgrid(np.linspace(0.2, 0.8, 7), np.linspace(0.2, 0.8, 7))
+        # 45 x 45 points: the Laplace build takes 3 row blocks of _BLOCK // 40
+        gx, gy = np.meshgrid(np.linspace(0.2, 0.8, 45), np.linspace(0.2, 0.8, 45))
         near = [[0.003, 0.004], [0.5, 0.002], [0.998, 0.6], [0.513, 0.0]]  # corner, edges, on an edge
         pts = np.vstack([np.column_stack([gx.ravel(), gy.ravel()]), near])
+        assert len(pts) > 2 * (_BLOCK // grid.n_points)
         rec = BoundaryReconstructor(kernel, grid, pts)
         w = grid.weights[None, :]
         single = kernel_matrix(kernel, pts, grid.points) * w
@@ -239,8 +290,10 @@ class TestReconstruction:
         rmin = np.array([np.sqrt(((grid.points - p) ** 2).sum(axis=1)).min() for p in pts])
         assert np.array_equal(rec.near_flags, rmin < 2.0 * grid.min_spacing())
         assert rec.near_flags[-len(near):].all() and not rec.near_flags[:-len(near)].any()
-        with pytest.raises(SingularEvaluationError):
+        with pytest.raises(SingularEvaluationError):  # coincident point in the last block
             BoundaryReconstructor(kernel, grid, np.vstack([pts, grid.points[7]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            BoundaryReconstructor(kernel, grid, np.vstack([pts, [np.nan, 0.5]]))
 
     def test_trace_length_checked(self, square_grid):
         rec = BoundaryReconstructor(LAPLACE, square_grid, [[0.5, 0.5]])

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import laplacian_stencil
-from tracemap.geometry import DomainSpec, contains, boundary_distance, make_boundary_grid
+from tracemap import synthesis
+from tracemap.geometry import DomainSpec, PolarCurve, PolarTerm, boundary_distance, contains, make_boundary_grid
 from tracemap.kernels import KernelSpec
 from tracemap.synthesis import (
     ConfigurationError,
@@ -65,6 +66,44 @@ class TestSourceSampling:
         spec = small_spec(source_box=(-0.0001, 1.0001), min_boundary_distance=1.0)
         with pytest.raises(ConfigurationError, match="10\\^6"):
             sample_source_points(spec, np.random.default_rng(0), 1)
+
+
+def _eager_source_points(spec, rng, n):
+    """The former sampler: filters every candidate of each chunk."""
+    out = np.empty((n, spec.domain.dimension))
+    got = rejected = 0
+    while got < n:
+        cand = rng.uniform(*spec.source_box, size=(synthesis._CHUNK, spec.domain.dimension))
+        ok = ~contains(spec.domain, cand)
+        ok &= boundary_distance(spec.domain, cand) >= spec.min_boundary_distance
+        idx = np.nonzero(ok)[0]
+        take = idx[: n - got]
+        out[got : got + len(take)] = cand[take]
+        got += len(take)
+        rejected = rejected + synthesis._CHUNK if len(idx) == 0 else 0
+        if rejected >= synthesis._REJECTION_LIMIT:
+            raise ConfigurationError("source sampling rejected 10^6 candidates; box too small")
+    return out
+
+
+class TestLazySourceFilter:
+    @pytest.mark.parametrize("domain", [
+        SQUARE,
+        DomainSpec.polar(1.0),
+        DomainSpec.polar(0.65, [PolarTerm("sin", 0.2, 5)]),
+        DomainSpec.multi_loop(PolarCurve(1.0), PolarCurve(0.4)),
+    ], ids=["square", "circle", "star5", "annulus"])
+    def test_dataset_bytes_equal_the_eager_filter(self, domain, monkeypatch):
+        spec = small_spec(domain=domain, n_points=40, n_samples=2)
+        lazy = dataset_checksum(dataset_to_csv(build_dataset(spec)))
+        monkeypatch.setattr(synthesis, "sample_source_points", _eager_source_points)
+        assert dataset_checksum(dataset_to_csv(build_dataset(spec))) == lazy
+
+    def test_filter_stops_at_n_but_takes_the_same_points(self):
+        spec = small_spec(source_box=(-1.0, 2.0))  # about 1 in 9 candidates is inside
+        for n in (1, 70, 300):
+            lazy = sample_source_points(spec, np.random.default_rng(n), n)
+            np.testing.assert_array_equal(lazy, _eager_source_points(spec, np.random.default_rng(n), n))
 
 
 class TestSimplexWeights:
@@ -327,6 +366,14 @@ class TestBuildDataset:
         text = end.join(row for row in rows if row is not None) + end
         with pytest.raises(ValueError, match="^" + message):
             dataset_from_csv(text, spec, grid)
+
+    def test_csv_sample_count_must_match_the_spec(self):
+        spec = small_spec(n_samples=50)
+        grid = make_boundary_grid(SQUARE, 80)
+        rows = dataset_to_csv(build_dataset(spec, grid)).splitlines()
+        for n in (20, 0):
+            with pytest.raises(ValueError, match=f"^{n} samples, expected n_samples = 50$"):
+                dataset_from_csv("\n".join(rows[: 1 + 2 * n]) + "\n", spec, grid)
 
     def test_stored_arrays_are_read_only_views(self):
         g, h = np.arange(4.0), np.ones(4)
