@@ -10,8 +10,11 @@ asked for.  The evaluator walks its argument in blocks of ``_BLOCK`` points,
 so its temporaries stay cache-sized, but both truncations are chosen once
 from the whole array (the series term count from the largest series
 argument, the asymptotic cut from the smallest asymptotic one): values do
-not depend on the block size.  NaN and infinite arguments raise.  No
-special-function library is used.
+not depend on the block size.  NaN and infinite arguments raise.  Each of
+``bessel_j0/j1/y0/y1`` takes an ``out=`` float64 array of the argument's
+shape, which may be a strided view such as ``g.real`` of a complex result
+but may not overlap the argument; the values are the same bits as without
+it.  No special-function library is used.
 
 All kernels here satisfy L G = -delta (potential-theory sign), so the
 interior representation used elsewhere is
@@ -140,15 +143,24 @@ def _asymptotic(x, nu: int, kind: str, x_min: float):
     return amp * (p * np.sin(omega) + q * np.cos(omega))
 
 
-def _bessel(x, nu: int, kind: str):
+def _bessel(x, nu: int, kind: str, out=None):
     """J or Y of order nu: series up to X_SWITCH, asymptotic expansion above.
 
     J needs finite x >= 0 and Y finite x > 0; scalar in, scalar out; arrays
-    keep their shape.  Runs over blocks of ``_BLOCK`` points, each branch
-    truncated as chosen from the whole array.
+    keep their shape.  ``out``, a float64 array of x's shape that does not
+    overlap x, is filled and returned instead of a new result.  Runs over
+    blocks of ``_BLOCK`` points, each branch truncated as chosen from the
+    whole array.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
+    if out is None:
+        res = np.empty(x.shape)
+    elif not isinstance(out, np.ndarray) or out.shape != x.shape or out.dtype != np.float64:
+        raise ValueError(f"{kind}{nu}: out must be a float64 array of shape {x.shape}")
+    elif np.shares_memory(out, x):
+        raise ValueError(f"{kind}{nu}: out overlaps the argument")
+    else:
+        res = out
     if x.size:
         lo, hi = float(x.min()), float(x.max())  # NaN propagates into both
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -159,33 +171,37 @@ def _bessel(x, nu: int, kind: str):
             hi = float(np.max(x, where=x <= X_SWITCH, initial=0.0))
             lo = float(np.min(x, where=x > X_SWITCH, initial=np.inf))
         n_terms = _series_terms(0.25 * hi ** 2, nu, kind) if hi <= X_SWITCH else 0
-        flat, out_flat = x.reshape(-1), out.reshape(-1)
+        flat, res_flat = x.reshape(-1), res.reshape(-1)
         for start in range(0, flat.size, _BLOCK):
-            xb, ob = flat[start:start + _BLOCK], out_flat[start:start + _BLOCK]
+            xb, ob = flat[start:start + _BLOCK], res_flat[start:start + _BLOCK]
             small = xb <= X_SWITCH
             if small.any():
                 ob[small] = _series(xb[small], nu, kind, n_terms)
             if not small.all():
                 ob[~small] = _asymptotic(xb[~small], nu, kind, lo)
-    return float(out) if out.ndim == 0 else out
+        if not np.may_share_memory(res_flat, res):  # a strided out with no flat view
+            res[...] = res_flat.reshape(res.shape)
+    if out is not None:
+        return out
+    return float(res) if res.ndim == 0 else res
 
 
-def bessel_j0(x):
+def bessel_j0(x, out=None):
     """J0 for x >= 0; scalar in, scalar out; arrays supported."""
-    return _bessel(x, 0, "J")
+    return _bessel(x, 0, "J", out)
 
 
-def bessel_j1(x):
-    return _bessel(x, 1, "J")
+def bessel_j1(x, out=None):
+    return _bessel(x, 1, "J", out)
 
 
-def bessel_y0(x):
+def bessel_y0(x, out=None):
     """Y0 for x > 0."""
-    return _bessel(x, 0, "Y")
+    return _bessel(x, 0, "Y", out)
 
 
-def bessel_y1(x):
-    return _bessel(x, 1, "Y")
+def bessel_y1(x, out=None):
+    return _bessel(x, 1, "Y", out)
 
 
 def bessel(kind: str, order: int, x):
@@ -216,16 +232,33 @@ def kernel_value(spec: KernelSpec, x, y) -> complex:
     return complex(_value_from_r(spec, np.asarray([r]))[0])
 
 
+def _helmholtz2d_value(kr: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(i/4) H0(kr) = (-Y0 + i J0) / 4, written into the complex ``out``."""
+    re, im = out.real, out.imag
+    bessel_y0(kr, out=re)
+    re *= -0.25
+    bessel_j0(kr, out=im)
+    im *= 0.25
+    return out
+
+
+def _helmholtz2d_radial_derivative(kr: np.ndarray, k: float, out: np.ndarray) -> np.ndarray:
+    """dG/dr = (k/4) (Y1 - i J1) at kr, written into the complex ``out``."""
+    c = 0.25 * k
+    re, im = out.real, out.imag
+    bessel_y1(kr, out=re)
+    re *= c
+    bessel_j1(kr, out=im)
+    im *= -c
+    return out
+
+
 def _value_from_r(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     if spec.family == "laplace2d":
         return -np.log(r) / (2.0 * math.pi)
-    if spec.family == "helmholtz2d":  # (i/4) H0 = (-Y0 + i J0) / 4
-        kr = spec.k * r
-        g = np.empty(r.shape, dtype=complex)
-        np.multiply(bessel_y0(kr), -0.25, out=g.real)
-        np.multiply(bessel_j0(kr), 0.25, out=g.imag)
-        return g
     kr = spec.k * r
+    if spec.family == "helmholtz2d":
+        return _helmholtz2d_value(kr, np.empty(r.shape, dtype=complex))
     return (np.cos(kr) + 1j * np.sin(kr)) / (4.0 * math.pi * r)
 
 
@@ -233,14 +266,9 @@ def _radial_derivative(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     """dG/dr as a function of the distance r."""
     if spec.family == "laplace2d":
         return -1.0 / (2.0 * math.pi * r)
-    if spec.family == "helmholtz2d":  # (k/4) (Y1 - i J1)
-        kr = spec.k * r
-        c = 0.25 * spec.k
-        dg = np.empty(r.shape, dtype=complex)
-        np.multiply(bessel_y1(kr), c, out=dg.real)
-        np.multiply(bessel_j1(kr), -c, out=dg.imag)
-        return dg
     kr = spec.k * r
+    if spec.family == "helmholtz2d":
+        return _helmholtz2d_radial_derivative(kr, spec.k, np.empty(r.shape, dtype=complex))
     phase = np.cos(kr) + 1j * np.sin(kr)
     return phase * (1j * kr - 1.0) / (4.0 * math.pi * r * r)
 
@@ -283,14 +311,16 @@ def _pairwise(xs, ys):
     return diffs, r
 
 
-def _normal_projection(diffs, normals, r) -> np.ndarray:
-    """(y_j - x_i) . n_j / r_ij, summed from +0.0 in coordinate order."""
+def _pairwise_projection(xs, ys, normals):
+    """``(proj, r)``: the normal projections (y_j - x_i) . n_j / r_ij, summed
+    from +0.0 in coordinate order, and the distances r_ij."""
+    diffs, r = _pairwise(xs, ys)
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     proj = np.zeros_like(r)
     for d, n in zip(diffs, normals.T):
         proj += d * n
     proj /= r
-    return proj
+    return proj, r
 
 
 def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
@@ -301,8 +331,7 @@ def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
 
 def kernel_normal_matrix(spec: KernelSpec, xs, ys, normals) -> np.ndarray:
     """dG/dn_y (x_i, y_j) for point sets with unit normals at the y points."""
-    diffs, r = _pairwise(xs, ys)
-    proj = _normal_projection(diffs, normals, r)
+    proj, r = _pairwise_projection(xs, ys, normals)
     dg = _radial_derivative(spec, r)
     dg *= proj
     return dg
@@ -314,14 +343,12 @@ def kernel_matrices(spec: KernelSpec, xs, ys, normals):
     G and dG/dn_y equal :func:`kernel_matrix` and
     :func:`kernel_normal_matrix` bit for bit; r holds the distances.
     dG/dn_y is built first, so the normal projection is freed before G.
-    At the peak, while G's second Bessel function is evaluated, r, dG/dn_y,
-    kr = k r, G and that Bessel result are alive: seven real arrays of the
-    matrix size for the complex kernels, plus the evaluator's block-sized
-    temporaries.
+    The Bessel functions write straight into the complex results, so at the
+    peak, while G is evaluated, r, dG/dn_y, kr = k r and G are alive: six
+    real arrays of the matrix size for the 2D Helmholtz kernel, plus the
+    evaluator's block-sized temporaries.
     """
-    diffs, r = _pairwise(xs, ys)
-    proj = _normal_projection(diffs, normals, r)
-    del diffs
+    proj, r = _pairwise_projection(xs, ys, normals)
     dg = _radial_derivative(spec, r)
     dg *= proj
     del proj

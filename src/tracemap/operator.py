@@ -177,6 +177,9 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for field in ("epochs", "batch_size"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be at least 1, got {getattr(self, field)}")
         if self.learning_rate < 0.0:
             raise ValueError("learning rate must be nonnegative")
         if self.lambda1 <= 0.0 or self.lambda2 <= 0.0:
@@ -227,12 +230,16 @@ def compute_loss(
     return float(np.sum(lam * resid * resid) / (inputs.shape[0] * op.output_dim))
 
 
-def _loss_and_grad(W, x, t, lam, inv_count):
-    """Weighted MSE and its gradient dL/dW, both in closed form."""
-    resid = x @ W.T - t
+def _loss_and_grad(W, x, t, lam, inv_count, grad=None):
+    """Weighted MSE and its gradient dL/dW, both in closed form; the
+    gradient is written into ``grad`` when one is given."""
+    resid = x @ W.T
+    resid -= t
     weighted = lam * resid
-    loss = float(np.sum(weighted * resid) * inv_count)
-    return loss, (2.0 * inv_count * weighted).T @ x
+    resid *= weighted
+    loss = float(np.sum(resid) * inv_count)
+    weighted *= 2.0 * inv_count
+    return loss, np.matmul(weighted.T, x, out=grad)
 
 
 def train_adam(
@@ -244,6 +251,9 @@ def train_adam(
 ) -> tuple[LinearBoundaryOperator, TrainReport]:
     """Adam on the matrix entries from ``W = 0``; returns the best-loss
     checkpoint.  One epoch is a full pass over the data in shuffled batches.
+    The moments, the gradient and the step live in preallocated buffers,
+    updated in place op for op as ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + (1 - b2) g g`` and ``W -= lr m_hat / (sqrt(v_hat) + eps)``.
     """
     inputs = np.ascontiguousarray(inputs, dtype=float)
     targets = np.ascontiguousarray(targets, dtype=float)
@@ -260,6 +270,8 @@ def train_adam(
     lam = slot_weights(output_layout, cfg)
     m = np.zeros_like(W)
     v = np.zeros_like(W)
+    g = np.empty_like(W)
+    upd = np.empty_like(W)
     b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
 
     losses = np.empty(cfg.epochs)
@@ -275,7 +287,7 @@ def train_adam(
             idx = order[start : start + cfg.batch_size]
             x, t = inputs[idx], targets[idx]
             inv_count = 1.0 / (len(idx) * n_out)
-            loss, g = _loss_and_grad(W, x, t, lam, inv_count)
+            loss, _ = _loss_and_grad(W, x, t, lam, inv_count, g)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, step {step}; "
@@ -283,16 +295,25 @@ def train_adam(
                 )
             epoch_losses.append(loss)
             step += 1
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1**step)
-            v_hat = v / (1.0 - b2**step)
-            W -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=upd)
+            m += upd
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=upd)
+            upd *= g
+            v += upd
+            np.divide(m, 1.0 - b1**step, out=upd)  # m_hat
+            np.divide(v, 1.0 - b2**step, out=g)  # v_hat
+            np.sqrt(g, out=g)
+            g += eps
+            upd *= lr
+            upd /= g
+            W -= upd
         losses[epoch] = float(np.mean(epoch_losses))
         if losses[epoch] < best_loss:
             best_loss = losses[epoch]
             best_epoch = epoch
-            best_W = W.copy()
+            np.copyto(best_W, W)
     wall = time.perf_counter() - t0
     op = LinearBoundaryOperator(best_W, input_layout, output_layout)
     report = TrainReport(losses=losses, best_loss=float(best_loss), best_epoch=best_epoch, wall_time=wall)

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BoundaryGrid, TriMesh, _point_blocks, freeze_arrays
-from .kernels import _BLOCK, KernelSpec, kernel_matrices
+from .kernels import (
+    _BLOCK,
+    KernelSpec,
+    _helmholtz2d_radial_derivative,
+    _helmholtz2d_value,
+    _pairwise_projection,
+    kernel_matrices,
+)
 
 _SQRT15 = math.sqrt(15.0)
 
@@ -229,10 +236,14 @@ class BoundaryReconstructor:
     """Interior evaluation from boundary traces.
 
     Each instance builds its weighted kernel matrices once, from one
-    pairwise pass over (points x boundary nodes).  The pass runs in row
-    blocks of about ``kernels._BLOCK`` entries, so its distance, difference
-    and projection temporaries stay cache-sized; the 2D Helmholtz kernel
-    takes one block.  Nothing is shared between instances.
+    pairwise pass over (points x boundary nodes) in row blocks of about
+    ``kernels._BLOCK`` entries, so its distance, difference and projection
+    temporaries stay cache-sized.  The 2D Helmholtz kernel fills only its
+    geometry (k r and the normal projection) per block: the Bessel
+    truncation is chosen from the whole argument, so the four Bessel
+    functions each run once over all of k r, writing straight into the
+    matrices.  Its peak is the two complex matrices plus k r.  Nothing is
+    shared between instances.
 
     Implements ``u(x) = sum_i w_i [G(x, y_i) h_i - g_i dG/dn(x, y_i)]``;
     the sign convention is fixed by the requirement that exact traces of
@@ -243,27 +254,35 @@ class BoundaryReconstructor:
         self.kernel = kernel
         self.grid = grid
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        if kernel.family == "helmholtz2d":
-            # One block: the Bessel truncation is chosen from the whole
-            # distance array (row blocks would each choose their own and
-            # move the values), and one call per function keeps the traced
-            # solve Bessel count at 4.  The matrices are weighted in place.
-            self.single, self.double, r = kernel_matrices(kernel, self.points, grid.points, grid.normals)
-            self.single *= grid.weights
-            self.double *= grid.weights
-            r_min = r.min(axis=1)
+        n, m = len(self.points), grid.n_points
+        step = max(1, _BLOCK // m)
+        r_min = np.empty(n)
+        bessel_pass = kernel.family == "helmholtz2d"
+        if bessel_pass:
+            self.double = np.empty((n, m), dtype=complex)
+            kr, proj = np.empty((n, m)), np.empty((n, m))
         else:
-            n, step = len(self.points), max(1, _BLOCK // grid.n_points)
             dtype = complex if kernel.is_complex else float
-            self.single = np.empty((n, grid.n_points), dtype=dtype)
-            self.double = np.empty((n, grid.n_points), dtype=dtype)
-            r_min = np.empty(n)
-            for start in range(0, n, step):
-                blk = slice(start, start + step)
+            self.single = np.empty((n, m), dtype=dtype)
+            self.double = np.empty((n, m), dtype=dtype)
+        for start in range(0, n, step):
+            blk = slice(start, start + step)
+            if bessel_pass:
+                proj[blk], r = _pairwise_projection(self.points[blk], grid.points, grid.normals)
+                np.multiply(r, kernel.k, out=kr[blk])
+            else:
                 g, dg, r = kernel_matrices(kernel, self.points[blk], grid.points, grid.normals)
                 np.multiply(g, grid.weights, out=self.single[blk])
                 np.multiply(dg, grid.weights, out=self.double[blk])
-                r_min[blk] = r.min(axis=1)
+            r_min[blk] = r.min(axis=1)
+        if bessel_pass:  # the matrices are weighted in place
+            _helmholtz2d_radial_derivative(kr, kernel.k, self.double)
+            self.double *= proj
+            del proj
+            self.single = _helmholtz2d_value(kr, np.empty((n, m), dtype=complex))
+            del kr
+            self.single *= grid.weights
+            self.double *= grid.weights
         self.near_flags = r_min < 2.0 * grid.min_spacing()
 
     def field(self, g, h) -> np.ndarray:

@@ -67,6 +67,8 @@ class DatasetSpec:
     anchor_index: int = 0  # Dirichlet entry subtracted in Laplace mode
 
     def __post_init__(self):
+        if self.n_samples < 1:
+            raise ConfigurationError(f"n_samples must be at least 1, got {self.n_samples}")
         if self.min_boundary_distance <= 0.0:
             raise ConfigurationError("min_boundary_distance must be positive")
         lo, hi = self.source_box

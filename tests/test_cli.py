@@ -65,8 +65,25 @@ class TestGen:
         )
         assert code != 0
 
+    def test_zero_samples_refused(self, tmp_path, capsys):
+        out = tmp_path / "empty"
+        assert run(["gen", "--equation", "laplace", "--n", 40, "--samples", 0, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: n_samples must be at least 1")
+        assert not (out / "dataset.csv").exists()
+
 
 class TestTrain:
+    @pytest.mark.parametrize(
+        "flags,field", [(["--epochs", 0], "epochs"), (["--epochs", -3], "epochs"),
+                        (["--batch", 0], "batch_size"), (["--batch", -5], "batch_size")],
+    )
+    def test_non_positive_counts_refused(self, laplace_run, tmp_path, capsys, flags, field):
+        _, data, _ = laplace_run
+        model = tmp_path / "model.json"
+        assert run(["train", "--data", data, "--method", "adam", *flags, "--out", model]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must be at least 1")
+        assert not model.exists()
+
     def test_ls_model_written_with_log(self, laplace_run):
         root, _, model = laplace_run
         payload = json.loads(model.read_text())

@@ -161,6 +161,59 @@ class TestBlockedEvaluator:
             tracemalloc.stop()
         assert peak <= 1.5 * out.nbytes
 
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_y0, bessel_y1])
+    def test_out_is_filled_with_the_same_bits(self, fn):
+        x = self._straddling_input()
+        want = fn(x)
+        buf = np.empty_like(x)
+        assert fn(x, out=buf) is buf and buf.tobytes() == want.tobytes()
+        x2 = x[: 3 * (_BLOCK // 2 + 7)].reshape(3, -1)
+        buf2 = np.empty(x2.shape)
+        assert fn(x2, out=buf2) is buf2 and buf2.tobytes() == fn(x2).tobytes()
+        z = np.empty(x.shape, dtype=complex)
+        fn(x, out=z.real)
+        fn(x, out=z.imag)
+        assert z.real.tobytes() == want.tobytes() and z.imag.tobytes() == want.tobytes()
+        wide = np.zeros((3, x2.shape[1] + 5))  # a strided out with no flat view
+        fn(x2, out=wide[:, :-5])
+        assert wide[:, :-5].tobytes() == buf2.tobytes() and not wide[:, -5:].any()
+
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_y0, bessel_y1])
+    def test_out_of_the_wrong_kind_refused(self, fn):
+        x = np.linspace(1.0, 20.0, 12)
+        for bad in (np.empty(11), np.empty((3, 4)), np.empty(12, dtype=np.float32), [0.0] * 12):
+            with pytest.raises(ValueError, match="out must be"):
+                fn(x, out=bad)
+        with pytest.raises(ValueError, match="overlaps"):
+            fn(x, out=x)
+        z = np.empty(12, dtype=complex)
+        z.real = x
+        with pytest.raises(ValueError, match="overlaps"):
+            fn(z.real, out=z.real[::-1])
+
+    def test_call_with_out_peak_memory_is_block_sized(self):
+        x = np.random.default_rng(4).uniform(1e-3, 14.0, 10**6)
+        out = np.empty_like(x)
+        tracemalloc.start()
+        try:
+            bessel_y0(x, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * out.nbytes
+
+    def test_helmholtz_build_peak_is_its_outputs_plus_kr(self):
+        grid = make_boundary_grid(DomainSpec.unit_square(), 100)
+        pts = np.random.default_rng(5).uniform(0.001, 0.999, (10**4, 2))
+        tracemalloc.start()
+        try:
+            rec = BoundaryReconstructor(KernelSpec("helmholtz2d", 10.0), grid, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.single.nbytes + rec.double.nbytes == 32e6
+        assert peak <= 48e6
+
     def test_helmholtz_build_peak_memory(self):
         grid = make_boundary_grid(DomainSpec.unit_square(), 100)
         pts = np.random.default_rng(5).uniform(0.001, 0.999, (10**4, 2))

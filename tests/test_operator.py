@@ -160,6 +160,41 @@ class TestGradients:
             assert grad[i, j] == pytest.approx(fd, rel=1e-6)
 
 
+def _reference_adam(inputs, targets, output_layout, cfg):
+    """The Adam loop written with a fresh array per op: ``(W, losses,
+    best_epoch)`` that :func:`train_adam` must reproduce bit for bit."""
+    rng = np.random.default_rng(cfg.seed)
+    n_samples, n_out = len(inputs), targets.shape[1]
+    W = np.zeros((n_out, inputs.shape[1]))
+    lam = slot_weights(output_layout, cfg)
+    m, v = np.zeros_like(W), np.zeros_like(W)
+    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+    losses = np.empty(cfg.epochs)
+    best_loss, best_epoch, best_W = np.inf, -1, W.copy()
+    step = 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n_samples)
+        epoch_losses = []
+        for start in range(0, n_samples, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            x, t = inputs[idx], targets[idx]
+            inv_count = 1.0 / (len(idx) * n_out)
+            resid = x @ W.T - t
+            weighted = lam * resid
+            epoch_losses.append(float(np.sum(weighted * resid) * inv_count))
+            g = (2.0 * inv_count * weighted).T @ x
+            step += 1
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1**step)
+            v_hat = v / (1.0 - b2**step)
+            W -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        losses[epoch] = float(np.mean(epoch_losses))
+        if losses[epoch] < best_loss:
+            best_loss, best_epoch, best_W = losses[epoch], epoch, W.copy()
+    return best_W, losses, best_epoch
+
+
 class TestTrainAdam:
     def planted(self, rng, n=20, samples=200):
         Wstar = rng.normal(0, 0.3, (n, n))
@@ -210,6 +245,34 @@ class TestTrainAdam:
         with pytest.raises(TrainingDivergedError, match="epoch"):
             with np.errstate(all="ignore"):
                 train_adam(X, T, inp, out, cfg)
+
+    def test_bitwise_equal_to_reference_loop_dirichlet(self, rng):
+        _, X, T = self.planted(rng, n=12, samples=70)  # a short last batch
+        inp, out = dirichlet_layouts(12)
+        cfg = TrainingConfig(learning_rate=3e-2, batch_size=20, epochs=60, seed=4)
+        op, report = train_adam(X, T, inp, out, cfg)
+        W, losses, best_epoch = _reference_adam(X, T, out, cfg)
+        assert op.W.tobytes() == W.tobytes()
+        assert report.losses.tobytes() == losses.tobytes()
+        assert report.best_epoch == best_epoch
+
+    def test_bitwise_equal_to_reference_loop_mixed(self, rng):
+        grid = make_boundary_grid(DomainSpec.unit_square(), 24)
+        inp, out = mixed_layouts(grid, {"G1"})
+        g, h = rng.normal(size=(90, 24)), rng.normal(size=(90, 24))
+        X, T = mixed_training_arrays(g, h, inp, out)
+        cfg = TrainingConfig(learning_rate=1e-2, batch_size=25, epochs=40, lambda1=2.0, lambda2=0.5, seed=6)
+        op, report = train_adam(X, T, inp, out, cfg)
+        W, losses, best_epoch = _reference_adam(X, T, out, cfg)
+        assert op.W.tobytes() == W.tobytes()
+        assert report.losses.tobytes() == losses.tobytes()
+        assert report.best_epoch == best_epoch
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_non_positive_counts_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            TrainingConfig(**{field: value})
 
     def test_batch_larger_than_dataset_rejected(self, rng):
         _, X, T = self.planted(rng, n=6, samples=30)

@@ -396,3 +396,8 @@ class TestBuildDataset:
         grid = make_boundary_grid(SQUARE, 40)
         with pytest.raises(ConfigurationError):
             build_dataset(small_spec(n_points=80), grid)
+
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_non_positive_sample_count_refused(self, n_samples):
+        with pytest.raises(ConfigurationError, match="n_samples must be at least 1"):
+            small_spec(n_samples=n_samples)
