@@ -134,21 +134,8 @@ def cmd_gen(args) -> int:
 
 
 def _load_dataset(data_dir: Path) -> Dataset:
-    sidecar = json.loads((data_dir / "dataset.json").read_text())
-    kernel = KernelSpec(sidecar["kernel"]["family"], sidecar["kernel"]["k"])
-    domain = DomainSpec.from_payload(sidecar["domain"])
-    spec = DatasetSpec(
-        kernel=kernel,
-        domain=domain,
-        n_points=sidecar["n_points"],
-        n_samples=sidecar["n_samples"],
-        n_kernels_per_sample=sidecar["n_kernels_per_sample"],
-        source_box=tuple(sidecar["source_box"]),
-        min_boundary_distance=sidecar["min_boundary_distance"],
-        seed=sidecar["seed"],
-        anchor_index=sidecar.get("anchor_index", 0),
-    )
-    grid = make_boundary_grid(domain, spec.n_points)
+    spec = DatasetSpec.from_json((data_dir / "dataset.json").read_text())
+    grid = make_boundary_grid(spec.domain, spec.n_points)
     return dataset_from_csv((data_dir / "dataset.csv").read_text(), spec, grid)
 
 

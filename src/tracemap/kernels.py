@@ -216,22 +216,6 @@ def bessel(kind: str, order: int, x):
 # ---------------------------------------------------------------------------
 
 
-def _distances(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = y - x
-    r = np.sqrt(np.sum(d * d, axis=-1))
-    return d, r
-
-
-def kernel_value(spec: KernelSpec, x, y) -> complex:
-    """G(x, y) as a complex number (imaginary part 0 for the log kernel)."""
-    _, r = _distances(x, y)
-    if r == 0.0:
-        raise SingularEvaluationError("kernel evaluated at coincident points")
-    return complex(_value_from_r(spec, np.asarray([r]))[0])
-
-
 def _helmholtz2d_value(kr: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(i/4) H0(kr) = (-Y0 + i J0) / 4, written into the complex ``out``."""
     re, im = out.real, out.imag
@@ -271,25 +255,6 @@ def _radial_derivative(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
         return _helmholtz2d_radial_derivative(kr, spec.k, np.empty(r.shape, dtype=complex))
     phase = np.cos(kr) + 1j * np.sin(kr)
     return phase * (1j * kr - 1.0) / (4.0 * math.pi * r * r)
-
-
-def kernel_gradient_y(spec: KernelSpec, x, y) -> np.ndarray:
-    """Gradient of G with respect to the second argument, per component.
-
-    For these radial kernels grad_y G = (dG/dr) (y - x)/r, and
-    grad_x G = -grad_y G.
-    """
-    d, r = _distances(x, y)
-    if r == 0.0:
-        raise SingularEvaluationError("kernel gradient at coincident points")
-    dg = _radial_derivative(spec, np.asarray([r]))[0]
-    return dg * d / r
-
-
-def kernel_normal_derivative_y(spec: KernelSpec, x, y, normal) -> complex:
-    """dG/dn_y: gradient wrt y projected onto the unit normal at y."""
-    grad = kernel_gradient_y(spec, x, y)
-    return complex(np.dot(grad, np.asarray(normal, dtype=float)))
 
 
 def _pairwise(xs, ys):
@@ -335,6 +300,26 @@ def kernel_normal_matrix(spec: KernelSpec, xs, ys, normals) -> np.ndarray:
     dg = _radial_derivative(spec, r)
     dg *= proj
     return dg
+
+
+def kernel_value(spec: KernelSpec, x, y) -> complex:
+    """G(x, y) as a complex number (imaginary part 0 for the log kernel)."""
+    return complex(kernel_matrix(spec, [x], [y])[0, 0])
+
+
+def kernel_gradient_y(spec: KernelSpec, x, y) -> np.ndarray:
+    """Gradient of G with respect to the second argument, per component.
+
+    For these radial kernels grad_y G = (dG/dr) (y - x)/r, and
+    grad_x G = -grad_y G.
+    """
+    diffs, r = _pairwise([x], [y])
+    return _radial_derivative(spec, r)[0, 0] * np.ravel(diffs) / r[0, 0]
+
+
+def kernel_normal_derivative_y(spec: KernelSpec, x, y, normal) -> complex:
+    """dG/dn_y: gradient wrt y projected onto the unit normal at y."""
+    return complex(kernel_normal_matrix(spec, [x], [y], [normal])[0, 0])
 
 
 def kernel_matrices(spec: KernelSpec, xs, ys, normals):

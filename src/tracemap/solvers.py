@@ -211,6 +211,9 @@ def solve_mixed(
         raise LayoutError("operator was not trained for this partition")
     g_dirichlet = np.asarray(g_dirichlet, dtype=float)
     h_neumann = np.asarray(h_neumann, dtype=float)
+    for name, vals in (("g_dirichlet", g_dirichlet), ("h_neumann", h_neumann)):
+        if vals.shape != (grid.n_points,):
+            raise LayoutError(f"{name} has {vals.size} values, the grid has {grid.n_points} points")
     idx_d = list(inp_layout[0].indices)
     anchor = idx_d[0]
     shift = g_dirichlet[anchor]

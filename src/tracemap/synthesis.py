@@ -1,12 +1,15 @@
 """Training data synthesis from fundamental solutions.
 
 Each sample is a Dirichlet/Neumann trace pair of an exact solution built
-as a convex combination of kernels centered at points outside the domain:
-log kernels ``ln((x-xi)^2+(y-yi)^2)`` for the Laplace family, J0/Y0 parts
-of the Hankel kernel for 2D Helmholtz, and re/im parts of
-``e^{ikr}/(4 pi r)`` in 3D.  Pairs are normalized in two steps: subtract
-the first Dirichlet entry (Laplace mode only; constants are harmonic) and
-divide both traces by the max absolute Neumann value.
+as a convex combination of kernels centered at points outside the domain.
+The distances, normal projections, G and dG/dr all come from
+``kernels.py``; a source adds one part of the fundamental solution G:
+log kernels ``ln((x-xi)^2+(y-yi)^2) = -4 pi G`` for the Laplace family,
+``J0(kr) = 4 Im G`` or ``Y0(kr) = -4 Re G`` for 2D Helmholtz (each source
+evaluates only its own Bessel pair), and ``cos(kr)/(4 pi r) = Re G`` or
+``sin(kr)/(4 pi r) = Im G`` in 3D.  Pairs are normalized in two steps:
+subtract the first Dirichlet entry (Laplace mode only; constants are
+harmonic) and divide both traces by the max absolute Neumann value.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 
 from .geometry import BoundaryGrid, DomainSpec, boundary_distance, contains, freeze_arrays
 from .kernels import KernelSpec, bessel_j0, bessel_j1, bessel_y0, bessel_y1
+from .kernels import _pairwise_projection, _radial_derivative, _value_from_r
 from .textio import float_cells, parse_floats, table_text
 
 _REJECTION_LIMIT = 10**6
@@ -99,6 +103,50 @@ class DatasetSpec:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
+    @classmethod
+    def from_json(cls, text: str) -> "DatasetSpec":
+        """Inverse of :meth:`to_json`.  A missing or mistyped field raises a
+        ``ValueError`` naming it; ``anchor_index`` may be absent (older
+        files), and ``normalization`` is derived, so it is not read."""
+        payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("the dataset sidecar must be a JSON object")
+        kernel = _sidecar_field(payload, "kernel", dict)
+        try:
+            domain = DomainSpec.from_payload(_sidecar_field(payload, "domain", dict))
+        except (KeyError, TypeError, IndexError) as exc:
+            raise ValueError(f"sidecar field 'domain' is malformed: {exc!r}") from None
+        box = _sidecar_field(payload, "source_box", list)
+        if len(box) != 2 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in box):
+            raise ValueError(f"sidecar field 'source_box' must be two numbers, got {box!r}")
+        return cls(
+            kernel=KernelSpec(
+                _sidecar_field(kernel, "family", str, "kernel."),
+                _sidecar_field(kernel, "k", float, "kernel."),
+            ),
+            domain=domain,
+            n_points=_sidecar_field(payload, "n_points", int),
+            n_samples=_sidecar_field(payload, "n_samples", int),
+            n_kernels_per_sample=_sidecar_field(payload, "n_kernels_per_sample", int),
+            source_box=tuple(box),
+            min_boundary_distance=_sidecar_field(payload, "min_boundary_distance", float),
+            seed=_sidecar_field(payload, "seed", int),
+            anchor_index=_sidecar_field({"anchor_index": 0, **payload}, "anchor_index", int),
+        )
+
+
+def _sidecar_field(payload: dict, name: str, kind: type, prefix: str = ""):
+    """``payload[name]`` if it is a JSON value of ``kind`` (``float`` admits
+    integers, no kind admits booleans); else a ``ValueError`` naming the field."""
+    if name not in payload:
+        raise ValueError(f"sidecar field {prefix + name!r} is missing")
+    value = payload[name]
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        label = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+        raise ValueError(f"sidecar field {prefix + name!r} must be {label[kind]}, got {value!r}")
+    return value
+
 
 def sample_source_points(spec: DatasetSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform points in the source box, outside the domain and at least
@@ -150,54 +198,6 @@ def sample_simplex_weights(n: int, rng: np.random.Generator) -> np.ndarray:
     return c
 
 
-def _log_kernel_traces(sources, weights, points, normals):
-    # f_i = ln((x-xi)^2 + (y-yi)^2); grad f_i = 2 (p - xi) / r^2
-    diff = points[None, :, :] - sources[:, None, :]
-    r2 = np.sum(diff * diff, axis=2)
-    g = weights @ np.log(r2)
-    grad = 2.0 * diff / r2[:, :, None]
-    h = weights @ np.einsum("spd,pd->sp", grad, normals)
-    return g, h
-
-
-def _helmholtz2d_traces(sources, weights, kinds, k, points, normals):
-    # Per source, the kernel is J0(kr) or Y0(kr); the radial derivative is
-    # -k J1(kr) resp. -k Y1(kr).
-    diff = points[None, :, :] - sources[:, None, :]
-    r = np.sqrt(np.sum(diff * diff, axis=2))
-    kr = k * r
-    val = np.empty_like(r)
-    dval = np.empty_like(r)
-    for s, kind in enumerate(kinds):
-        if kind == 0:
-            val[s] = bessel_j0(kr[s])
-            dval[s] = -k * bessel_j1(kr[s])
-        else:
-            val[s] = bessel_y0(kr[s])
-            dval[s] = -k * bessel_y1(kr[s])
-    g = weights @ val
-    proj = np.einsum("spd,pd->sp", diff, normals) / r
-    h = weights @ (dval * proj)
-    return g, h
-
-
-def _helmholtz3d_traces(sources, weights, kinds, k, points, normals):
-    diff = points[None, :, :] - sources[:, None, :]
-    r = np.sqrt(np.sum(diff * diff, axis=2))
-    kr = k * r
-    c, s_ = np.cos(kr), np.sin(kr)
-    denom = 4.0 * np.pi * r
-    val = np.where(kinds[:, None] == 0, c, s_) / denom
-    # d/dr of cos(kr)/(4 pi r) and sin(kr)/(4 pi r)
-    d_re = (-kr * s_ - c) / (denom * r)
-    d_im = (kr * c - s_) / (denom * r)
-    dval = np.where(kinds[:, None] == 0, d_re, d_im)
-    g = weights @ val
-    proj = np.einsum("spd,pd->sp", diff, normals) / r
-    h = weights @ (dval * proj)
-    return g, h
-
-
 def synthesize_trace_pair(
     spec: DatasetSpec,
     grid: BoundaryGrid,
@@ -216,18 +216,30 @@ def synthesize_trace_pair(
         raise ValueError("need one weight per source")
     if np.any(contains(spec.domain, sources)):
         raise ValueError("kernel source inside the domain")
-    fam = spec.kernel.family
-    if fam == "laplace2d":
-        g, h = _log_kernel_traces(sources, weights, grid.points, grid.normals)
-    elif fam == "helmholtz2d":
-        if kinds is None:
-            kinds = np.zeros(len(sources), dtype=int)
-        g, h = _helmholtz2d_traces(sources, weights, kinds, spec.kernel.k, grid.points, grid.normals)
+    kernel = spec.kernel
+    if kinds is None:
+        kinds = np.zeros(len(sources), dtype=int)
+    proj, r = _pairwise_projection(sources, grid.points, grid.normals)
+    if kernel.family == "helmholtz2d":
+        # J0 = 4 Im G and Y0 = -4 Re G: each source evaluates only its own
+        # pair, J0/J1 or Y0/Y1, and d/dr Z0(kr) = -k Z1(kr).
+        kr = kernel.k * r
+        val, dval = np.empty_like(r), np.empty_like(r)
+        for s, kind in enumerate(kinds):
+            z0, z1 = (bessel_j0, bessel_j1) if kind == 0 else (bessel_y0, bessel_y1)
+            z0(kr[s], out=val[s])
+            z1(kr[s], out=dval[s])
+        dval *= -kernel.k
     else:
-        if kinds is None:
-            kinds = np.zeros(len(sources), dtype=int)
-        g, h = _helmholtz3d_traces(sources, weights, kinds, spec.kernel.k, grid.points, grid.normals)
-    return TracePair(g=g, h=h)
+        val, dval = _value_from_r(kernel, r), _radial_derivative(kernel, r)
+        if kernel.family == "laplace2d":  # ln r^2 = -4 pi G
+            val *= -4.0 * np.pi
+            dval *= -4.0 * np.pi
+        else:  # cos(kr)/(4 pi r) = Re G, sin(kr)/(4 pi r) = Im G
+            imag = kinds[:, None] != 0
+            val = np.where(imag, val.imag, val.real)
+            dval = np.where(imag, dval.imag, dval.real)
+    return TracePair(g=weights @ val, h=weights @ (dval * proj))
 
 
 def normalize_pair(pair: TracePair, mode: str, anchor_index: int = 0) -> TracePair:

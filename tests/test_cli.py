@@ -113,6 +113,20 @@ class TestTrain:
                 assert capsys.readouterr().err.startswith("error: line 5: ")
         assert not model.exists()
 
+    def test_sidecar_without_a_field_is_an_error(self, laplace_run, tmp_path, capsys):
+        _, data, _ = laplace_run
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "dataset.csv").write_bytes((data / "dataset.csv").read_bytes())
+        model = tmp_path / "model.json"
+        for edit, name in ((lambda p: p.pop("seed"), "seed"), (lambda p: p["kernel"].pop("k"), "kernel.k")):
+            sidecar = json.loads((data / "dataset.json").read_text())
+            edit(sidecar)
+            (bad / "dataset.json").write_text(json.dumps(sidecar))
+            assert run(["train", "--data", bad, "--method", "ls", "--out", model]) == 1
+            assert capsys.readouterr().err == f"error: sidecar field {name!r} is missing\n"
+        assert not model.exists()
+
     def test_truncated_dataset_is_an_error(self, laplace_run, tmp_path, capsys):
         _, data, _ = laplace_run
         cut = tmp_path / "cut"
@@ -287,6 +301,27 @@ class TestEvalSolve:
                 assert run(["solve", "--grid", "square80", *extra, "--out", out]) == 1
                 assert str(bad) in capsys.readouterr().err
                 assert not out.exists()
+
+    def test_mixed_trace_of_the_wrong_length_refused(self, laplace_run, tmp_path, capsys):
+        _, data, _ = laplace_run
+        mixed = tmp_path / "mixed.json"
+        assert run(
+            ["train", "--data", data, "--method", "ls", "--dirichlet-edges", "1",
+             "--out", mixed]
+        ) == 0
+        good = tmp_path / "good.csv"
+        good.write_text("\n".join(["0.5"] * 80))
+        out = tmp_path / "field.csv"
+        for flag, n in (("--g", 150), ("--h", 150), ("--h", 40)):
+            wrong = tmp_path / "wrong.csv"
+            wrong.write_text("\n".join(["0.5"] * n))
+            files = {"--g": good, "--h": good, flag: wrong}
+            assert run(
+                ["solve", "--model", mixed, "--grid", "square80", "--g", files["--g"],
+                 "--h", files["--h"], "--dirichlet-edges", "1", "--out", out]
+            ) == 1
+            assert f"has {n} values, the grid has 80 points" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_model_for_another_kernel_refused(self, laplace_run, tmp_path, capsys):
         _, _, model = laplace_run

@@ -322,6 +322,27 @@ class TestKernelGradient:
             )
             np.testing.assert_allclose(gy, -(-gx), rtol=1e-5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_point_pair_functions_refuse_non_finite_points(self, bad):
+        for x, y in (((0.0, bad), (1.0, 0.0)), ((0.0, 0.0), (bad, 1.0))):
+            with pytest.raises(ValueError, match="non-finite"):
+                kernel_value(HELM1, x, y)
+            with pytest.raises(ValueError, match="non-finite"):
+                kernel_gradient_y(LAPLACE, x, y)
+            with pytest.raises(ValueError, match="non-finite"):
+                kernel_normal_derivative_y(LAPLACE, x, y, (0.0, 1.0))
+
+    def test_point_pair_functions_refuse_mixed_dimensions(self):
+        for x, y in (((0.0, 0.0), (1.0, 0.0, 0.5)), ((0.0, 0.0, 0.0), (1.0, 0.5))):
+            with pytest.raises(ValueError, match="dimension"):
+                kernel_value(HELM3D, x, y)
+            with pytest.raises(ValueError, match="dimension"):
+                kernel_gradient_y(HELM3D, x, y)
+
+    def test_point_pair_gradient_at_coincident_points_raises(self):
+        with pytest.raises(SingularEvaluationError):
+            kernel_gradient_y(HELM3D, (0.3, 0.3, 0.1), (0.3, 0.3, 0.1))
+
     def test_normal_derivative_projection(self):
         n = np.array([0.6, 0.8])
         v = kernel_normal_derivative_y(LAPLACE, (0.0, 0.0), (1.0, 0.0), n)

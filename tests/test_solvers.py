@@ -167,6 +167,14 @@ class TestSolveMixed:
         with pytest.raises(LayoutError):
             solve_mixed(op, small_grid, other, np.ones(N_SMALL), np.zeros(N_SMALL))
 
+    @pytest.mark.parametrize("n_g, n_h", [(N_SMALL + 50, N_SMALL), (N_SMALL, N_SMALL + 50),
+                                          (N_SMALL, N_SMALL // 2), (N_SMALL - 1, N_SMALL)])
+    def test_trace_lengths_must_match_the_grid(self, small_grid, mixed_setup, n_g, n_h):
+        op, part = mixed_setup
+        name, n = ("g_dirichlet", n_g) if n_g != N_SMALL else ("h_neumann", n_h)
+        with pytest.raises(LayoutError, match=f"^{name} has {n} values, the grid has {N_SMALL} points$"):
+            solve_mixed(op, small_grid, part, np.ones(n_g), np.zeros(n_h))
+
     def test_partition_requires_both_types(self):
         with pytest.raises(LayoutError):
             MixedPartition.from_edges("G1", "G2", "G3", "G4")

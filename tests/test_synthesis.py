@@ -1,6 +1,8 @@
 import csv
 import io
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,6 +264,109 @@ class TestSynthesizeTracePair:
         np.testing.assert_allclose(n1.g, n2.g, atol=1e-14)
 
 
+def _reference_log_traces(sources, weights, points, normals):
+    """The former Laplace traces: f_i = ln((x-xi)^2 + (y-yi)^2),
+    grad f_i = 2 (p - xi) / r^2."""
+    diff = points[None, :, :] - sources[:, None, :]
+    r2 = np.sum(diff * diff, axis=2)
+    g = weights @ np.log(r2)
+    grad = 2.0 * diff / r2[:, :, None]
+    h = weights @ np.einsum("spd,pd->sp", grad, normals)
+    return g, h
+
+
+def _reference_helmholtz2d_traces(sources, weights, kinds, k, points, normals):
+    """The former 2D Helmholtz traces: J0(kr) or Y0(kr) per source, with
+    radial derivative -k J1(kr) resp. -k Y1(kr)."""
+    from tracemap.kernels import bessel_j0, bessel_j1, bessel_y0, bessel_y1
+
+    diff = points[None, :, :] - sources[:, None, :]
+    r = np.sqrt(np.sum(diff * diff, axis=2))
+    kr = k * r
+    val = np.empty_like(r)
+    dval = np.empty_like(r)
+    for s, kind in enumerate(kinds):
+        if kind == 0:
+            val[s] = bessel_j0(kr[s])
+            dval[s] = -k * bessel_j1(kr[s])
+        else:
+            val[s] = bessel_y0(kr[s])
+            dval[s] = -k * bessel_y1(kr[s])
+    g = weights @ val
+    proj = np.einsum("spd,pd->sp", diff, normals) / r
+    h = weights @ (dval * proj)
+    return g, h
+
+
+def _reference_helmholtz3d_traces(sources, weights, kinds, k, points, normals):
+    """The former 3D traces: cos(kr)/(4 pi r) or sin(kr)/(4 pi r) per source."""
+    diff = points[None, :, :] - sources[:, None, :]
+    r = np.sqrt(np.sum(diff * diff, axis=2))
+    kr = k * r
+    c, s_ = np.cos(kr), np.sin(kr)
+    denom = 4.0 * np.pi * r
+    val = np.where(kinds[:, None] == 0, c, s_) / denom
+    d_re = (-kr * s_ - c) / (denom * r)
+    d_im = (kr * c - s_) / (denom * r)
+    dval = np.where(kinds[:, None] == 0, d_re, d_im)
+    g = weights @ val
+    proj = np.einsum("spd,pd->sp", diff, normals) / r
+    h = weights @ (dval * proj)
+    return g, h
+
+
+def _max_rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestReferenceFormulas:
+    """Trace pairs evaluated through kernels.py against the former
+    per-family formulas kept above."""
+
+    @pytest.mark.parametrize("k", [1.0, 10.0])
+    @pytest.mark.parametrize("domain", [SQUARE, DomainSpec.polar(1.0)], ids=["square", "circle"])
+    def test_helmholtz2d_pairs_bitwise_equal(self, domain, k):
+        spec = small_spec(kernel=KernelSpec("helmholtz2d", k), domain=domain, n_points=100)
+        grid = make_boundary_grid(domain, 100)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            sources = sample_source_points(spec, rng, 4)
+            weights = sample_simplex_weights(4, rng)
+            kinds = np.array([0, 1, 1, 0]) if seed == 0 else rng.integers(0, 2, size=4)
+            pair = synthesize_trace_pair(spec, grid, sources, weights, kinds)
+            g, h = _reference_helmholtz2d_traces(sources, weights, kinds, k, grid.points, grid.normals)
+            assert pair.g.tobytes() == g.tobytes()
+            assert pair.h.tobytes() == h.tobytes()
+
+    @pytest.mark.parametrize("domain", [SQUARE, DomainSpec.polar(1.0)], ids=["square", "circle"])
+    def test_laplace_pairs_match(self, domain):
+        spec = small_spec(domain=domain, n_points=100)
+        grid = make_boundary_grid(domain, 100)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            sources = sample_source_points(spec, rng, 3)
+            weights = sample_simplex_weights(3, rng)
+            pair = synthesize_trace_pair(spec, grid, sources, weights)
+            g, h = _reference_log_traces(sources, weights, grid.points, grid.normals)
+            assert _max_rel(pair.g, g) <= 1e-14
+            assert _max_rel(pair.h, h) <= 1e-14
+
+    @pytest.mark.parametrize("k", [2.0, 10.0])
+    def test_helmholtz3d_pairs_match(self, k):
+        sphere = DomainSpec.sphere()
+        spec = DatasetSpec(kernel=KernelSpec("helmholtz3d", k), domain=sphere, n_points=64, n_samples=1)
+        grid = make_boundary_grid(sphere, 64)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            sources = sample_source_points(spec, rng, 3)
+            weights = sample_simplex_weights(3, rng)
+            kinds = rng.integers(0, 2, size=3)
+            pair = synthesize_trace_pair(spec, grid, sources, weights, kinds)
+            g, h = _reference_helmholtz3d_traces(sources, weights, kinds, k, grid.points, grid.normals)
+            assert _max_rel(pair.g, g) <= 1e-14
+            assert _max_rel(pair.h, h) <= 1e-14
+
+
 class TestNormalization:
     def test_worked_example(self):
         pair = TracePair(g=np.array([2.0, 3.0, 4.0]), h=np.array([1.0, -2.0, 1.0]))
@@ -391,6 +496,46 @@ class TestBuildDataset:
         spec = small_spec(kernel=KernelSpec("helmholtz2d", 5.0))
         assert '"normalization": "scale_only"' in spec.to_json()
         assert '"k": 5.0' in spec.to_json()
+
+    @pytest.mark.parametrize("kernel, domain", [
+        (KernelSpec("laplace2d"), SQUARE),
+        (KernelSpec("helmholtz2d", 10.0), DomainSpec.polar(1.0)),
+        (KernelSpec("laplace2d"), DomainSpec.polar(0.65, [PolarTerm("sin", 0.2, 5)])),
+        (KernelSpec("laplace2d"), DomainSpec.multi_loop(PolarCurve(1.0), PolarCurve(0.4))),
+        (KernelSpec("helmholtz3d", 2.0), DomainSpec.sphere()),
+    ], ids=["square", "circle", "star5", "annulus", "sphere"])
+    def test_sidecar_round_trip(self, kernel, domain):
+        spec = DatasetSpec(kernel, domain, n_points=64, n_samples=3, n_kernels_per_sample=2,
+                           source_box=(-6.5, 7.25), min_boundary_distance=0.01, seed=11,
+                           anchor_index=5)
+        again = DatasetSpec.from_json(spec.to_json())
+        assert again == spec
+        assert again.to_json() == spec.to_json()
+
+    def test_sidecar_without_anchor_index_reads_as_zero(self):
+        payload = json.loads(small_spec().to_json())
+        del payload["anchor_index"]
+        assert DatasetSpec.from_json(json.dumps(payload)) == small_spec()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.pop("seed"), "sidecar field 'seed' is missing"),
+        (lambda p: p["kernel"].pop("k"), "sidecar field 'kernel.k' is missing"),
+        (lambda p: p.pop("domain"), "sidecar field 'domain' is missing"),
+        (lambda p: p["domain"].pop("shape"), "sidecar field 'domain' is malformed: KeyError('shape')"),
+        (lambda p: p.update(n_points="80"), "sidecar field 'n_points' must be an integer, got '80'"),
+        (lambda p: p.update(n_samples=2.0), "sidecar field 'n_samples' must be an integer, got 2.0"),
+        (lambda p: p.update(seed=True), "sidecar field 'seed' must be an integer, got True"),
+        (lambda p: p.update(kernel=[]), "sidecar field 'kernel' must be an object, got []"),
+        (lambda p: p["kernel"].update(k=None), "sidecar field 'kernel.k' must be a number, got None"),
+        (lambda p: p.update(source_box=[-7.0]), r"sidecar field 'source_box' must be two numbers"),
+        (lambda p: p.update(anchor_index=0.5), "sidecar field 'anchor_index' must be an integer"),
+    ], ids=["seed", "k", "domain", "shape", "n_points", "n_samples", "bool", "kernel", "k-null",
+            "box", "anchor"])
+    def test_sidecar_field_defects_are_named(self, edit, message):
+        payload = json.loads(small_spec().to_json())
+        edit(payload)
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            DatasetSpec.from_json(json.dumps(payload))
 
     def test_grid_size_mismatch(self):
         grid = make_boundary_grid(SQUARE, 40)
