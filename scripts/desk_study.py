@@ -34,7 +34,6 @@ from tracemap.solvers import (
     predict_normal_derivative_3d,
     relative_l2,
     solve_dirichlet,
-    solve_helmholtz,
     solve_mixed,
     solve_poisson,
 )
@@ -118,12 +117,13 @@ def main():
                              n_points=400, n_samples=args.samples, seed=args.seed)
         ds_h = build_dataset(spec_h, grid)
         op_h, loss_h = train(ds_h, inp, out, args.method, args.epochs)
-        rec_h = BoundaryReconstructor(KernelSpec("helmholtz2d", k), grid, eval_pts)
+        kernel_h = KernelSpec("helmholtz2d", k)
+        rec_h = BoundaryReconstructor(kernel_h, grid, eval_pts)
         hcases = [c for f in ("sin_sin", "sin_sinh")
                   for c in make_test_suite(f, SQUARE, k=k, seed=7, n_cases=10)]
 
-        def solve_h(case, k=k, op_h=op_h, rec_h=rec_h):
-            fld = solve_helmholtz(op_h, k, grid, case.dirichlet(grid),
+        def solve_h(case, kernel_h=kernel_h, op_h=op_h, rec_h=rec_h):
+            fld = solve_dirichlet(op_h, kernel_h, grid, case.dirichlet(grid),
                                   reconstructor=rec_h, exact=case.u)
             return fld, case.neumann(grid)
 

@@ -33,6 +33,8 @@ from .operator import (
 )
 from .quadrature import singular_log_integral
 from .solvers import (
+    HELMHOLTZ_FAMILIES,
+    LAPLACE_FAMILIES,
     MixedPartition,
     evaluate_suite,
     make_eval_grid,
@@ -41,7 +43,6 @@ from .solvers import (
     plane_wave_3d,
     predict_normal_derivative_3d,
     solve_dirichlet,
-    solve_helmholtz,
     solve_mixed,
     solve_poisson,
     summary_to_json,
@@ -203,34 +204,20 @@ def cmd_eval(args) -> int:
 
     grid = make_boundary_grid(domain, args.n)
     eval_points = make_eval_grid(domain, 100, margin=args.margin)
-    if args.suite == "laplace":
-        families = ["u1", "u2", "u3", "u4", "u5"]
-        cases = [c for fam in families for c in make_test_suite(fam, domain, seed=args.seed)]
-
-        def solve_one(case):
-            fld = solve_dirichlet(op, kernel, grid, case.dirichlet(grid), eval_points, exact=case.u)
-            return fld, case.neumann(grid)
-
-    elif args.suite == "helmholtz":
-        cases = [
-            c
-            for fam in ("sin_sin", "sin_sinh")
-            for c in make_test_suite(fam, domain, k=args.k, seed=args.seed)
-        ]
-
-        def solve_one(case):
-            fld = solve_helmholtz(op, args.k, grid, case.dirichlet(grid), eval_points, exact=case.u)
-            return fld, case.neumann(grid)
-
-    else:  # poisson
+    if args.suite == "poisson":
         mesh = _source_mesh(domain, args.domain, args.mesh_h)
         cases = poisson_cases()
+    else:
+        families = LAPLACE_FAMILIES if args.suite == "laplace" else HELMHOLTZ_FAMILIES
+        cases = [c for fam in families for c in make_test_suite(fam, domain, k=args.k, seed=args.seed)]
 
-        def solve_one(case):
-            fld = solve_poisson(
-                op, case.source, case.dirichlet(grid), mesh, grid, eval_points, exact=case.u
-            )
-            return fld, case.neumann(grid)
+    def solve_one(case):
+        g = case.dirichlet(grid)
+        if args.suite == "poisson":
+            fld = solve_poisson(op, case.source, g, mesh, grid, eval_points, exact=case.u)
+        else:
+            fld = solve_dirichlet(op, kernel, grid, g, eval_points, exact=case.u)
+        return fld, case.neumann(grid)
 
     summary = evaluate_suite(cases, solve_one)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -244,13 +231,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    # mixed and source problems are solved with the Laplace kernel
-    laplace = args.dirichlet_edges or args.source
-    kernel = _kernel("laplace" if laplace else args.equation, args.k)
+    kernel = _kernel(args.equation, args.k)
     op = _load_model_for(args.model, kernel)
     domain, n = _parse_grid_name(args.grid)
     grid = make_boundary_grid(domain, n)
-    g = _read_column(Path(args.g)) if args.g else None
+    g = _read_column(Path(args.g))
     eval_points = make_eval_grid(domain, 100, margin=args.margin)
 
     if args.dirichlet_edges:
@@ -268,14 +253,25 @@ def cmd_solve(args) -> int:
             )
         f = _vertex_interpolant(mesh, f_vertex)
         fld = solve_poisson(op, f, g, mesh, grid, eval_points)
-    elif args.equation == "helmholtz":
-        fld = solve_helmholtz(op, args.k, grid, g, eval_points)
     else:
         fld = solve_dirichlet(op, kernel, grid, g, eval_points)
     Path(args.out).write_text(fld.to_csv())
     print(f"wrote field ({len(fld.points)} points) to {args.out}")
     _emit_provenance(args, Path(args.out))
     return 0
+
+
+def _check_solve_flags(parser, args) -> None:
+    """Refuse flag combinations that name no single problem (exit 2).
+    Mixed and source problems are solved with the Laplace kernel."""
+    if args.dirichlet_edges and not args.h:
+        parser.error("solve --dirichlet-edges needs --h (the Neumann values, one per line)")
+    if args.h and not args.dirichlet_edges:
+        parser.error("solve --h is the Neumann part of a mixed problem; it needs --dirichlet-edges")
+    if args.source and args.dirichlet_edges:
+        parser.error("solve --source and --dirichlet-edges cannot be combined")
+    if args.equation == "helmholtz" and (args.source or args.dirichlet_edges):
+        parser.error("solve --equation helmholtz takes neither --source nor --dirichlet-edges")
 
 
 def _vertex_interpolant(mesh, vertex_values):
@@ -402,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "solve" and args.dirichlet_edges and not args.h:
-        parser.error("solve --dirichlet-edges needs --h (the Neumann values, one per line)")
+    if args.command == "solve":
+        _check_solve_flags(parser, args)
     try:
         return args.fn(args)
     except (ValueError, OSError, np.linalg.LinAlgError, TrainingDivergedError) as exc:

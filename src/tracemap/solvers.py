@@ -2,24 +2,26 @@
 trained operator, then reconstruct the interior by boundary integrals
 (plus a Newton-potential term when a source is present).
 
-Because the operator is linear and bias-free, inference does not need the
-training-time Neumann scale: traces are anchored (Laplace mode subtracts
-the Dirichlet value at the anchor point, which the true map annihilates)
-and any input scaling cancels exactly, so pipelines are homogeneous of
-degree one in the boundary data.
+Every solver runs the same two steps: ``_predict`` completes the boundary
+traces with one operator apply, and ``_field`` rebuilds the interior from
+them.  Because the operator is linear and bias-free, inference does not
+need the training-time Neumann scale: Laplace data is anchored at its first
+Dirichlet entry (the true map annihilates constants) and nothing else is
+done to it, so pipelines are homogeneous of degree one in the boundary
+data.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import BoundaryGrid, DomainSpec, TriMesh, boundary_distance, contains
+from .geometry import BoundaryGrid, DomainSpec, InvalidDomainError, TriMesh, boundary_distance, contains
 from .kernels import KernelSpec
-from .operator import LayoutError, LinearBoundaryOperator, assemble, scatter
+from .operator import LayoutError, LinearBoundaryOperator, assemble, dirichlet_layouts, mixed_layouts, scatter
 from .quadrature import (
     BoundaryReconstructor,
     SingularIntegralConfig,
@@ -106,6 +108,8 @@ class SolutionField:
 def make_eval_grid(domain: DomainSpec, m: int = 100, margin: float = 0.0) -> np.ndarray:
     """Uniform m x m grid over the bounding box, masked to the interior
     and optionally to points at least ``margin`` from the boundary."""
+    if domain.dimension != 2:
+        raise InvalidDomainError(f"an evaluation grid needs a 2-D domain, got {domain.shape!r}")
     lo, hi = domain.bounding_box()
     xs = lo[0] + (np.arange(m) + 0.5) * (hi[0] - lo[0]) / m
     ys = lo[1] + (np.arange(m) + 0.5) * (hi[1] - lo[1]) / m
@@ -117,18 +121,50 @@ def make_eval_grid(domain: DomainSpec, m: int = 100, margin: float = 0.0) -> np.
     return pts[keep]
 
 
-def _anchored_input(op: LinearBoundaryOperator, vec: np.ndarray, shift: float) -> np.ndarray:
-    """Apply the operator to a shifted input with scale hygiene.
+def _predict(op: LinearBoundaryOperator, grid: BoundaryGrid, layouts, g, h=None, anchored=False):
+    """Complete the traces ``(g, h)`` with one apply of ``op``, which must be
+    trained for ``layouts``: its input slots pass through verbatim, its
+    output slots are predicted.  ``anchored`` (Laplace) subtracts the first
+    Dirichlet input before the apply and adds it back to the predicted
+    Dirichlet values, as the training data was anchored."""
+    if (op.input_layout, op.output_layout) != layouts:
+        raise LayoutError("operator was trained for another grid size or boundary partition")
+    n = grid.n_points
+    g = np.asarray(g, dtype=float)
+    h = np.zeros(n) if h is None else np.asarray(h, dtype=float)
+    for name, vals in (("g_dirichlet", g), ("h_neumann", h)):
+        if vals.shape != (n,):
+            raise LayoutError(f"{name} has {vals.size} values, the grid has {n} points")
+    shift = g[op.input_layout[0].indices[0]] if anchored else 0.0
+    g_out, h_out = np.zeros(n), np.zeros(n)
+    scatter(op.output_layout, op.apply(assemble(op.input_layout, g - shift, h)), g_out, h_out)
+    g_out += shift  # undo the anchor on predicted Dirichlet values
+    scatter(op.input_layout, assemble(op.input_layout, g, h), g_out, h_out)
+    return g_out, h_out
 
-    The training-time scale (max |h|) is unknown at inference; by
-    homogeneity any positive scale cancels, so the input's own max-abs is
-    used to keep magnitudes near the training range.
-    """
-    v = vec - shift if shift else vec
-    sigma = float(np.max(np.abs(v)))
-    if sigma == 0.0:
-        return np.zeros(op.output_dim)
-    return op.apply(v / sigma) * sigma
+
+def _field(kernel, grid, g, h, eval_points, exact, reconstructor, particular=None) -> SolutionField:
+    """The interior field of ``(g, h)`` at ``reconstructor.points`` (one built
+    for ``kernel`` and ``grid``), else at ``eval_points``, else on the domain's
+    :func:`make_eval_grid`.  ``particular(points) -> (values, flags)`` adds a
+    particular solution whose boundary values were taken out of ``g``."""
+    if reconstructor is None:
+        points = make_eval_grid(grid.spec) if eval_points is None else eval_points
+        reconstructor = BoundaryReconstructor(kernel, grid, points)
+    elif eval_points is not None:
+        raise ValueError("pass eval_points or a reconstructor, not both")
+    elif reconstructor.kernel != kernel or reconstructor.grid is not grid:
+        raise ValueError("reconstructor was built for a different problem")
+    points = reconstructor.points
+    pred, near_flags = reconstructor.field(g, h), reconstructor.near_flags
+    if particular is not None:
+        values, flags = particular(points)
+        pred, near_flags = pred + values, near_flags | flags
+    return SolutionField(
+        points=points, pred=pred, near_flags=near_flags,
+        exact=None if exact is None else np.asarray(exact(points), dtype=float),
+        g_trace=g, h_trace=h,
+    )
 
 
 def solve_dirichlet(
@@ -144,31 +180,12 @@ def solve_dirichlet(
 
     Laplace-family inputs are anchored by subtracting the first entry, the
     same transformation the training data saw.  Pass a prebuilt
-    ``reconstructor`` to reuse kernel matrices across many solves on the
-    same grid and evaluation points.
+    ``reconstructor`` (instead of ``eval_points``) to reuse kernel matrices
+    across many solves on the same grid and evaluation points.
     """
-    g = np.asarray(g, dtype=float)
-    if g.shape[0] != grid.n_points or op.input_dim != grid.n_points:
-        raise LayoutError("operator/grid/data sizes do not match")
-    shift = g[0] if kernel.family == "laplace2d" else 0.0
-    h_pred = _anchored_input(op, g, shift)
-    rec = _reconstructor_for(kernel, grid, eval_points, reconstructor)
-    pred = rec.field(g, h_pred)
-    exact_vals = None if exact is None else np.asarray(exact(rec.points), dtype=float)
-    return SolutionField(
-        points=rec.points, pred=pred, near_flags=rec.near_flags,
-        exact=exact_vals, g_trace=g, h_trace=h_pred,
-    )
-
-
-def _reconstructor_for(kernel, grid, eval_points, reconstructor):
-    if reconstructor is not None:
-        if reconstructor.kernel != kernel or reconstructor.grid is not grid:
-            raise ValueError("reconstructor was built for a different problem")
-        return reconstructor
-    if eval_points is None:
-        eval_points = make_eval_grid(grid.spec)
-    return BoundaryReconstructor(kernel, grid, eval_points)
+    layouts = dirichlet_layouts(grid.n_points)
+    g, h = _predict(op, grid, layouts, g, anchored=kernel.family == "laplace2d")
+    return _field(kernel, grid, g, h, eval_points, exact, reconstructor)
 
 
 def solve_helmholtz(
@@ -204,37 +221,9 @@ def solve_mixed(
     ``g_dirichlet`` / ``h_neumann`` are full-length vectors whose values
     are read only on their own segments.
     """
-    from .operator import mixed_layouts
-
-    inp_layout, out_layout = mixed_layouts(grid, partition.dirichlet)
-    if (op.input_layout, op.output_layout) != (inp_layout, out_layout):
-        raise LayoutError("operator was not trained for this partition")
-    g_dirichlet = np.asarray(g_dirichlet, dtype=float)
-    h_neumann = np.asarray(h_neumann, dtype=float)
-    for name, vals in (("g_dirichlet", g_dirichlet), ("h_neumann", h_neumann)):
-        if vals.shape != (grid.n_points,):
-            raise LayoutError(f"{name} has {vals.size} values, the grid has {grid.n_points} points")
-    idx_d = list(inp_layout[0].indices)
-    anchor = idx_d[0]
-    shift = g_dirichlet[anchor]
-
-    vec = assemble(inp_layout, g_dirichlet - shift, h_neumann)
-    out_vec = _anchored_input(op, vec, 0.0)
-    g_full = np.zeros(grid.n_points)
-    h_full = np.zeros(grid.n_points)
-    scatter(out_layout, out_vec, g_full, h_full)
-    g_full += shift  # undo the anchor on predicted Dirichlet values
-    g_full[idx_d] = g_dirichlet[idx_d]  # known slots verbatim
-    idx_n = list(inp_layout[1].indices)
-    h_full[idx_n] = h_neumann[idx_n]
-
-    rec = _reconstructor_for(KernelSpec("laplace2d"), grid, eval_points, reconstructor)
-    pred = rec.field(g_full, h_full)
-    exact_vals = None if exact is None else np.asarray(exact(rec.points), dtype=float)
-    return SolutionField(
-        points=rec.points, pred=pred, near_flags=rec.near_flags,
-        exact=exact_vals, g_trace=g_full, h_trace=h_full,
-    )
+    layouts = mixed_layouts(grid, partition.dirichlet)
+    g, h = _predict(op, grid, layouts, g_dirichlet, h_neumann, anchored=True)
+    return _field(KernelSpec("laplace2d"), grid, g, h, eval_points, exact, reconstructor)
 
 
 def solve_poisson(
@@ -255,24 +244,17 @@ def solve_poisson(
     its Laplacian equals ``f``; the homogeneous part solves the Laplace
     problem with boundary data ``g - u_f``.
     """
-    g = np.asarray(g, dtype=float)
     kernel = KernelSpec("laplace2d")
-    rec = _reconstructor_for(kernel, grid, eval_points, reconstructor)
-    uf_boundary, _ = newton_potential_many(kernel, f, mesh, grid.points, cfg)
-    uf_boundary = -uf_boundary
-    uf_eval, uf_flags = newton_potential_many(kernel, f, mesh, rec.points, cfg)
-    uf_eval = -uf_eval
-    harmonic = solve_dirichlet(op, kernel, grid, g - uf_boundary, reconstructor=rec)
-    pred = harmonic.pred + uf_eval
-    exact_vals = None if exact is None else np.asarray(exact(rec.points), dtype=float)
-    return SolutionField(
-        points=harmonic.points,
-        pred=pred,
-        near_flags=harmonic.near_flags | uf_flags,
-        exact=exact_vals,
-        g_trace=g,
-        h_trace=harmonic.h_trace,
-    )
+
+    def particular(points):
+        values, flags = newton_potential_many(kernel, f, mesh, points, cfg)
+        return -values, flags
+
+    g = np.asarray(g, dtype=float)
+    layouts = dirichlet_layouts(grid.n_points)
+    g_harmonic, h = _predict(op, grid, layouts, g - particular(grid.points)[0], anchored=True)
+    fld = _field(kernel, grid, g_harmonic, h, eval_points, exact, reconstructor, particular)
+    return replace(fld, g_trace=g)
 
 
 def predict_normal_derivative_3d(
@@ -285,12 +267,8 @@ def predict_normal_derivative_3d(
 
     Returns ``(h_pred, relative_error_or_None)``.
     """
-    g = np.asarray(g, dtype=float)
-    if g.shape[0] != grid.n_points or op.input_dim != grid.n_points:
-        raise LayoutError("operator/grid/data sizes do not match")
-    h_pred = _anchored_input(op, g, 0.0)
-    err = None if exact_h is None else relative_l2(h_pred, exact_h)
-    return h_pred, err
+    _, h_pred = _predict(op, grid, dirichlet_layouts(grid.n_points), g)
+    return h_pred, None if exact_h is None else relative_l2(h_pred, exact_h)
 
 
 # ---------------------------------------------------------------------------

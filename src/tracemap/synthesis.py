@@ -68,7 +68,6 @@ class DatasetSpec:
     source_box: tuple[float, ...] = (-7.0, 7.0)
     min_boundary_distance: float = 1e-3
     seed: int = 0
-    anchor_index: int = 0  # Dirichlet entry subtracted in Laplace mode
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -98,7 +97,6 @@ class DatasetSpec:
             "source_box": list(self.source_box),
             "min_boundary_distance": self.min_boundary_distance,
             "seed": self.seed,
-            "anchor_index": self.anchor_index,
             "normalization": self.normalization_mode,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -106,8 +104,9 @@ class DatasetSpec:
     @classmethod
     def from_json(cls, text: str) -> "DatasetSpec":
         """Inverse of :meth:`to_json`.  A missing or mistyped field raises a
-        ``ValueError`` naming it; ``anchor_index`` may be absent (older
-        files), and ``normalization`` is derived, so it is not read."""
+        ``ValueError`` naming it; ``normalization`` is derived, so it is not
+        read.  Older files carry ``anchor_index``, which may only be 0: traces
+        are always anchored at their first entry."""
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("the dataset sidecar must be a JSON object")
@@ -116,6 +115,8 @@ class DatasetSpec:
             domain = DomainSpec.from_payload(_sidecar_field(payload, "domain", dict))
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"sidecar field 'domain' is malformed: {exc!r}") from None
+        if _sidecar_field({"anchor_index": 0, **payload}, "anchor_index", int) != 0:
+            raise ValueError(f"sidecar field 'anchor_index' must be 0, got {payload['anchor_index']!r}")
         box = _sidecar_field(payload, "source_box", list)
         if len(box) != 2 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in box):
             raise ValueError(f"sidecar field 'source_box' must be two numbers, got {box!r}")
@@ -131,7 +132,6 @@ class DatasetSpec:
             source_box=tuple(box),
             min_boundary_distance=_sidecar_field(payload, "min_boundary_distance", float),
             seed=_sidecar_field(payload, "seed", int),
-            anchor_index=_sidecar_field({"anchor_index": 0, **payload}, "anchor_index", int),
         )
 
 
@@ -242,10 +242,10 @@ def synthesize_trace_pair(
     return TracePair(g=weights @ val, h=weights @ (dval * proj))
 
 
-def normalize_pair(pair: TracePair, mode: str, anchor_index: int = 0) -> TracePair:
+def normalize_pair(pair: TracePair, mode: str) -> TracePair:
     """Two-step normalization; stores an invertible :class:`NormRecord`.
 
-    ``laplace_mode`` subtracts the anchor Dirichlet entry before scaling;
+    ``laplace_mode`` subtracts the first Dirichlet entry before scaling;
     ``scale_only`` just divides both traces by max |h|.
     """
     if mode not in ("laplace_mode", "scale_only"):
@@ -253,7 +253,7 @@ def normalize_pair(pair: TracePair, mode: str, anchor_index: int = 0) -> TracePa
     scale = float(np.max(np.abs(pair.h)))
     if scale == 0.0:
         raise DegenerateSampleError("Neumann trace is identically zero")
-    shift = float(pair.g[anchor_index]) if mode == "laplace_mode" else 0.0
+    shift = float(pair.g[0]) if mode == "laplace_mode" else 0.0
     g = (pair.g - shift) / scale
     h = pair.h / scale
     return TracePair(g=g, h=h, norm_record=NormRecord(shift, scale))
@@ -299,7 +299,7 @@ def build_sample(spec: DatasetSpec, grid: BoundaryGrid, index: int) -> TracePair
             kinds = rng.integers(0, 2, size=spec.n_kernels_per_sample)
         raw = synthesize_trace_pair(spec, grid, sources, weights, kinds)
         try:
-            return normalize_pair(raw, spec.normalization_mode, spec.anchor_index)
+            return normalize_pair(raw, spec.normalization_mode)
         except DegenerateSampleError:
             continue  # regenerate from the same stream
     raise DegenerateSampleError(f"sample {index}: could not draw a non-degenerate pair")

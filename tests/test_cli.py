@@ -350,6 +350,43 @@ class TestEvalSolve:
         assert exc.value.code == 2
         assert "--h" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--source", "F", "--dirichlet-edges", "1", "--h", "G"],
+         "solve --source and --dirichlet-edges cannot be combined"),
+        (["--equation", "helmholtz", "--k", 3, "--source", "F"],
+         "solve --equation helmholtz takes neither --source nor --dirichlet-edges"),
+        (["--equation", "helmholtz", "--k", 3, "--dirichlet-edges", "1", "--h", "G"],
+         "solve --equation helmholtz takes neither --source nor --dirichlet-edges"),
+        (["--h", "G"], "solve --h is the Neumann part of a mixed problem; it needs --dirichlet-edges"),
+    ], ids=["source-and-mixed", "helmholtz-source", "helmholtz-mixed", "h-alone"])
+    def test_contradictory_solve_flags_are_usage_errors(self, laplace_run, tmp_path, capsys, flags, message):
+        _, _, model = laplace_run
+        g_file = tmp_path / "g.csv"
+        g_file.write_text("\n".join(["0.5"] * 80))
+        files = {"F": tmp_path / "f.csv", "G": g_file}
+        out = tmp_path / "field.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--model", model, "--grid", "square80", "--g", g_file,
+                 *[files.get(f, f) for f in flags], "--out", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_3d_domain_has_no_evaluation_grid(self, laplace_run, tmp_path, capsys):
+        _, _, model = laplace_run
+        g_file = tmp_path / "g.csv"
+        g_file.write_text("\n".join(["0.5"] * 40))
+        out = tmp_path / "field.csv"
+        for argv in (
+            ["solve", "--model", model, "--grid", "sphere40", "--g", g_file, "--out", out],
+            ["eval", "--model", model, "--suite", "laplace", "--domain", "sphere", "--n", 80,
+             "--out", tmp_path / "eval"],
+        ):
+            assert run(argv) == 1
+            assert capsys.readouterr().err == "error: an evaluation grid needs a 2-D domain, got 'sphere3d'\n"
+        assert not out.exists()
+        assert not (tmp_path / "eval").exists()
+
     def test_missing_artifact_exits_nonzero(self, tmp_path):
         code = run(
             ["eval", "--model", tmp_path / "nope.json", "--suite", "laplace",

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from tracemap.geometry import DomainSpec, contains, make_boundary_grid, triangulate_square
+from tracemap.geometry import (
+    DomainSpec,
+    InvalidDomainError,
+    contains,
+    make_boundary_grid,
+    triangulate_square,
+)
 from tracemap.kernels import KernelSpec
 from tracemap.operator import (
     LayoutError,
@@ -87,6 +93,10 @@ class TestEvalGrid:
         pts = make_eval_grid(circ, 40)
         assert contains(circ, pts).all()
 
+    def test_3d_domain_refused(self):
+        with pytest.raises(InvalidDomainError, match="^an evaluation grid needs a 2-D domain, got 'sphere3d'$"):
+            make_eval_grid(DomainSpec.sphere())
+
 
 class TestSolveDirichlet:
     def test_log_kernel_case(self, small_grid, small_laplace, eval_pts):
@@ -119,6 +129,35 @@ class TestSolveDirichlet:
         _, op = small_laplace
         with pytest.raises(LayoutError):
             solve_dirichlet(op, LAPLACE, small_grid, np.ones(N_SMALL + 1))
+
+    def test_h_trace_is_one_apply_of_the_anchored_data(self, small_grid, small_laplace, eval_pts):
+        _, op = small_laplace
+        for case in make_test_suite("u3", SQUARE, seed=4, n_cases=3):
+            g = case.dirichlet(small_grid)
+            fld = solve_dirichlet(op, LAPLACE, small_grid, g, eval_pts)
+            assert fld.h_trace.tobytes() == op.apply(g - g[0]).tobytes()
+            assert fld.g_trace.tobytes() == g.tobytes()
+
+    def test_operator_for_another_layout_refused(self, small_grid, mixed_setup):
+        op, _ = mixed_setup
+        with pytest.raises(LayoutError, match="another grid size or boundary partition"):
+            solve_dirichlet(op, LAPLACE, small_grid, np.ones(N_SMALL))
+
+
+@pytest.mark.parametrize("solver", ["dirichlet", "mixed", "poisson"])
+def test_eval_points_with_a_reconstructor_refused(solver, small_grid, small_laplace, mixed_setup, eval_pts):
+    _, op = small_laplace
+    op_mixed, part = mixed_setup
+    rec = BoundaryReconstructor(LAPLACE, small_grid, eval_pts)
+    g, h = np.ones(N_SMALL), np.zeros(N_SMALL)
+    with pytest.raises(ValueError, match="^pass eval_points or a reconstructor, not both$"):
+        if solver == "dirichlet":
+            solve_dirichlet(op, LAPLACE, small_grid, g, eval_pts, reconstructor=rec)
+        elif solver == "mixed":
+            solve_mixed(op_mixed, small_grid, part, g, h, eval_pts, reconstructor=rec)
+        else:
+            zero = lambda p: np.zeros(len(p))
+            solve_poisson(op, zero, g, triangulate_square(0.5), small_grid, eval_pts, reconstructor=rec)
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +260,12 @@ class TestHelmholtz:
         f1 = solve_helmholtz(op, k, small_grid, g, reconstructor=rec)
         f2 = solve_helmholtz(op, k, small_grid, -2.0 * g, reconstructor=rec)
         np.testing.assert_allclose(f2.pred, -2.0 * f1.pred, rtol=1e-12)
+
+    def test_h_trace_is_one_apply_of_the_data(self, small_grid, helm_setup, eval_pts):
+        k, op = helm_setup
+        g = make_test_suite("sin_sinh", SQUARE, k=k, seed=6, n_cases=1)[0].dirichlet(small_grid)
+        fld = solve_dirichlet(op, KernelSpec("helmholtz2d", k), small_grid, g, eval_pts)
+        assert fld.h_trace.tobytes() == op.apply(g).tobytes()
 
 
 class TestPredict3D:

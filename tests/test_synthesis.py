@@ -506,16 +506,24 @@ class TestBuildDataset:
     ], ids=["square", "circle", "star5", "annulus", "sphere"])
     def test_sidecar_round_trip(self, kernel, domain):
         spec = DatasetSpec(kernel, domain, n_points=64, n_samples=3, n_kernels_per_sample=2,
-                           source_box=(-6.5, 7.25), min_boundary_distance=0.01, seed=11,
-                           anchor_index=5)
+                           source_box=(-6.5, 7.25), min_boundary_distance=0.01, seed=11)
         again = DatasetSpec.from_json(spec.to_json())
         assert again == spec
         assert again.to_json() == spec.to_json()
 
     def test_sidecar_without_anchor_index_reads_as_zero(self):
         payload = json.loads(small_spec().to_json())
-        del payload["anchor_index"]
+        assert "anchor_index" not in payload
         assert DatasetSpec.from_json(json.dumps(payload)) == small_spec()
+        payload["anchor_index"] = 0  # as older files wrote it
+        assert DatasetSpec.from_json(json.dumps(payload)) == small_spec()
+
+    @pytest.mark.parametrize("index", [5, -1, 40])
+    def test_sidecar_anchor_index_other_than_zero_refused(self, index):
+        payload = json.loads(small_spec().to_json())
+        payload["anchor_index"] = index
+        with pytest.raises(ValueError, match=f"^sidecar field 'anchor_index' must be 0, got {index}$"):
+            DatasetSpec.from_json(json.dumps(payload))
 
     @pytest.mark.parametrize("edit, message", [
         (lambda p: p.pop("seed"), "sidecar field 'seed' is missing"),
