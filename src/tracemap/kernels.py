@@ -6,15 +6,18 @@ functions J0, J1, Y0, Y1 come from one evaluator, ``_bessel(x, nu, kind)``:
 up to ``X_SWITCH`` a single power series whose term is shared by J and Y
 (the Y sum is accumulated in the same pass as J), beyond it the
 large-argument amplitude/phase expansion, each computing only the function
-asked for.  The evaluator walks its argument in blocks of ``_BLOCK`` points,
-so its temporaries stay cache-sized, but both truncations are chosen once
-from the whole array (the series term count from the largest series
-argument, the asymptotic cut from the smallest asymptotic one): values do
-not depend on the block size.  NaN and infinite arguments raise.  Each of
-``bessel_j0/j1/y0/y1`` takes an ``out=`` float64 array of the argument's
-shape, which may be a strided view such as ``g.real`` of a complex result
-but may not overlap the argument; the values are the same bits as without
-it.  No special-function library is used.
+asked for.  The evaluator walks its argument in blocks of ``_BLOCK`` points
+(a strided argument copied block by block into one buffer), so its
+temporaries stay cache-sized, but both truncations are chosen once from
+the whole array in a first blocked pass (the series term count from the
+largest series argument, the asymptotic cut from the smallest asymptotic
+one): values do not depend on the block size.  NaN and infinite arguments
+raise.  Each of ``bessel_j0/j1/y0/y1`` takes an ``out=`` float64 array of
+the argument's shape, which may be a strided view such as ``g.real`` of a
+complex result, or the argument itself (same address and strides: each
+block is read before it is written); any other overlap with the argument
+is refused.  The values are the same bits as without ``out``.  No
+special-function library is used.
 
 All kernels here satisfy L G = -delta (potential-theory sign), so the
 interior representation used elsewhere is
@@ -92,12 +95,15 @@ def _series(x, nu: int, kind: str, n_terms: int):
     J_nu = (x/2)^nu sum t_m and
     Y_nu = (2/pi)(ln(x/2) + gamma) J_nu
            - (1/pi)(x/2)^nu sum (H_m + H_{m+nu}) t_m  [- 2/(pi x) if nu = 1].
+    Y is finished in the series' own buffers, in the order of that formula.
     """
     neg_q = -0.25 * x * x
     term = np.ones_like(x)  # t_0 = 1 for nu in {0, 1}
     j_sum = term.copy()
-    h_m, h_mnu = 0.0, float(nu)  # H_m, H_{m+nu}; one running sum of both drifts ~1e-12
-    y_sum = (h_m + h_mnu) * term
+    if kind == "Y":
+        h_m, h_mnu = 0.0, float(nu)  # H_m, H_{m+nu}; one running sum of both drifts ~1e-12
+        y_sum = (h_m + h_mnu) * term
+        scratch = np.empty_like(x)
     for m in range(1, n_terms + 1):
         term *= neg_q
         term /= m * (m + nu)
@@ -105,13 +111,27 @@ def _series(x, nu: int, kind: str, n_terms: int):
         if kind == "Y":
             h_m += 1.0 / m
             h_mnu += 1.0 / (m + nu)
-            y_sum += (h_m + h_mnu) * term
-    half_pow = 0.5 * x if nu else 1.0
-    j = half_pow * j_sum
+            y_sum += np.multiply(term, h_m + h_mnu, out=scratch)
+    if nu:
+        half_x = np.multiply(x, 0.5, out=neg_q)
+        j_sum *= half_x  # J_nu
     if kind == "J":
-        return j
-    y = (2.0 / math.pi) * (np.log(0.5 * x) + EULER_GAMMA) * j - (half_pow / math.pi) * y_sum
-    return y - 2.0 / (math.pi * x) if nu else y
+        return j_sum
+    y = np.multiply(x, 0.5, out=term)
+    np.log(y, out=y)
+    y += EULER_GAMMA
+    y *= 2.0 / math.pi
+    y *= j_sum
+    if nu:
+        half_x /= math.pi
+        y_sum *= half_x
+    else:
+        y_sum *= 1.0 / math.pi
+    y -= y_sum
+    if nu:
+        np.multiply(x, math.pi, out=scratch)
+        y -= np.divide(2.0, scratch, out=scratch)
+    return y
 
 
 def _asymptotic(x, nu: int, kind: str, x_min: float):
@@ -143,42 +163,75 @@ def _asymptotic(x, nu: int, kind: str, x_min: float):
     return amp * (p * np.sin(omega) + q * np.cos(omega))
 
 
+def _blocks(flat):
+    """Yield ``(start, xb)`` over ``_BLOCK``-point blocks of the 1-D ``flat``;
+    a strided ``flat`` is copied block by block into one contiguous buffer."""
+    buf = None if flat.flags.c_contiguous else np.empty(min(_BLOCK, flat.size))
+    for start in range(0, flat.size, _BLOCK):
+        xb = flat[start:start + _BLOCK]
+        if buf is not None:
+            buf[:xb.size] = xb
+            xb = buf[:xb.size]
+        yield start, xb
+
+
+def _branch_bounds(flat, label: str):
+    """``(lo, series_hi, asymptotic_lo)`` of the 1-D ``flat`` in one blocked
+    pass: the smallest value, the largest value up to X_SWITCH (0 if none)
+    and the smallest above it (inf if none).  Non-finite values raise."""
+    lo, series_hi, asym_lo = math.inf, 0.0, math.inf
+    for _, xb in _blocks(flat):
+        b_lo, b_hi = float(xb.min()), float(xb.max())  # NaN propagates into both
+        if not (math.isfinite(b_lo) and math.isfinite(b_hi)):
+            raise BesselDomainError(f"{label} requires finite x")
+        lo = min(lo, b_lo)
+        if b_hi <= X_SWITCH:
+            series_hi = max(series_hi, b_hi)
+        elif b_lo > X_SWITCH:
+            asym_lo = min(asym_lo, b_lo)
+        else:
+            small = xb <= X_SWITCH
+            series_hi = max(series_hi, float(np.where(small, xb, 0.0).max()))
+            asym_lo = min(asym_lo, float(np.where(small, np.inf, xb).min()))
+    return lo, series_hi, asym_lo
+
+
 def _bessel(x, nu: int, kind: str, out=None):
     """J or Y of order nu: series up to X_SWITCH, asymptotic expansion above.
 
     J needs finite x >= 0 and Y finite x > 0; scalar in, scalar out; arrays
-    keep their shape.  ``out``, a float64 array of x's shape that does not
-    overlap x, is filled and returned instead of a new result.  Runs over
-    blocks of ``_BLOCK`` points, each branch truncated as chosen from the
-    whole array.
+    keep their shape.  ``out``, a float64 array of x's shape, is filled and
+    returned instead of a new result; it may be x itself (same address and
+    strides) but may not overlap x otherwise.  Runs over blocks of
+    ``_BLOCK`` points, each branch truncated as chosen from the whole array.
     """
     x = np.asarray(x, dtype=float)
+    label = f"{kind}{nu}"
     if out is None:
         res = np.empty(x.shape)
     elif not isinstance(out, np.ndarray) or out.shape != x.shape or out.dtype != np.float64:
-        raise ValueError(f"{kind}{nu}: out must be a float64 array of shape {x.shape}")
-    elif np.shares_memory(out, x):
-        raise ValueError(f"{kind}{nu}: out overlaps the argument")
+        raise ValueError(f"{label}: out must be a float64 array of shape {x.shape}")
+    elif np.shares_memory(out, x) and not (
+        out.__array_interface__["data"][0] == x.__array_interface__["data"][0]
+        and out.strides == x.strides
+    ):
+        raise ValueError(f"{label}: out overlaps the argument")
     else:
         res = out
     if x.size:
-        lo, hi = float(x.min()), float(x.max())  # NaN propagates into both
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise BesselDomainError(f"{kind}{nu} requires finite x")
-        if lo <= 0.0 if kind == "Y" else lo < 0.0:
-            raise BesselDomainError(f"{kind}{nu} requires x {'>' if kind == 'Y' else '>='} 0")
-        if hi > X_SWITCH >= lo:  # both branches: truncate each from its own part
-            hi = float(np.max(x, where=x <= X_SWITCH, initial=0.0))
-            lo = float(np.min(x, where=x > X_SWITCH, initial=np.inf))
-        n_terms = _series_terms(0.25 * hi ** 2, nu, kind) if hi <= X_SWITCH else 0
         flat, res_flat = x.reshape(-1), res.reshape(-1)
-        for start in range(0, flat.size, _BLOCK):
-            xb, ob = flat[start:start + _BLOCK], res_flat[start:start + _BLOCK]
+        lo, series_hi, asym_lo = _branch_bounds(flat, label)
+        if lo <= 0.0 if kind == "Y" else lo < 0.0:
+            raise BesselDomainError(f"{label} requires x {'>' if kind == 'Y' else '>='} 0")
+        n_terms = _series_terms(0.25 * series_hi ** 2, nu, kind)
+        for start, xb in _blocks(flat):
             small = xb <= X_SWITCH
-            if small.any():
-                ob[small] = _series(xb[small], nu, kind, n_terms)
-            if not small.all():
-                ob[~small] = _asymptotic(xb[~small], nu, kind, lo)
+            xs, xa = xb[small], xb[~small]  # gathered before ob, maybe xb itself, is written
+            ob = res_flat[start:start + xb.size]
+            if xs.size:
+                ob[small] = _series(xs, nu, kind, n_terms)
+            if xa.size:
+                ob[~small] = _asymptotic(xa, nu, kind, asym_lo)
         if not np.may_share_memory(res_flat, res):  # a strided out with no flat view
             res[...] = res_flat.reshape(res.shape)
     if out is not None:

@@ -239,11 +239,13 @@ class BoundaryReconstructor:
     pairwise pass over (points x boundary nodes) in row blocks of about
     ``kernels._BLOCK`` entries, so its distance, difference and projection
     temporaries stay cache-sized.  The 2D Helmholtz kernel fills only its
-    geometry (k r and the normal projection) per block: the Bessel
-    truncation is chosen from the whole argument, so the four Bessel
-    functions each run once over all of k r, writing straight into the
-    matrices.  Its peak is the two complex matrices plus k r.  Nothing is
-    shared between instances.
+    geometry per block, into ``single`` itself: the normal projection in its
+    real part, k r in its imaginary part.  The Bessel truncation is chosen
+    from the whole argument, so the four Bessel functions each run once
+    over all of k r, writing straight into the matrices: Y1 and J1 into
+    ``double`` (then times the projection), Y0 over the projection and J0
+    over k r in place.  Its peak is the two complex matrices plus
+    block-sized scratch.  Nothing is shared between instances.
 
     Implements ``u(x) = sum_i w_i [G(x, y_i) h_i - g_i dG/dn(x, y_i)]``;
     the sign convention is fixed by the requirement that exact traces of
@@ -258,31 +260,27 @@ class BoundaryReconstructor:
         step = max(1, _BLOCK // m)
         r_min = np.empty(n)
         bessel_pass = kernel.family == "helmholtz2d"
-        if bessel_pass:
-            self.double = np.empty((n, m), dtype=complex)
-            kr, proj = np.empty((n, m)), np.empty((n, m))
-        else:
-            dtype = complex if kernel.is_complex else float
-            self.single = np.empty((n, m), dtype=dtype)
-            self.double = np.empty((n, m), dtype=dtype)
+        dtype = complex if kernel.is_complex else float
+        self.single = np.empty((n, m), dtype=dtype)
+        self.double = np.empty((n, m), dtype=dtype)
         for start in range(0, n, step):
             blk = slice(start, start + step)
-            if bessel_pass:
-                proj[blk], r = _pairwise_projection(self.points[blk], grid.points, grid.normals)
-                np.multiply(r, kernel.k, out=kr[blk])
+            if bessel_pass:  # the normal projection into single.real, k r into single.imag
+                proj, r = _pairwise_projection(self.points[blk], grid.points, grid.normals)
+                self.single.real[blk] = proj
+                np.multiply(r, kernel.k, out=self.single.imag[blk])
             else:
                 g, dg, r = kernel_matrices(kernel, self.points[blk], grid.points, grid.normals)
                 np.multiply(g, grid.weights, out=self.single[blk])
                 np.multiply(dg, grid.weights, out=self.double[blk])
             r_min[blk] = r.min(axis=1)
         if bessel_pass:  # the matrices are weighted in place
+            kr = self.single.imag
             _helmholtz2d_radial_derivative(kr, kernel.k, self.double)
-            self.double *= proj
-            del proj
-            self.single = _helmholtz2d_value(kr, np.empty((n, m), dtype=complex))
-            del kr
-            self.single *= grid.weights
+            self.double *= self.single.real
             self.double *= grid.weights
+            _helmholtz2d_value(kr, self.single)  # Y0 over the projection, then J0 over kr in place
+            self.single *= grid.weights
         self.near_flags = r_min < 2.0 * grid.min_spacing()
 
     def field(self, g, h) -> np.ndarray:

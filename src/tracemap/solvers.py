@@ -121,6 +121,11 @@ def make_eval_grid(domain: DomainSpec, m: int = 100, margin: float = 0.0) -> np.
     return pts[keep]
 
 
+def _check_trace(name: str, vals: np.ndarray, n: int) -> None:
+    if vals.shape != (n,):
+        raise LayoutError(f"{name} has {vals.size} values, the grid has {n} points")
+
+
 def _predict(op: LinearBoundaryOperator, grid: BoundaryGrid, layouts, g, h=None, anchored=False):
     """Complete the traces ``(g, h)`` with one apply of ``op``, which must be
     trained for ``layouts``: its input slots pass through verbatim, its
@@ -132,9 +137,8 @@ def _predict(op: LinearBoundaryOperator, grid: BoundaryGrid, layouts, g, h=None,
     n = grid.n_points
     g = np.asarray(g, dtype=float)
     h = np.zeros(n) if h is None else np.asarray(h, dtype=float)
-    for name, vals in (("g_dirichlet", g), ("h_neumann", h)):
-        if vals.shape != (n,):
-            raise LayoutError(f"{name} has {vals.size} values, the grid has {n} points")
+    _check_trace("g_dirichlet", g, n)
+    _check_trace("h_neumann", h, n)
     shift = g[op.input_layout[0].indices[0]] if anchored else 0.0
     g_out, h_out = np.zeros(n), np.zeros(n)
     scatter(op.output_layout, op.apply(assemble(op.input_layout, g - shift, h)), g_out, h_out)
@@ -251,6 +255,7 @@ def solve_poisson(
         return -values, flags
 
     g = np.asarray(g, dtype=float)
+    _check_trace("g_dirichlet", g, grid.n_points)  # before g meets the Newton potential
     layouts = dirichlet_layouts(grid.n_points)
     g_harmonic, h = _predict(op, grid, layouts, g - particular(grid.points)[0], anchored=True)
     fld = _field(kernel, grid, g_harmonic, h, eval_points, exact, reconstructor, particular)

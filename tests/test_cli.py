@@ -234,6 +234,34 @@ class TestEvalSolve:
         exact = case_u(pts)
         assert np.linalg.norm(pred - exact) / np.linalg.norm(exact) < 5e-2
 
+    def test_poisson_g_of_the_wrong_length_refused(self, laplace_run, tmp_path, capsys):
+        _, _, model = laplace_run
+        g_file = tmp_path / "g.csv"
+        g_file.write_text("\n".join(["0.25"] * 79))
+        src = tmp_path / "f.csv"
+        src.write_text("\n".join("1.0" for _ in range(len(triangulate_square(0.5).vertices))))
+        out = tmp_path / "field.csv"
+        assert run(
+            ["solve", "--model", model, "--grid", "square80", "--g", g_file,
+             "--source", src, "--mesh-h", 0.5, "--out", out]
+        ) == 1
+        assert "g_dirichlet has 79 values, the grid has 80 points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_poisson_has_no_dudn_error(self, laplace_run, tmp_path):
+        # the solver's h_trace is the harmonic part's, not the full solution's du/dn
+        _, _, model = laplace_run
+        out = tmp_path / "eval"
+        assert run(
+            ["eval", "--model", model, "--suite", "poisson", "--n", 80,
+             "--mesh-h", 0.5, "--out", out]
+        ) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {"poisson_quadratic", "poisson_quintic"}
+        for fam in summary.values():
+            assert fam["mean_dudn_error"] is None
+            assert fam["mean_total_error"] < 0.5
+
     def test_poisson_refused_off_the_unit_square(self, laplace_run, tmp_path, capsys):
         _, _, model = laplace_run
         from tracemap.geometry import triangulate_square

@@ -184,12 +184,28 @@ class TestBlockedEvaluator:
         for bad in (np.empty(11), np.empty((3, 4)), np.empty(12, dtype=np.float32), [0.0] * 12):
             with pytest.raises(ValueError, match="out must be"):
                 fn(x, out=bad)
-        with pytest.raises(ValueError, match="overlaps"):
-            fn(x, out=x)
         z = np.empty(12, dtype=complex)
         z.real = x
         with pytest.raises(ValueError, match="overlaps"):
             fn(z.real, out=z.real[::-1])
+        for arg, out in ((x[1:], x[:-1]), (x[:-1], x[1:])):  # shifted by one point
+            with pytest.raises(ValueError, match="overlaps"):
+                fn(arg, out=out)
+
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_y0, bessel_y1])
+    def test_out_may_be_the_argument_itself(self, fn):
+        x = self._straddling_input()  # straddles X_SWITCH over more than three blocks
+        want = fn(x.copy())
+        y = x.copy()
+        assert fn(y, out=y) is y and y.tobytes() == want.tobytes()
+        z = np.zeros(x.shape, dtype=complex)
+        z.imag = x
+        fn(z.imag, out=z.imag)  # strided, in place
+        assert z.imag.tobytes() == want.tobytes() and not z.real.any()
+        x2 = x[: 3 * (_BLOCK // 2 + 7)].reshape(3, -1).T  # no flat view
+        y2 = x2.copy(order="F")
+        fn(y2, out=y2)
+        assert y2.tobytes() == fn(x2.copy()).tobytes()
 
     def test_call_with_out_peak_memory_is_block_sized(self):
         x = np.random.default_rng(4).uniform(1e-3, 14.0, 10**6)
@@ -202,7 +218,8 @@ class TestBlockedEvaluator:
             tracemalloc.stop()
         assert peak <= 0.5 * out.nbytes
 
-    def test_helmholtz_build_peak_is_its_outputs_plus_kr(self):
+    def test_helmholtz_build_peak_is_its_outputs_plus_block_scratch(self):
+        # k r and the projection live in the single-layer matrix until the Bessel pass
         grid = make_boundary_grid(DomainSpec.unit_square(), 100)
         pts = np.random.default_rng(5).uniform(0.001, 0.999, (10**4, 2))
         tracemalloc.start()
@@ -212,7 +229,7 @@ class TestBlockedEvaluator:
         finally:
             tracemalloc.stop()
         assert rec.single.nbytes + rec.double.nbytes == 32e6
-        assert peak <= 48e6
+        assert peak - rec.single.nbytes - rec.double.nbytes < 0.25 * rec.single.nbytes
 
     def test_helmholtz_build_peak_memory(self):
         grid = make_boundary_grid(DomainSpec.unit_square(), 100)
