@@ -1,7 +1,9 @@
 """Fundamental solutions and the special functions they need.
 
-Supports the 2D log kernel, the 2D Helmholtz kernel (i/4) H0^(1)(kr) with
-H0^(1) = J0 + i Y0, and the 3D Helmholtz kernel e^{ikr}/(4 pi r).  Bessel
+Supports the 2D log kernel G = -ln(r^2)/(4 pi), evaluated from squared
+distances alone (no square root; coincident pairs are caught by the smallest
+r^2), the 2D Helmholtz kernel (i/4) H0^(1)(kr) with H0^(1) = J0 + i Y0, and
+the 3D Helmholtz kernel e^{ikr}/(4 pi r).  Bessel
 functions J0, J1, Y0, Y1 come from one evaluator, ``_bessel(x, nu, kind)``:
 up to ``X_SWITCH`` a single power series whose term is shared by J and Y
 (the Y sum is accumulated in the same pass as J), beyond it the
@@ -37,6 +39,8 @@ _SERIES_TOL = 1e-17
 _SERIES_MAX_TERMS = 60
 _ASYMPTOTIC_MAX_TERMS = 30
 _BLOCK = 1 << 15  # points per evaluator block: temporaries stay cache-sized
+_LAPLACE_G = -1.0 / (4.0 * math.pi)  # G = ln(r^2) * _LAPLACE_G
+_LAPLACE_DG = -1.0 / (2.0 * math.pi)  # dG/dn_y = ((y - x) . n) * _LAPLACE_DG / r^2
 
 FAMILIES = ("laplace2d", "helmholtz2d", "helmholtz3d")
 
@@ -59,6 +63,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
+        if not math.isfinite(self.k):
+            raise ValueError(f"the wavenumber k must be finite, got {self.k!r}")
         if self.family != "laplace2d" and not self.k > 0.0:
             raise ValueError("Helmholtz kernels need a positive wavenumber")
 
@@ -257,13 +263,6 @@ def bessel_y1(x, out=None):
     return _bessel(x, 1, "Y", out)
 
 
-def bessel(kind: str, order: int, x):
-    """J0/J1/Y0/Y1 by kind in {"J", "Y"} and order in {0, 1}."""
-    if kind not in ("J", "Y") or order not in (0, 1):
-        raise ValueError(f"unsupported Bessel function {kind}{order}")
-    return _bessel(x, order, kind)
-
-
 # ---------------------------------------------------------------------------
 # Kernel values and gradients
 # ---------------------------------------------------------------------------
@@ -290,9 +289,27 @@ def _helmholtz2d_radial_derivative(kr: np.ndarray, k: float, out: np.ndarray) ->
     return out
 
 
+def _laplace_value(r2: np.ndarray, out=None) -> np.ndarray:
+    """Laplace G = ln(r^2) (-1/(4 pi)) from the squared distances, into ``out``."""
+    g = np.log(r2, out=out)
+    g *= _LAPLACE_G
+    return g
+
+
+def _laplace_normal_derivative(diffs, r2: np.ndarray, normals, out=None) -> np.ndarray:
+    """Laplace dG/dn_y = ((y - x) . n) (-1/(2 pi)) / r^2, into ``out``; the
+    projection is summed in coordinate order from its first term."""
+    normals = np.asarray(normals, dtype=float)
+    dg = np.multiply(diffs[0], normals[..., 0], out=out)
+    for c in range(1, len(diffs)):
+        dg += diffs[c] * normals[..., c]
+    dg *= _LAPLACE_DG
+    dg /= r2
+    return dg
+
+
 def _value_from_r(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    if spec.family == "laplace2d":
-        return -np.log(r) / (2.0 * math.pi)
+    """G of a Helmholtz family as a function of the distance r."""
     kr = spec.k * r
     if spec.family == "helmholtz2d":
         return _helmholtz2d_value(kr, np.empty(r.shape, dtype=complex))
@@ -300,9 +317,7 @@ def _value_from_r(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
 
 
 def _radial_derivative(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    """dG/dr as a function of the distance r."""
-    if spec.family == "laplace2d":
-        return -1.0 / (2.0 * math.pi * r)
+    """dG/dr of a Helmholtz family as a function of the distance r."""
     kr = spec.k * r
     if spec.family == "helmholtz2d":
         return _helmholtz2d_radial_derivative(kr, spec.k, np.empty(r.shape, dtype=complex))
@@ -311,8 +326,9 @@ def _radial_derivative(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
 
 
 def _pairwise(xs, ys):
-    """Per-coordinate differences y_j - x_i, each (len(xs), len(ys)), and the
-    distances r, from one pass over the point sets; no pair may coincide."""
+    """Per-coordinate differences y_j - x_i, each (len(xs), len(ys)), the squared
+    distances r^2 summed in coordinate order and each row's smallest r^2; a
+    coincident pair (r^2 = 0) raises before any kernel is evaluated."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if xs.shape[1] != ys.shape[1]:
@@ -320,39 +336,39 @@ def _pairwise(xs, ys):
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("kernel matrix of non-finite point coordinates")
     diffs = [ys[None, :, c] - xs[:, None, c] for c in range(xs.shape[1])]
-    r = diffs[0] * diffs[0]
+    r2 = diffs[0] * diffs[0]
     for d in diffs[1:]:
-        r += d * d
-    np.sqrt(r, out=r)
-    if np.any(r == 0.0):
+        r2 += d * d
+    r2_min = r2.min(axis=1, initial=np.inf)
+    if r2_min.min(initial=np.inf) == 0.0:
         raise SingularEvaluationError("kernel matrix has coincident point pairs")
-    return diffs, r
+    return diffs, r2, r2_min
 
 
 def _pairwise_projection(xs, ys, normals):
-    """``(proj, r)``: the normal projections (y_j - x_i) . n_j / r_ij, summed
-    from +0.0 in coordinate order, and the distances r_ij."""
-    diffs, r = _pairwise(xs, ys)
+    """``(proj, r, r2_min)`` for the Helmholtz kernels: the normal projections
+    (y_j - x_i) . n_j / r_ij summed from +0.0 in coordinate order, r and r2_min."""
+    diffs, r2, r2_min = _pairwise(xs, ys)
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
+    r = np.sqrt(r2, out=r2)
     proj = np.zeros_like(r)
     for d, n in zip(diffs, normals.T):
         proj += d * n
     proj /= r
-    return proj, r
+    return proj, r, r2_min
 
 
 def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     """G(x_i, y_j) for point sets; shape (len(xs), len(ys))."""
-    _, r = _pairwise(xs, ys)
-    return _value_from_r(spec, r)
+    _, r2, _ = _pairwise(xs, ys)
+    if spec.family == "laplace2d":
+        return _laplace_value(r2, out=r2)
+    return _value_from_r(spec, np.sqrt(r2, out=r2))
 
 
 def kernel_normal_matrix(spec: KernelSpec, xs, ys, normals) -> np.ndarray:
     """dG/dn_y (x_i, y_j) for point sets with unit normals at the y points."""
-    proj, r = _pairwise_projection(xs, ys, normals)
-    dg = _radial_derivative(spec, r)
-    dg *= proj
-    return dg
+    return kernel_matrices(spec, xs, ys, normals, value=False)[1]
 
 
 def kernel_value(spec: KernelSpec, x, y) -> complex:
@@ -364,9 +380,12 @@ def kernel_gradient_y(spec: KernelSpec, x, y) -> np.ndarray:
     """Gradient of G with respect to the second argument, per component.
 
     For these radial kernels grad_y G = (dG/dr) (y - x)/r, and
-    grad_x G = -grad_y G.
+    grad_x G = -grad_y G; for the log kernel, component c is dG/dn_y along e_c.
     """
-    diffs, r = _pairwise([x], [y])
+    diffs, r2, _ = _pairwise([x], [y])
+    if spec.family == "laplace2d":
+        return _laplace_normal_derivative(diffs, r2, np.eye(len(diffs)))[0]
+    r = np.sqrt(r2, out=r2)
     return _radial_derivative(spec, r)[0, 0] * np.ravel(diffs) / r[0, 0]
 
 
@@ -375,19 +394,25 @@ def kernel_normal_derivative_y(spec: KernelSpec, x, y, normal) -> complex:
     return complex(kernel_normal_matrix(spec, [x], [y], [normal])[0, 0])
 
 
-def kernel_matrices(spec: KernelSpec, xs, ys, normals):
-    """``(G, dG/dn_y, r)`` for point sets from one pairwise pass.
-
-    G and dG/dn_y equal :func:`kernel_matrix` and
-    :func:`kernel_normal_matrix` bit for bit; r holds the distances.
-    dG/dn_y is built first, so the normal projection is freed before G.
-    The Bessel functions write straight into the complex results, so at the
-    peak, while G is evaluated, r, dG/dn_y, kr = k r and G are alive: six
-    real arrays of the matrix size for the 2D Helmholtz kernel, plus the
-    evaluator's block-sized temporaries.
+def kernel_matrices(spec: KernelSpec, xs, ys, normals, out=(None, None), value=True):
+    """``(G, dG/dn_y, r2_min)`` for point sets from one pairwise pass, bit for
+    bit those of :func:`kernel_matrix` and :func:`kernel_normal_matrix`, with
+    each row's smallest r^2.  ``out``, two arrays of the matrix shape (row
+    blocks of larger matrices, say), receives them; the log kernel is written
+    straight into it, from r^2 alone.  ``value=False`` skips G (None, no ``out``).
     """
-    proj, r = _pairwise_projection(xs, ys, normals)
+    g_out, dg_out = out
+    if spec.family == "laplace2d":
+        diffs, r2, r2_min = _pairwise(xs, ys)
+        dg = _laplace_normal_derivative(diffs, r2, normals, out=dg_out)
+        g = _laplace_value(r2, out=r2 if g_out is None else g_out) if value else None
+        return g, dg, r2_min
+    proj, r, r2_min = _pairwise_projection(xs, ys, normals)
     dg = _radial_derivative(spec, r)
     dg *= proj
     del proj
-    return _value_from_r(spec, r), dg, r
+    g = _value_from_r(spec, r) if value else None
+    if dg_out is not None:  # copied into out
+        dg_out[...], g_out[...] = dg, g
+        g, dg = g_out, dg_out
+    return g, dg, r2_min

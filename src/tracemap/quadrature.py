@@ -121,18 +121,6 @@ def _log_disc_integral(r0: float) -> float:
     return 2.0 * math.pi * (0.5 * r0 * r0 * math.log(r0) - 0.25 * r0 * r0)
 
 
-def newton_potential(
-    kernel: KernelSpec,
-    f,
-    mesh: TriMesh,
-    x,
-    cfg: SingularIntegralConfig = SingularIntegralConfig(),
-) -> float:
-    """Volume potential ``int_Omega G(x, y) f(y) dy`` for the 2D log kernel."""
-    values, _ = newton_potential_many(kernel, f, mesh, np.atleast_2d(np.asarray(x, float)), cfg)
-    return float(values[0])
-
-
 def newton_potential_many(
     kernel: KernelSpec,
     f,
@@ -238,13 +226,16 @@ class BoundaryReconstructor:
     Each instance builds its weighted kernel matrices once, from one
     pairwise pass over (points x boundary nodes) in row blocks of about
     ``kernels._BLOCK`` entries, so its distance, difference and projection
-    temporaries stay cache-sized.  The 2D Helmholtz kernel fills only its
-    geometry per block, into ``single`` itself: the normal projection in its
-    real part, k r in its imaginary part.  The Bessel truncation is chosen
-    from the whole argument, so the four Bessel functions each run once
-    over all of k r, writing straight into the matrices: Y1 and J1 into
-    ``double`` (then times the projection), Y0 over the projection and J0
-    over k r in place.  Its peak is the two complex matrices plus
+    temporaries stay cache-sized; each row's smallest r^2 gives its near
+    flag.  :func:`kernels.kernel_matrices` writes G and dG/dn_y (from r^2
+    alone for the log kernel) straight into each row block of ``single``
+    and ``double``, weighted there.  The 2D Helmholtz kernel fills only its
+    geometry per block, into ``single`` itself: the normal projection in
+    its real part, k r in its imaginary part.  The Bessel truncation is
+    chosen from the whole argument, so the four Bessel functions each run
+    once over all of k r, writing straight into the matrices: Y1 and J1
+    into ``double`` (then times the projection), Y0 over the projection
+    and J0 over k r in place.  The peak is the two matrices plus
     block-sized scratch.  Nothing is shared between instances.
 
     Implements ``u(x) = sum_i w_i [G(x, y_i) h_i - g_i dG/dn(x, y_i)]``;
@@ -258,7 +249,7 @@ class BoundaryReconstructor:
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         n, m = len(self.points), grid.n_points
         step = max(1, _BLOCK // m)
-        r_min = np.empty(n)
+        r2_min = np.empty(n)
         bessel_pass = kernel.family == "helmholtz2d"
         dtype = complex if kernel.is_complex else float
         self.single = np.empty((n, m), dtype=dtype)
@@ -266,14 +257,14 @@ class BoundaryReconstructor:
         for start in range(0, n, step):
             blk = slice(start, start + step)
             if bessel_pass:  # the normal projection into single.real, k r into single.imag
-                proj, r = _pairwise_projection(self.points[blk], grid.points, grid.normals)
+                proj, r, r2_min[blk] = _pairwise_projection(self.points[blk], grid.points, grid.normals)
                 self.single.real[blk] = proj
                 np.multiply(r, kernel.k, out=self.single.imag[blk])
             else:
-                g, dg, r = kernel_matrices(kernel, self.points[blk], grid.points, grid.normals)
-                np.multiply(g, grid.weights, out=self.single[blk])
-                np.multiply(dg, grid.weights, out=self.double[blk])
-            r_min[blk] = r.min(axis=1)
+                g, dg, r2_min[blk] = kernel_matrices(kernel, self.points[blk], grid.points, grid.normals,
+                                                     out=(self.single[blk], self.double[blk]))
+                g *= grid.weights
+                dg *= grid.weights
         if bessel_pass:  # the matrices are weighted in place
             kr = self.single.imag
             _helmholtz2d_radial_derivative(kr, kernel.k, self.double)
@@ -281,7 +272,8 @@ class BoundaryReconstructor:
             self.double *= grid.weights
             _helmholtz2d_value(kr, self.single)  # Y0 over the projection, then J0 over kr in place
             self.single *= grid.weights
-        self.near_flags = r_min < 2.0 * grid.min_spacing()
+        # sqrt is monotone and correctly rounded: sqrt(min r^2) = min r
+        self.near_flags = np.sqrt(r2_min, out=r2_min) < 2.0 * grid.min_spacing()
 
     def field(self, g, h) -> np.ndarray:
         g = np.asarray(g)
@@ -289,22 +281,6 @@ class BoundaryReconstructor:
         if g.shape[0] != self.grid.n_points or h.shape[0] != self.grid.n_points:
             raise ValueError("trace length does not match the grid")
         return self.single @ h - self.double @ g
-
-
-def reconstruct_interior(kernel: KernelSpec, grid: BoundaryGrid, g, h, x) -> complex:
-    """Boundary-integral reconstruction at one interior point.
-
-    Raises on points outside the domain; near-boundary points (closer
-    than twice the collocation spacing) are computed but flagged via
-    :class:`BoundaryReconstructor` when evaluated in bulk.
-    """
-    from .geometry import contains
-
-    x = np.asarray(x, dtype=float)
-    if not contains(grid.spec, x):
-        raise ValueError("reconstruction point lies outside the domain")
-    rec = BoundaryReconstructor(kernel, grid, x[None, :])
-    return complex(rec.field(np.asarray(g), np.asarray(h))[0])
 
 
 def double_layer_identity(kernel: KernelSpec, grid: BoundaryGrid, x) -> complex:

@@ -106,10 +106,12 @@ class SolutionField:
 
 
 def make_eval_grid(domain: DomainSpec, m: int = 100, margin: float = 0.0) -> np.ndarray:
-    """Uniform m x m grid over the bounding box, masked to the interior
-    and optionally to points at least ``margin`` from the boundary."""
+    """Uniform m x m grid over the bounding box, masked to the interior and to
+    points at least ``margin`` (finite, >= 0, leaving a point) from the boundary."""
     if domain.dimension != 2:
         raise InvalidDomainError(f"an evaluation grid needs a 2-D domain, got {domain.shape!r}")
+    if not (math.isfinite(margin) and margin >= 0.0):
+        raise ValueError(f"margin must be finite and non-negative, got {margin!r}")
     lo, hi = domain.bounding_box()
     xs = lo[0] + (np.arange(m) + 0.5) * (hi[0] - lo[0]) / m
     ys = lo[1] + (np.arange(m) + 0.5) * (hi[1] - lo[1]) / m
@@ -118,6 +120,8 @@ def make_eval_grid(domain: DomainSpec, m: int = 100, margin: float = 0.0) -> np.
     keep = contains(domain, pts)
     if margin > 0.0:
         keep &= boundary_distance(domain, pts) >= margin
+    if not keep.any():
+        raise ValueError(f"margin {margin!r} leaves no evaluation points")
     return pts[keep]
 
 

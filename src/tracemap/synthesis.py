@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import BoundaryGrid, DomainSpec, boundary_distance, contains, freeze_arrays
 from .kernels import KernelSpec, bessel_j0, bessel_j1, bessel_y0, bessel_y1
-from .kernels import _pairwise_projection, _radial_derivative, _value_from_r
+from .kernels import _pairwise_projection, _radial_derivative, _value_from_r, kernel_matrices
 from .textio import float_cells, parse_floats, table_text
 
 _REJECTION_LIMIT = 10**6
@@ -219,7 +219,10 @@ def synthesize_trace_pair(
     kernel = spec.kernel
     if kinds is None:
         kinds = np.zeros(len(sources), dtype=int)
-    proj, r = _pairwise_projection(sources, grid.points, grid.normals)
+    if kernel.family == "laplace2d":  # ln r^2 = -4 pi G
+        val, dval, _ = kernel_matrices(kernel, sources, grid.points, grid.normals)
+        return TracePair(g=-4.0 * np.pi * (weights @ val), h=-4.0 * np.pi * (weights @ dval))
+    proj, r, _ = _pairwise_projection(sources, grid.points, grid.normals)
     if kernel.family == "helmholtz2d":
         # J0 = 4 Im G and Y0 = -4 Re G: each source evaluates only its own
         # pair, J0/J1 or Y0/Y1, and d/dr Z0(kr) = -k Z1(kr).
@@ -230,15 +233,11 @@ def synthesize_trace_pair(
             z0(kr[s], out=val[s])
             z1(kr[s], out=dval[s])
         dval *= -kernel.k
-    else:
+    else:  # cos(kr)/(4 pi r) = Re G, sin(kr)/(4 pi r) = Im G
         val, dval = _value_from_r(kernel, r), _radial_derivative(kernel, r)
-        if kernel.family == "laplace2d":  # ln r^2 = -4 pi G
-            val *= -4.0 * np.pi
-            dval *= -4.0 * np.pi
-        else:  # cos(kr)/(4 pi r) = Re G, sin(kr)/(4 pi r) = Im G
-            imag = kinds[:, None] != 0
-            val = np.where(imag, val.imag, val.real)
-            dval = np.where(imag, dval.imag, dval.real)
+        imag = kinds[:, None] != 0
+        val = np.where(imag, val.imag, val.real)
+        dval = np.where(imag, dval.imag, dval.real)
     return TracePair(g=weights @ val, h=weights @ (dval * proj))
 
 

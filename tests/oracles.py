@@ -23,6 +23,16 @@ def bessel_series_oracle(kind: str, order: int, x) -> float:
     raise ValueError(kind)
 
 
+def laplace_kernel_oracle(x, y, normal):
+    """``(G, dG/dn_y, grad_y G)`` of the 2D log kernel G = -ln(r^2)/(4 pi)
+    at the float points as given, in 40-digit arithmetic."""
+    d = [mp.mpf(float(b)) - mp.mpf(float(a)) for a, b in zip(x, y)]
+    r2 = d[0] ** 2 + d[1] ** 2
+    proj = d[0] * mp.mpf(float(normal[0])) + d[1] * mp.mpf(float(normal[1]))
+    grad = [-c / (2 * mp.pi * r2) for c in d]
+    return float(-mp.log(r2) / (4 * mp.pi)), float(-proj / (2 * mp.pi * r2)), [float(g) for g in grad]
+
+
 def j0_first_zero() -> float:
     """First positive zero of J0 by bisection on the high-precision series."""
 

@@ -415,6 +415,38 @@ class TestEvalSolve:
         assert not out.exists()
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize(
+        "margin,message",
+        [("nan", "margin must be finite and non-negative, got nan"),
+         ("-1", "margin must be finite and non-negative, got -1.0"),
+         ("0.6", "margin 0.6 leaves no evaluation points")],
+    )
+    def test_eval_margin_refused(self, laplace_run, tmp_path, capsys, margin, message):
+        _, _, model = laplace_run
+        out = tmp_path / "eval"
+        assert run(["eval", "--model", model, "--suite", "laplace", "--n", 80,
+                    "--margin", margin, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and "config:" not in captured.out
+        assert not out.exists()
+
+    def test_solve_infinite_margin_refused(self, laplace_run, tmp_path, capsys):
+        _, _, model = laplace_run
+        g_file = tmp_path / "g.csv"
+        g_file.write_text("\n".join(["0.5"] * 80))
+        out = tmp_path / "field.csv"
+        assert run(["solve", "--model", model, "--grid", "square80", "--g", g_file,
+                    "--margin", "inf", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: margin must be finite and non-negative, got inf\n"
+        assert not out.exists()
+
+    def test_gen_infinite_wavenumber_refused(self, tmp_path, capsys):
+        out = tmp_path / "h"
+        assert run(["gen", "--equation", "helmholtz", "--k", "inf", "--n", 40,
+                    "--samples", 5, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: the wavenumber k must be finite, got inf\n"
+        assert not out.exists()
+
     def test_missing_artifact_exits_nonzero(self, tmp_path):
         code = run(
             ["eval", "--model", tmp_path / "nope.json", "--suite", "laplace",

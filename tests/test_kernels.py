@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bessel_series_oracle, j0_first_zero, laplacian_stencil
+from oracles import bessel_series_oracle, j0_first_zero, laplace_kernel_oracle, laplacian_stencil
 from tracemap.geometry import DomainSpec, make_boundary_grid
 from tracemap.kernels import (
     _BLOCK,
@@ -17,12 +18,12 @@ from tracemap.kernels import (
     _asymptotic,
     _series,
     _series_terms,
-    bessel,
     bessel_j0,
     bessel_j1,
     bessel_y0,
     bessel_y1,
     kernel_gradient_y,
+    kernel_matrices,
     kernel_matrix,
     kernel_normal_derivative_y,
     kernel_normal_matrix,
@@ -39,12 +40,13 @@ J1_AT_2_5 = 0.4970941024642741
 LAPLACE = KernelSpec("laplace2d")
 HELM1 = KernelSpec("helmholtz2d", 1.0)
 HELM3D = KernelSpec("helmholtz3d", 2.0)
+BESSEL = {("J", 0): bessel_j0, ("J", 1): bessel_j1, ("Y", 0): bessel_y0, ("Y", 1): bessel_y1}
 
 
 class TestBessel:
     def test_values_at_zero(self):
-        assert bessel("J", 0, 0.0) == 1.0
-        assert bessel("J", 1, 0.0) == 0.0
+        assert bessel_j0(0.0) == 1.0
+        assert bessel_j1(0.0) == 0.0
 
     def test_first_zero_of_j0(self):
         assert j0_first_zero() == pytest.approx(J0_FIRST_ZERO, abs=1e-14)
@@ -69,7 +71,7 @@ class TestBessel:
             ref = bessel_series_oracle(kind, order, x)
             # near zeros compare on the amplitude scale
             scale = max(abs(ref), math.sqrt(2.0 / (math.pi * x)))
-            assert abs(bessel(kind, order, float(x)) - ref) <= 1e-10 * scale
+            assert abs(BESSEL[kind, order](float(x)) - ref) <= 1e-10 * scale
 
     @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_y0, bessel_y1])
     def test_series_asymptotic_continuity(self, fn):
@@ -84,8 +86,6 @@ class TestBessel:
             bessel_y1(-1.0)
         with pytest.raises(BesselDomainError):
             bessel_j0(-0.5)
-        with pytest.raises(ValueError):
-            bessel("J", 2, 1.0)
 
     @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_y0, bessel_y1])
     def test_array_shape_kept(self, fn):
@@ -129,7 +129,7 @@ class TestBlockedEvaluator:
     def test_bitwise_equal_to_unblocked(self, kind, order):
         x = self._straddling_input()
         assert x.size > 3 * _BLOCK and x.size % _BLOCK
-        out = bessel(kind, order, x)
+        out = BESSEL[kind, order](x)
         np.testing.assert_array_equal(out.view(np.uint64), _unblocked(x, order, kind).view(np.uint64))
 
     @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_y0, bessel_y1])
@@ -298,6 +298,79 @@ class TestKernelValue:
                 assert abs(res_im) < 1e-3 * max(abs(g), 1e-2)
 
 
+class TestLaplaceKernel:
+    """The log kernel, evaluated from squared distances, against mpmath."""
+
+    # r from 1e-6 to 1e3; ln r^2 vanishes at r = 1, where G has no relative accuracy
+    RADII = [1e-6, 3e-5, 1e-3, 0.02, 0.3, 0.6, 1.7, 25.0, 400.0, 1e3]
+    ANGLES = [0.3, 2.0, 4.1]
+    X = (0.3, -0.2)
+
+    def _pairs(self):
+        for r in self.RADII:
+            for theta in self.ANGLES:
+                y = (self.X[0] + r * math.cos(theta), self.X[1] + r * math.sin(theta))
+                for tilt in (0.0, 0.5):  # the normal's angle to y - x
+                    yield y, (math.cos(theta + tilt), math.sin(theta + tilt))
+
+    @staticmethod
+    def _rel(got, want):
+        return abs(got - want) / abs(want)
+
+    def test_point_pair_functions_against_mpmath(self):
+        worst = [0.0, 0.0, 0.0]
+        for y, n in self._pairs():
+            g, dg, grad = laplace_kernel_oracle(self.X, y, n)
+            worst[0] = max(worst[0], self._rel(kernel_value(LAPLACE, self.X, y).real, g))
+            worst[1] = max(worst[1], self._rel(kernel_normal_derivative_y(LAPLACE, self.X, y, n).real, dg))
+            got = kernel_gradient_y(LAPLACE, self.X, y)
+            worst[2] = max(worst[2], *(self._rel(a, b) for a, b in zip(got, grad)))
+        assert max(worst) <= 1e-15, worst
+
+    def test_matrices_against_mpmath(self):
+        ys, ns = map(np.array, zip(*self._pairs()))
+        g_mat = kernel_matrix(LAPLACE, [self.X], ys)[0]
+        dg_mat = kernel_normal_matrix(LAPLACE, [self.X], ys, ns)[0]
+        g_pair, dg_pair, r2_min = kernel_matrices(LAPLACE, [self.X], ys, ns)
+        assert g_pair.tobytes() == g_mat.tobytes() and dg_pair.tobytes() == dg_mat.tobytes()
+        assert r2_min[0] == min(((y - np.array(self.X)) ** 2).sum() for y in ys)
+        for j, (y, n) in enumerate(zip(ys, ns)):
+            g, dg, _ = laplace_kernel_oracle(self.X, y, n)
+            assert self._rel(g_mat[j], g) <= 1e-15 and self._rel(dg_mat[j], dg) <= 1e-15
+
+    def test_coincident_pair_raises_without_a_warning(self):
+        grid = make_boundary_grid(DomainSpec.unit_square(), 40)
+        pts = np.vstack([[[0.5, 0.5]], grid.points[3]])
+        calls = [
+            lambda: kernel_value(LAPLACE, (0.3, 0.3), (0.3, 0.3)),
+            lambda: kernel_gradient_y(LAPLACE, (0.3, 0.3), (0.3, 0.3)),
+            lambda: kernel_normal_derivative_y(LAPLACE, (0.3, 0.3), (0.3, 0.3), (0.0, 1.0)),
+            lambda: kernel_matrix(LAPLACE, pts, grid.points),
+            lambda: kernel_normal_matrix(LAPLACE, pts, grid.points, grid.normals),
+            lambda: kernel_matrices(LAPLACE, pts, grid.points, grid.normals),
+            lambda: BoundaryReconstructor(LAPLACE, grid, pts),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a log(0) or 0/0 warning would surface here
+            for call in calls:
+                with pytest.raises(SingularEvaluationError):
+                    call()
+
+    def test_build_peak_is_its_outputs_plus_block_scratch(self):
+        grid = make_boundary_grid(DomainSpec.unit_square(), 100)
+        pts = np.random.default_rng(5).uniform(0.001, 0.999, (10**4, 2))
+        tracemalloc.start()
+        try:
+            rec = BoundaryReconstructor(LAPLACE, grid, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_bytes = (_BLOCK // grid.n_points) * grid.n_points * 8
+        assert rec.single.nbytes + rec.double.nbytes == 16e6
+        # differences, r^2 and one product per block; no G, dG/dn or r arrays
+        assert peak - rec.single.nbytes - rec.double.nbytes < 6 * block_bytes
+
+
 class TestKernelGradient:
     def test_log_gradient_value(self):
         grad = kernel_gradient_y(LAPLACE, (0.0, 0.0), (1.0, 0.0))
@@ -399,5 +472,9 @@ def _shift(p, d, eps):
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec("helmholtz2d", 0.0)
+    for family in ("laplace2d", "helmholtz2d", "helmholtz3d"):
+        for k in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^the wavenumber k must be finite"):
+                KernelSpec(family, k)
     with pytest.raises(ValueError):
         KernelSpec("wave")

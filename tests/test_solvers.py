@@ -97,6 +97,16 @@ class TestEvalGrid:
         with pytest.raises(InvalidDomainError, match="^an evaluation grid needs a 2-D domain, got 'sphere3d'$"):
             make_eval_grid(DomainSpec.sphere())
 
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -np.inf, -0.01])
+    def test_bad_margin_refused(self, margin):
+        with pytest.raises(ValueError, match="^margin must be finite and non-negative"):
+            make_eval_grid(SQUARE, 30, margin=margin)
+
+    def test_margin_that_leaves_no_point_refused(self):
+        assert len(make_eval_grid(SQUARE, 30, margin=0.46)) == 4
+        with pytest.raises(ValueError, match="^margin 0.5 leaves no evaluation points$"):
+            make_eval_grid(SQUARE, 30, margin=0.5)
+
 
 class TestSolveDirichlet:
     def test_log_kernel_case(self, small_grid, small_laplace, eval_pts):
