@@ -3,13 +3,14 @@
 Usage::
 
     python scripts/bench_pairs.py PARENT CHANGE [--workload W ...] [--pairs N]
-                                  [--first-seed S] [--seconds T] [--json OUT]
+                                  [--first-seed S]
 
 PARENT and CHANGE are two source checkouts, each with its own
 ``perfbench/run.py``.  Pair i runs ``python3 perfbench/run.py --workload W
---seed S+i --seconds T --trace 0`` from both checkouts, the parent first in
-even pairs and the change first in odd ones, so each pair shares one fresh
-seed and the machine's drift falls on both sides alike.  For every workload
+--seed S+i --trace 0`` from both checkouts, at the benchmark's own run
+length, the parent first in even pairs and the change first in odd ones,
+so each pair shares one fresh seed and the machine's drift falls on both
+sides alike.  For every workload
 and end-to-end metric of the change's ``BENCHMARK.json`` it prints both
 sides' median and quartiles, the change of the median, and how many pairs
 the change won (better in the metric's direction); ``rel_l2_error`` is
@@ -35,10 +36,9 @@ DEFAULT_WORKLOADS = ["laplace-eval", "helmholtz-k10-solve", "poisson-source-solv
 REL_L2 = re.compile(r"^\s*rel_l2_error = (\S+)", re.MULTILINE)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One untraced benchmark run: ``{metric: value}`` plus ``rel_l2_error``."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
@@ -58,25 +58,21 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def report(workload: str, runs: dict[str, list[dict]], directions: dict[str, str]) -> dict:
-    """Print one workload's table; return its summary."""
+def report(workload: str, runs: dict[str, list[dict]], directions: dict[str, str]) -> None:
+    """Print one workload's table."""
     print(f"\n{workload}: {len(runs['parent'])} pairs")
     print(f"  {'metric':14s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} {'median':>8s} {'won':>6s}")
-    summary = {}
     for name in [*directions, "rel_l2_error"]:
         par = [r[name] for r in runs["parent"]]
         chg = [r[name] for r in runs["change"]]
         pq, cq = quartiles(par), quartiles(chg)
-        row = {"parent": pq, "change": cq, "delta": cq[1] / pq[1] - 1.0 if pq[1] else float("nan")}
+        delta = cq[1] / pq[1] - 1.0 if pq[1] else float("nan")
         won = ""
         if name in directions:
             better = (lambda c, p: c < p) if directions[name] == "lower" else (lambda c, p: c > p)
-            row["won"] = sum(better(c, p) for c, p in zip(chg, par))
-            won = f"{row['won']}/{len(par)}"
+            won = f"{sum(better(c, p) for c, p in zip(chg, par))}/{len(par)}"
         cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (pq, cq)]
-        print(f"  {name:14s} {cells[0]:34s} {cells[1]:34s} {100 * row['delta']:+7.1f}% {won:>6s}")
-        summary[name] = row
-    return summary
+        print(f"  {name:14s} {cells[0]:34s} {cells[1]:34s} {100 * delta:+7.1f}% {won:>6s}")
 
 
 def main(argv=None) -> int:
@@ -86,8 +82,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", help="repeatable; default: every workload")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1000)
-    parser.add_argument("--seconds", type=float, default=14.0)
-    parser.add_argument("--json", type=Path, help="also write every run's values here")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, path in sides.items():
@@ -104,20 +98,17 @@ def main(argv=None) -> int:
                      "every stage of the other would compile the package first")
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    everything = {}
     for workload in args.workload or DEFAULT_WORKLOADS:
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
             seed = args.first_seed + i
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for side in order:
-                runs[side].append(run_once(sides[side], workload, seed, args.seconds))
+                runs[side].append(run_once(sides[side], workload, seed))
             print(f"  {workload} pair {i + 1}/{args.pairs} (seed {seed}): "
                   + ", ".join(f"{m} {runs['parent'][-1][m]:.4g} -> {runs['change'][-1][m]:.4g}" for m in directions),
                   flush=True)
-        everything[workload] = {"runs": runs, "summary": report(workload, runs, directions)}
-    if args.json:
-        args.json.write_text(json.dumps(everything, indent=1))
+        report(workload, runs, directions)
     return 0
 
 

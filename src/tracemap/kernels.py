@@ -384,7 +384,7 @@ def kernel_gradient_y(spec: KernelSpec, x, y) -> np.ndarray:
     """
     diffs, r2, _ = _pairwise([x], [y])
     if spec.family == "laplace2d":
-        return _laplace_normal_derivative(diffs, r2, np.eye(len(diffs)))[0]
+        return np.ravel(diffs) * _LAPLACE_DG / r2[0, 0]
     r = np.sqrt(r2, out=r2)
     return _radial_derivative(spec, r)[0, 0] * np.ravel(diffs) / r[0, 0]
 
@@ -397,9 +397,11 @@ def kernel_normal_derivative_y(spec: KernelSpec, x, y, normal) -> complex:
 def kernel_matrices(spec: KernelSpec, xs, ys, normals, out=(None, None), value=True):
     """``(G, dG/dn_y, r2_min)`` for point sets from one pairwise pass, bit for
     bit those of :func:`kernel_matrix` and :func:`kernel_normal_matrix`, with
-    each row's smallest r^2.  ``out``, two arrays of the matrix shape (row
-    blocks of larger matrices, say), receives them; the log kernel is written
-    straight into it, from r^2 alone.  ``value=False`` skips G (None, no ``out``).
+    each row's smallest r^2.  ``value=False`` skips G (returned as None).
+    For the log kernel only, ``out``, two float arrays of the matrix shape
+    (row blocks of larger matrices, say), receives them, written straight
+    from r^2; its first array is unused when ``value`` is False.  The
+    Helmholtz families return new arrays and refuse ``out``.
     """
     g_out, dg_out = out
     if spec.family == "laplace2d":
@@ -407,12 +409,11 @@ def kernel_matrices(spec: KernelSpec, xs, ys, normals, out=(None, None), value=T
         dg = _laplace_normal_derivative(diffs, r2, normals, out=dg_out)
         g = _laplace_value(r2, out=r2 if g_out is None else g_out) if value else None
         return g, dg, r2_min
+    if g_out is not None or dg_out is not None:
+        raise ValueError(f"kernel_matrices writes into out for the log kernel only, not {spec.family}")
     proj, r, r2_min = _pairwise_projection(xs, ys, normals)
     dg = _radial_derivative(spec, r)
     dg *= proj
     del proj
     g = _value_from_r(spec, r) if value else None
-    if dg_out is not None:  # copied into out
-        dg_out[...], g_out[...] = dg, g
-        g, dg = g_out, dg_out
     return g, dg, r2_min

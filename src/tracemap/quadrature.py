@@ -227,9 +227,10 @@ class BoundaryReconstructor:
     pairwise pass over (points x boundary nodes) in row blocks of about
     ``kernels._BLOCK`` entries, so its distance, difference and projection
     temporaries stay cache-sized; each row's smallest r^2 gives its near
-    flag.  :func:`kernels.kernel_matrices` writes G and dG/dn_y (from r^2
-    alone for the log kernel) straight into each row block of ``single``
-    and ``double``, weighted there.  The 2D Helmholtz kernel fills only its
+    flag.  For the log kernel, :func:`kernels.kernel_matrices` writes G and
+    dG/dn_y (from r^2 alone) straight into each row block of ``single`` and
+    ``double``, weighted there; the 3D kernel's block results are weighted
+    into them.  The 2D Helmholtz kernel fills only its
     geometry per block, into ``single`` itself: the normal projection in
     its real part, k r in its imaginary part.  The Bessel truncation is
     chosen from the whole argument, so the four Bessel functions each run
@@ -260,11 +261,12 @@ class BoundaryReconstructor:
                 proj, r, r2_min[blk] = _pairwise_projection(self.points[blk], grid.points, grid.normals)
                 self.single.real[blk] = proj
                 np.multiply(r, kernel.k, out=self.single.imag[blk])
-            else:
-                g, dg, r2_min[blk] = kernel_matrices(kernel, self.points[blk], grid.points, grid.normals,
-                                                     out=(self.single[blk], self.double[blk]))
-                g *= grid.weights
-                dg *= grid.weights
+            else:  # the log kernel is written straight into the row blocks, then weighted there
+                out = (self.single[blk], self.double[blk]) if kernel.family == "laplace2d" else (None, None)
+                g, dg, r2_min[blk] = kernel_matrices(kernel, self.points[blk], grid.points, grid.normals, out=out)
+                np.multiply(g, grid.weights, out=self.single[blk])
+                np.multiply(dg, grid.weights, out=self.double[blk])
+                del g, dg  # a 3D block's arrays would otherwise live through the next block
         if bessel_pass:  # the matrices are weighted in place
             kr = self.single.imag
             _helmholtz2d_radial_derivative(kr, kernel.k, self.double)

@@ -338,6 +338,24 @@ class TestLaplaceKernel:
             g, dg, _ = laplace_kernel_oracle(self.X, y, n)
             assert self._rel(g_mat[j], g) <= 1e-15 and self._rel(dg_mat[j], dg) <= 1e-15
 
+    def test_matrices_written_into_out(self):
+        ys, ns = map(np.array, zip(*self._pairs()))
+        xs = [self.X, (0.25, -0.5)]
+        g_want, dg_want, r2_want = kernel_matrices(LAPLACE, xs, ys, ns)
+        g_buf, dg_buf = np.full((2, 2, 2, len(ys)), np.nan)  # out is every other row of these
+        g, dg, r2_min = kernel_matrices(LAPLACE, xs, ys, ns, out=(g_buf[:, 0], dg_buf[:, 1]))
+        assert np.shares_memory(g, g_buf) and np.shares_memory(dg, dg_buf)
+        assert g_buf[:, 0].tobytes() == g_want.tobytes() and dg_buf[:, 1].tobytes() == dg_want.tobytes()
+        assert r2_min.tobytes() == r2_want.tobytes()
+        assert np.isnan(g_buf[:, 1]).all() and np.isnan(dg_buf[:, 0]).all()
+        dg_buf[:] = np.nan
+        g, dg, _ = kernel_matrices(LAPLACE, xs, ys, ns, out=(g_buf[:, 0], dg_buf[:, 0]), value=False)
+        assert g is None and dg_buf[:, 0].tobytes() == dg_want.tobytes()
+        for spec, dim in ((HELM1, 2), (HELM3D, 3)):  # the Helmholtz families refuse out
+            x, y, n = np.zeros((1, dim)), np.ones((1, dim)), np.eye(dim)[:1]
+            with pytest.raises(ValueError, match="log kernel only"):
+                kernel_matrices(spec, x, y, n, out=(None, np.empty((1, 1), complex)))
+
     def test_coincident_pair_raises_without_a_warning(self):
         grid = make_boundary_grid(DomainSpec.unit_square(), 40)
         pts = np.vstack([[[0.5, 0.5]], grid.points[3]])
