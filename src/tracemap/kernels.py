@@ -1,25 +1,24 @@
 """Fundamental solutions and the special functions they need.
 
 Supports the 2D log kernel G = -ln(r^2)/(4 pi), evaluated from squared
-distances alone (no square root; coincident pairs are caught by the smallest
-r^2), the 2D Helmholtz kernel (i/4) H0^(1)(kr) with H0^(1) = J0 + i Y0, and
-the 3D Helmholtz kernel e^{ikr}/(4 pi r).  Bessel
-functions J0, J1, Y0, Y1 come from one evaluator, ``_bessel(x, nu, kind)``:
-up to ``X_SWITCH`` a single power series whose term is shared by J and Y
-(the Y sum is accumulated in the same pass as J), beyond it the
-large-argument amplitude/phase expansion, each computing only the function
-asked for.  The evaluator walks its argument in blocks of ``_BLOCK`` points
-(a strided argument copied block by block into one buffer), so its
-temporaries stay cache-sized, but both truncations are chosen once from
-the whole array in a first blocked pass (the series term count from the
-largest series argument, the asymptotic cut from the smallest asymptotic
-one): values do not depend on the block size.  NaN and infinite arguments
-raise.  Each of ``bessel_j0/j1/y0/y1`` takes an ``out=`` float64 array of
-the argument's shape, which may be a strided view such as ``g.real`` of a
-complex result, or the argument itself (same address and strides: each
-block is read before it is written); any other overlap with the argument
-is refused.  The values are the same bits as without ``out``.  No
-special-function library is used.
+distances alone (no square root; the smallest r^2 catches coincident pairs),
+the 2D Helmholtz kernel (i/4) H0^(1)(kr) with H0^(1) = J0 + i Y0, and the 3D
+Helmholtz kernel e^{ikr}/(4 pi r).  Bessel functions J0, J1, Y0, Y1 come
+from one evaluator, ``_bessel(x, nu, kind)``: up to ``X_SWITCH`` a single
+power series whose term is shared by J and Y (the Y sum is accumulated in
+the same pass as J), beyond it the large-argument amplitude/phase expansion,
+each computing only the function asked for.  The evaluator walks its
+argument in blocks of ``_BLOCK`` points (a strided argument copied block by
+block into one buffer), so its temporaries stay cache-sized, but both
+truncations are chosen once from the whole array in a first blocked pass
+(the series term count from the largest series argument, the asymptotic cut
+from the smallest asymptotic one): values do not depend on the block size.
+NaN and infinite arguments raise.  Each of ``bessel_j0/j1/y0/y1`` takes an
+``out=`` float64 array of the argument's shape, which may be a strided view
+such as ``g.real`` of a complex result, or the argument itself (same address
+and strides: each block is read before it is written); any other overlap
+with the argument is refused.  The values are the same bits as without
+``out``.  No special-function library is used.
 
 All kernels here satisfy L G = -delta (potential-theory sign), so the
 interior representation used elsewhere is
@@ -397,11 +396,10 @@ def kernel_normal_derivative_y(spec: KernelSpec, x, y, normal) -> complex:
 def kernel_matrices(spec: KernelSpec, xs, ys, normals, out=(None, None), value=True):
     """``(G, dG/dn_y, r2_min)`` for point sets from one pairwise pass, bit for
     bit those of :func:`kernel_matrix` and :func:`kernel_normal_matrix`, with
-    each row's smallest r^2.  ``value=False`` skips G (returned as None).
-    For the log kernel only, ``out``, two float arrays of the matrix shape
-    (row blocks of larger matrices, say), receives them, written straight
-    from r^2; its first array is unused when ``value`` is False.  The
-    Helmholtz families return new arrays and refuse ``out``.
+    each row's smallest r^2; ``value=False`` skips G (None).  ``out``, two
+    arrays of the matrix shape (row blocks of larger matrices, say), receives
+    the log kernel's pair straight from r^2 (G only if ``value``); the
+    Helmholtz families refuse it.
     """
     g_out, dg_out = out
     if spec.family == "laplace2d":

@@ -227,17 +227,16 @@ class BoundaryReconstructor:
     pairwise pass over (points x boundary nodes) in row blocks of about
     ``kernels._BLOCK`` entries, so its distance, difference and projection
     temporaries stay cache-sized; each row's smallest r^2 gives its near
-    flag.  For the log kernel, :func:`kernels.kernel_matrices` writes G and
-    dG/dn_y (from r^2 alone) straight into each row block of ``single`` and
-    ``double``, weighted there; the 3D kernel's block results are weighted
-    into them.  The 2D Helmholtz kernel fills only its
-    geometry per block, into ``single`` itself: the normal projection in
+    flag.  The log kernel's G and dG/dn_y are written from r^2 straight
+    into each row block of ``single`` and ``double`` and weighted there;
+    the 3D kernel's are weighted into them.  The 2D Helmholtz kernel fills
+    only its geometry per block, into ``single``: the normal projection in
     its real part, k r in its imaginary part.  The Bessel truncation is
     chosen from the whole argument, so the four Bessel functions each run
-    once over all of k r, writing straight into the matrices: Y1 and J1
-    into ``double`` (then times the projection), Y0 over the projection
-    and J0 over k r in place.  The peak is the two matrices plus
-    block-sized scratch.  Nothing is shared between instances.
+    once over all of k r, straight into the matrices: Y1 and J1 into
+    ``double`` (then times the projection), Y0 over the projection and J0
+    over k r in place.  The peak is the two matrices plus block-sized
+    scratch; nothing is shared between instances.
 
     Implements ``u(x) = sum_i w_i [G(x, y_i) h_i - g_i dG/dn(x, y_i)]``;
     the sign convention is fixed by the requirement that exact traces of
