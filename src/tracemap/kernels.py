@@ -3,22 +3,20 @@
 Supports the 2D log kernel G = -ln(r^2)/(4 pi), evaluated from squared
 distances alone (no square root; the smallest r^2 catches coincident pairs),
 the 2D Helmholtz kernel (i/4) H0^(1)(kr) with H0^(1) = J0 + i Y0, and the 3D
-Helmholtz kernel e^{ikr}/(4 pi r).  Bessel functions J0, J1, Y0, Y1 come
-from one evaluator, ``_bessel(x, nu, kind)``: up to ``X_SWITCH`` a single
-power series whose term is shared by J and Y (the Y sum is accumulated in
-the same pass as J), beyond it the large-argument amplitude/phase expansion,
-each computing only the function asked for.  The evaluator walks its
-argument in blocks of ``_BLOCK`` points (a strided argument copied block by
-block into one buffer), so its temporaries stay cache-sized, but both
-truncations are chosen once from the whole array in a first blocked pass
-(the series term count from the largest series argument, the asymptotic cut
-from the smallest asymptotic one): values do not depend on the block size.
-NaN and infinite arguments raise.  Each of ``bessel_j0/j1/y0/y1`` takes an
-``out=`` float64 array of the argument's shape, which may be a strided view
-such as ``g.real`` of a complex result, or the argument itself (same address
-and strides: each block is read before it is written); any other overlap
-with the argument is refused.  The values are the same bits as without
-``out``.  No special-function library is used.
+Helmholtz kernel e^{ikr}/(4 pi r).  Bessel functions J0, J1, Y0, Y1
+come from one evaluator, ``_bessel(x, nu, kind)``, of fixed-degree
+polynomials, so each value depends on its own x alone: below ``NEAR_X`` = 4
+a polynomial in x^2 (with (2/pi) ln(x/2) J, and -2/(pi x) for Y1, split off
+Y), up to ``FAR_X`` = 16 one polynomial per unit interval, above it the
+Hankel amplitude/phase form.  ``scripts/bessel_coefficients.py`` generates
+the coefficients with mpmath into ``_bessel_coeffs.py``, loaded at the first
+Bessel call; the worst error is about 1.6e-15 of max(|f|, sqrt(2/(pi x))).
+The evaluator walks its argument in blocks of ``_BLOCK`` points with
+block-sized scratch.  NaN and infinite arguments raise, as do x < 0 for J,
+x <= 0 for Y0 and, for Y1, x below about 3.5e-309, where -2/(pi x)
+overflows.  ``bessel_j0/j1/y0/y1`` write into an ``out=`` array, such as
+``g.real`` of a complex result, when given one.  No special-function
+library is used.
 
 All kernels here satisfy L G = -delta (potential-theory sign), so the
 interior representation used elsewhere is
@@ -27,19 +25,17 @@ interior representation used elsewhere is
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-EULER_GAMMA = 0.5772156649015328606
-X_SWITCH = 12.0  # series below, asymptotic expansion above
-_SERIES_TOL = 1e-17
-_SERIES_MAX_TERMS = 60
-_ASYMPTOTIC_MAX_TERMS = 30
 _BLOCK = 1 << 15  # points per evaluator block: temporaries stay cache-sized
 _LAPLACE_G = -1.0 / (4.0 * math.pi)  # G = ln(r^2) * _LAPLACE_G
 _LAPLACE_DG = -1.0 / (2.0 * math.pi)  # dG/dn_y = ((y - x) . n) * _LAPLACE_DG / r^2
+_LN2 = math.log(2.0)
+_Y1_X_MIN = 3.54131503325978e-309  # the least x whose -2/(pi x) is finite
 
 FAMILIES = ("laplace2d", "helmholtz2d", "helmholtz3d")
 
@@ -81,91 +77,119 @@ class KernelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _series_terms(q_max: float, nu: int, kind: str) -> int:
-    """Series terms after which every term at q <= q_max is below _SERIES_TOL."""
-    t = weight = 1.0
-    for m in range(1, _SERIES_MAX_TERMS + 1):
-        t *= q_max / (m * (m + nu))
-        if kind == "Y":
-            weight += 1.0 / m + 1.0 / (m + nu)  # bounds H_m + H_{m+nu}
-        if t * weight < _SERIES_TOL:
-            return m
-    return _SERIES_MAX_TERMS
+@functools.cache
+def _coefficients():
+    """``(c, table)``: the generated module and, per function, its interval
+    polynomials laid out per degree and indexed by trunc(x), zero below
+    NEAR_X; loaded at the first Bessel call."""
+    from . import _bessel_coeffs as c
+
+    return c, {name: np.pad(np.array(rows).T, ((0, 0), (int(c.NEAR_X), 0))) for name, rows in c.TABLE.items()}
 
 
-def _series(x, nu: int, kind: str, n_terms: int):
-    """J_nu or Y_nu, nu in {0, 1}, from the power series (A&S 9.1.10-11).
+def _horner(coeffs, v, acc):
+    """sum_k coeffs[k] v^k (lowest degree first) into ``acc``."""
+    np.multiply(v, coeffs[-1], out=acc)
+    acc += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        acc *= v
+        acc += c
+    return acc
 
-    With q = x^2/4 and the shared term t_m = (-q)^m / (m! (m+nu)!):
-    J_nu = (x/2)^nu sum t_m and
-    Y_nu = (2/pi)(ln(x/2) + gamma) J_nu
-           - (1/pi)(x/2)^nu sum (H_m + H_{m+nu}) t_m  [- 2/(pi x) if nu = 1].
-    Y is finished in the series' own buffers, in the order of that formula.
-    """
-    neg_q = -0.25 * x * x
-    term = np.ones_like(x)  # t_0 = 1 for nu in {0, 1}
-    j_sum = term.copy()
-    if kind == "Y":
-        h_m, h_mnu = 0.0, float(nu)  # H_m, H_{m+nu}; one running sum of both drifts ~1e-12
-        y_sum = (h_m + h_mnu) * term
-        scratch = np.empty_like(x)
-    for m in range(1, n_terms + 1):
-        term *= neg_q
-        term /= m * (m + nu)
-        j_sum += term
-        if kind == "Y":
-            h_m += 1.0 / m
-            h_mnu += 1.0 / (m + nu)
-            y_sum += np.multiply(term, h_m + h_mnu, out=scratch)
+
+def _near(x, nu, kind, out, scratch):
+    """x < NEAR_X, in t = x^2 and v = t / NEAR_X^2: J0 = 1 + t p(v),
+    J1 = x (1/2 + t p(v)); Y adds the regular part p(v) (times x for Y1) to
+    (2/pi) (ln x - ln 2) J, and Y1 adds -2/(pi x).  J0(0) = 1 and J1(0) = 0
+    are exact, and ln x - ln 2 stays finite down to the least subnormal."""
+    c = _coefficients()[0]
+    t, v, j, p = scratch[:4, :x.size]
+    np.multiply(x, x, out=t)
+    np.multiply(t, 1.0 / c.NEAR_X ** 2, out=v)
+    _horner(c.NEAR[f"J{nu}"], v, j)
+    j *= t
+    j += 0.5 if nu else 1.0  # J0, or J1 / x
     if nu:
-        half_x = np.multiply(x, 0.5, out=neg_q)
-        j_sum *= half_x  # J_nu
+        j *= x
     if kind == "J":
-        return j_sum
-    y = np.multiply(x, 0.5, out=term)
-    np.log(y, out=y)
-    y += EULER_GAMMA
-    y *= 2.0 / math.pi
-    y *= j_sum
-    if nu:
-        half_x /= math.pi
-        y_sum *= half_x
-    else:
-        y_sum *= 1.0 / math.pi
-    y -= y_sum
-    if nu:
-        np.multiply(x, math.pi, out=scratch)
-        y -= np.divide(2.0, scratch, out=scratch)
-    return y
+        out[...] = j
+        return out
+    _horner(c.NEAR[f"Y{nu}"], v, p)
+    np.log(x, out=t)
+    t -= _LN2
+    t *= 2.0 / math.pi
+    t *= j  # (2/pi) ln(x/2) J
+    if not nu:
+        return np.add(t, p, out=out)
+    p *= x
+    t += p
+    return np.subtract(t, np.divide(2.0 / math.pi, x, out=p), out=out)
 
 
-def _asymptotic(x, nu: int, kind: str, x_min: float):
-    """J_nu or Y_nu from the large-argument amplitude/phase expansion
-    (A&S 9.2.5-9.2.10), truncated at its smallest term at x_min <= min(x)."""
-    mu = 4.0 * nu * nu
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    a = np.ones_like(x)
-    a_max = 1.0  # the term at x_min, the largest in magnitude
-    prev = np.inf
-    for k in range(1, _ASYMPTOTIC_MAX_TERMS + 1):
-        a_max = a_max * (mu - (2 * k - 1) ** 2) / (8.0 * k * x_min)
-        mag = abs(a_max)
-        if mag >= prev:  # asymptotic series: stop at the smallest term
-            break
-        prev = mag
-        a = a * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if k % 2 == 1:
-            q = q + a * (-1.0) ** ((k - 1) // 2)
-        else:
-            p = p + a * (-1.0) ** (k // 2)
-        if mag < 1e-18:
-            break
-    omega = x - (0.5 * nu + 0.25) * math.pi
-    amp = np.sqrt(2.0 / (math.pi * x))
-    if kind == "J":
-        return amp * (p * np.cos(omega) - q * np.sin(omega))
-    return amp * (p * np.sin(omega) + q * np.cos(omega))
+def _table(x, name, out, scratch, index):
+    """NEAR_X <= x < FAR_X: the polynomial of interval [i, i + 1), i =
+    trunc(x), in v = x - i, by Horner with one gather of the interval's
+    coefficient per degree; below NEAR_X every coefficient is zero."""
+    rows = _coefficients()[1][name]
+    v, acc, coef = scratch[:3, :x.size]
+    index = index[:x.size]
+    np.copyto(index, x, casting="unsafe")  # trunc, x >= 0
+    np.subtract(x, index, out=v)
+    np.take(rows[-1], index, out=acc, mode="wrap")
+    for row in rows[-2:0:-1]:
+        acc *= v
+        acc += np.take(row, index, out=coef, mode="wrap")
+    acc *= v
+    return np.add(acc, np.take(rows[0], index, out=coef, mode="wrap"), out=out)
+
+
+def _far(x, nu, kind, out, scratch):
+    """x >= FAR_X: the Hankel form with P = p(v) and Q = w q(v), w = FAR_X/x
+    and v = w^2.  With the phase x - (2 nu + 1) pi/4 expanded into sin x and
+    cos x of the exact argument: J0 = a A, Y0 = J1 = a B and Y1 = -a A, where
+    a = sqrt(1/(pi x)), A = (P + Q) cos x + (P - Q) sin x and
+    B = (P + Q) sin x + (Q - P) cos x."""
+    c = _coefficients()[0]
+    w, v, p, q, amp = scratch[:5, :x.size]
+    np.divide(c.FAR_X, x, out=w)
+    np.multiply(w, w, out=v)
+    _horner(c.FAR_P[nu], v, p)
+    _horner(c.FAR_Q[nu], v, q)
+    q *= w
+    a_form = (kind == "J") == (nu == 0)
+    plus = np.add(p, q, out=v)
+    minus = np.subtract(p, q, out=p) if a_form else np.subtract(q, p, out=p)
+    plus *= np.cos(x, out=w) if a_form else np.sin(x, out=w)
+    minus *= np.sin(x, out=q) if a_form else np.cos(x, out=q)
+    plus += minus
+    np.sqrt(np.divide(1.0 / math.pi, x, out=amp), out=amp)
+    if kind == "Y" and nu:
+        amp *= -1.0
+    return np.multiply(plus, amp, out=out)
+
+
+def _evaluate_block(xb, ob, nu, kind, lo, hi, scratch, index):
+    """Fill ``ob`` with J or Y of ``xb`` (lo, hi its extremes); ``ob`` may be
+    ``xb`` itself, so every point is read before its result is written."""
+    c = _coefficients()[0]
+    if hi < c.NEAR_X:
+        _near(xb, nu, kind, ob, scratch)
+        return
+    if lo >= c.FAR_X:
+        _far(xb, nu, kind, ob, scratch)
+        return
+    near = np.flatnonzero(xb < c.NEAR_X) if lo < c.NEAR_X else None
+    far = np.flatnonzero(xb >= c.FAR_X) if hi >= c.FAR_X else None
+    xn = None if near is None else xb.take(near)  # gathered before ob is written
+    xf = None if far is None else xb.take(far)
+    # every point through the table (near ones meet zeros, far ones are
+    # clipped below FAR_X), then the near and far ones get their own values
+    xt = xb if far is None else np.minimum(xb, np.nextafter(c.FAR_X, 0.0))
+    _table(xt, f"{kind}{nu}", ob, scratch, index)
+    if near is not None:  # the paths use scratch rows 0-4, row 5 holds their results
+        ob[near] = _near(xn, nu, kind, scratch[5, :near.size], scratch)
+    if far is not None:
+        ob[far] = _far(xf, nu, kind, scratch[5, :far.size], scratch)
 
 
 def _blocks(flat):
@@ -180,35 +204,13 @@ def _blocks(flat):
         yield start, xb
 
 
-def _branch_bounds(flat, label: str):
-    """``(lo, series_hi, asymptotic_lo)`` of the 1-D ``flat`` in one blocked
-    pass: the smallest value, the largest value up to X_SWITCH (0 if none)
-    and the smallest above it (inf if none).  Non-finite values raise."""
-    lo, series_hi, asym_lo = math.inf, 0.0, math.inf
-    for _, xb in _blocks(flat):
-        b_lo, b_hi = float(xb.min()), float(xb.max())  # NaN propagates into both
-        if not (math.isfinite(b_lo) and math.isfinite(b_hi)):
-            raise BesselDomainError(f"{label} requires finite x")
-        lo = min(lo, b_lo)
-        if b_hi <= X_SWITCH:
-            series_hi = max(series_hi, b_hi)
-        elif b_lo > X_SWITCH:
-            asym_lo = min(asym_lo, b_lo)
-        else:
-            small = xb <= X_SWITCH
-            series_hi = max(series_hi, float(np.where(small, xb, 0.0).max()))
-            asym_lo = min(asym_lo, float(np.where(small, np.inf, xb).min()))
-    return lo, series_hi, asym_lo
-
-
 def _bessel(x, nu: int, kind: str, out=None):
-    """J or Y of order nu: series up to X_SWITCH, asymptotic expansion above.
+    """J or Y of order nu, each value from its own x alone.
 
-    J needs finite x >= 0 and Y finite x > 0; scalar in, scalar out; arrays
-    keep their shape.  ``out``, a float64 array of x's shape, is filled and
-    returned instead of a new result; it may be x itself (same address and
-    strides) but may not overlap x otherwise.  Runs over blocks of
-    ``_BLOCK`` points, each branch truncated as chosen from the whole array.
+    J needs finite x >= 0, Y0 finite x > 0 and Y1 x >= ``_Y1_X_MIN``.  Scalar
+    in, scalar out; arrays keep their shape.  ``out``, a float64 array of x's
+    shape, is filled and returned instead of a new result; it may be x
+    itself (same address and strides) but may not overlap x otherwise.
     """
     x = np.asarray(x, dtype=float)
     label = f"{kind}{nu}"
@@ -225,18 +227,19 @@ def _bessel(x, nu: int, kind: str, out=None):
         res = out
     if x.size:
         flat, res_flat = x.reshape(-1), res.reshape(-1)
-        lo, series_hi, asym_lo = _branch_bounds(flat, label)
+        lo, hi = float(flat.min()), float(flat.max())  # NaN propagates into both
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise BesselDomainError(f"{label} requires finite x")
         if lo <= 0.0 if kind == "Y" else lo < 0.0:
             raise BesselDomainError(f"{label} requires x {'>' if kind == 'Y' else '>='} 0")
-        n_terms = _series_terms(0.25 * series_hi ** 2, nu, kind)
+        if kind == "Y" and nu and lo < _Y1_X_MIN:
+            raise BesselDomainError(f"{label} requires x >= {_Y1_X_MIN!r}, where -2/(pi x) is finite")
+        m = min(_BLOCK, flat.size)
+        scratch, index = np.empty((6, m)), np.empty(m, dtype=np.intp)
         for start, xb in _blocks(flat):
-            small = xb <= X_SWITCH
-            xs, xa = xb[small], xb[~small]  # gathered before ob, maybe xb itself, is written
-            ob = res_flat[start:start + xb.size]
-            if xs.size:
-                ob[small] = _series(xs, nu, kind, n_terms)
-            if xa.size:
-                ob[~small] = _asymptotic(xa, nu, kind, asym_lo)
+            if xb.size < flat.size:
+                lo, hi = float(xb.min()), float(xb.max())
+            _evaluate_block(xb, res_flat[start:start + xb.size], nu, kind, lo, hi, scratch, index)
         if not np.may_share_memory(res_flat, res):  # a strided out with no flat view
             res[...] = res_flat.reshape(res.shape)
     if out is not None:

@@ -231,12 +231,12 @@ class BoundaryReconstructor:
     into each row block of ``single`` and ``double`` and weighted there;
     the 3D kernel's are weighted into them.  The 2D Helmholtz kernel fills
     only its geometry per block, into ``single``: the normal projection in
-    its real part, k r in its imaginary part.  The Bessel truncation is
-    chosen from the whole argument, so the four Bessel functions each run
-    once over all of k r, straight into the matrices: Y1 and J1 into
-    ``double`` (then times the projection), Y0 over the projection and J0
-    over k r in place.  The peak is the two matrices plus block-sized
-    scratch; nothing is shared between instances.
+    its real part, k r in its imaginary part.  Then the four Bessel
+    functions each run once over all of k r (the traced call count pins
+    that), straight into the matrices: Y1 and J1 into ``double`` (then
+    times the projection), Y0 over the projection and J0 over k r in place.
+    The peak is the two matrices plus block-sized scratch; nothing is
+    shared between instances.
 
     Implements ``u(x) = sum_i w_i [G(x, y_i) h_i - g_i dG/dn(x, y_i)]``;
     the sign convention is fixed by the requirement that exact traces of

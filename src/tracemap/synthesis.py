@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,21 +39,12 @@ class DegenerateSampleError(ValueError):
     """Sample with an identically zero Neumann trace; cannot be normalized."""
 
 
-@dataclass(frozen=True)
-class NormRecord:
-    """Invertible record of the two-step normalization."""
-
-    subtracted_constant: float
-    scale: float
-
-
 @dataclass(frozen=True, eq=False)
 class TracePair:
     """One training sample: Dirichlet trace g and Neumann trace h."""
 
     g: np.ndarray
     h: np.ndarray
-    norm_record: NormRecord | None = None
 
     def __post_init__(self):
         freeze_arrays(self, "g", "h")
@@ -72,11 +64,18 @@ class DatasetSpec:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ConfigurationError(f"n_samples must be at least 1, got {self.n_samples}")
-        if self.min_boundary_distance <= 0.0:
-            raise ConfigurationError("min_boundary_distance must be positive")
+        if not 0.0 < self.min_boundary_distance < math.inf:
+            raise ConfigurationError(
+                f"min_boundary_distance must be finite and positive, got {self.min_boundary_distance!r}"
+            )
         lo, hi = self.source_box
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigurationError(f"source_box ends must be finite, got {self.source_box!r}")
         if not lo < hi:
             raise ConfigurationError("source box must have positive extent")
+        span = hi - lo  # bounds every coordinate difference between a source and the domain
+        if not math.isfinite(self.domain.dimension * span * span):
+            raise ConfigurationError(f"source_box {self.source_box!r} is so wide that squared distances overflow")
         blo, bhi = self.domain.bounding_box()
         if not (np.all(blo > lo) and np.all(bhi < hi)):
             raise ConfigurationError("source box must strictly contain the domain")
@@ -242,7 +241,7 @@ def synthesize_trace_pair(
 
 
 def normalize_pair(pair: TracePair, mode: str) -> TracePair:
-    """Two-step normalization; stores an invertible :class:`NormRecord`.
+    """Two-step normalization of a raw pair.
 
     ``laplace_mode`` subtracts the first Dirichlet entry before scaling;
     ``scale_only`` just divides both traces by max |h|.
@@ -255,14 +254,7 @@ def normalize_pair(pair: TracePair, mode: str) -> TracePair:
     shift = float(pair.g[0]) if mode == "laplace_mode" else 0.0
     g = (pair.g - shift) / scale
     h = pair.h / scale
-    return TracePair(g=g, h=h, norm_record=NormRecord(shift, scale))
-
-
-def denormalize_pair(pair: TracePair) -> TracePair:
-    if pair.norm_record is None:
-        raise ValueError("pair carries no normalization record")
-    rec = pair.norm_record
-    return TracePair(g=pair.g * rec.scale + rec.subtracted_constant, h=pair.h * rec.scale)
+    return TracePair(g=g, h=h)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,23 @@ class TestGen:
              "--out", tmp_path / "bad"]
         )
         assert code != 0
+
+    @pytest.mark.parametrize("box,message", [
+        (["--box-lo=-inf"], "error: source_box ends must be finite"),
+        (["--box-hi=nan"], "error: source_box ends must be finite"),
+        (["--box-lo=-1e300", "--box-hi=1e300"],
+         "error: source_box (-1e+300, 1e+300) is so wide that squared distances overflow"),
+    ])
+    @pytest.mark.parametrize("equation", ["laplace", "helmholtz"])
+    def test_bad_source_box_refused(self, tmp_path, capsys, box, message, equation):
+        out = tmp_path / "data"
+        argv = ["gen", "--equation", equation, "--k", 10, "--n", 40, "--samples", 5, *box, "--out", out]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way to the refusal
+            assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not out.exists()
 
     def test_zero_samples_refused(self, tmp_path, capsys):
         out = tmp_path / "empty"

@@ -8,16 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bessel_series_oracle, j0_first_zero, laplace_kernel_oracle, laplacian_stencil
+from tracemap._bessel_coeffs import FAR_X, NEAR_X
 from tracemap.geometry import DomainSpec, make_boundary_grid
 from tracemap.kernels import (
     _BLOCK,
-    X_SWITCH,
+    _Y1_X_MIN,
     BesselDomainError,
     KernelSpec,
     SingularEvaluationError,
-    _asymptotic,
-    _series,
-    _series_terms,
     bessel_j0,
     bessel_j1,
     bessel_y0,
@@ -41,6 +39,14 @@ LAPLACE = KernelSpec("laplace2d")
 HELM1 = KernelSpec("helmholtz2d", 1.0)
 HELM3D = KernelSpec("helmholtz3d", 2.0)
 BESSEL = {("J", 0): bessel_j0, ("J", 1): bessel_j1, ("Y", 0): bessel_y0, ("Y", 1): bessel_y1}
+# the evaluator's region and interval edges: near form below NEAR_X, one
+# polynomial per unit interval up to FAR_X, the Hankel form above
+BREAKPOINTS = np.arange(NEAR_X, FAR_X + 1.0)
+
+
+def _amplitude(ref, x):
+    """The scale errors are measured on: max(|f|, sqrt(2/(pi x)))."""
+    return max(abs(ref), math.sqrt(2.0 / (math.pi * x)))
 
 
 class TestBessel:
@@ -75,9 +81,47 @@ class TestBessel:
 
     @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_y0, bessel_y1])
     def test_series_asymptotic_continuity(self, fn):
-        below = fn(X_SWITCH)
-        above = fn(X_SWITCH + 1e-13)
-        assert abs(above - below) < 1e-9 * max(abs(below), 1e-3)
+        """Continuous at every breakpoint: the near-0 series form, each table
+        interval and the asymptotic (Hankel) form agree with their neighbour
+        to rounding; one ulp of x moves f by at most |f'| ulp <= 4e-15 here."""
+        for b in BREAKPOINTS:
+            at, below = fn(float(b)), fn(float(np.nextafter(b, 0.0)))
+            assert abs(at - below) <= 1e-14 * _amplitude(at, b), (b, at, below)
+
+    @pytest.mark.parametrize("kind,order", [("J", 0), ("J", 1), ("Y", 0), ("Y", 1)])
+    def test_dense_sweep_against_mpmath(self, kind, order):
+        """At most 1e-14 of max(|f|, sqrt(2/(pi x))) over log- and linearly
+        spaced points of [1e-300, 1e3] and every breakpoint +-1 ulp."""
+        edges = np.concatenate([BREAKPOINTS, np.nextafter(BREAKPOINTS, 0.0), np.nextafter(BREAKPOINTS, np.inf)])
+        xs = np.concatenate([
+            np.logspace(-300, 3, 1200),
+            np.linspace(1e-300, 1e3, 1000),
+            np.linspace(1e-300, FAR_X + 4.0, 800),
+            edges,
+        ])
+        got = BESSEL[kind, order](xs)
+        worst = 0.0
+        for x, value in zip(xs, got):
+            ref = bessel_series_oracle(kind, order, x)
+            worst = max(worst, abs(value - ref) / _amplitude(ref, x))
+        assert worst <= 1e-14, worst
+
+    def test_y_at_the_smallest_arguments(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide-by-zero or overflow warning
+            y0 = bessel_y0(5e-324)
+            assert y0 == pytest.approx(bessel_series_oracle("Y", 0, 5e-324), rel=1e-15)  # -474.0
+            assert np.isfinite(bessel_y0(np.array([5e-324, 1e-320, 2.2250738585072014e-308]))).all()
+            y1 = bessel_y1(_Y1_X_MIN)  # the least x whose -2/(pi x) is finite
+            assert np.isfinite(y1) and y1 == pytest.approx(-2.0 / (math.pi * _Y1_X_MIN), rel=1e-15)
+            for bad in (5e-324, float(np.nextafter(_Y1_X_MIN, 0.0))):
+                with pytest.raises(BesselDomainError, match="finite"):
+                    bessel_y1(bad)
+                with pytest.raises(BesselDomainError):
+                    bessel_y1(np.array([1.0, bad]))
+        # the least such x: about 2 / (pi DBL_MAX), and one ulp lower overflows
+        assert 3.5e-309 < _Y1_X_MIN < 3.6e-309 and math.isfinite(2.0 / math.pi / _Y1_X_MIN)
+        assert 2.0 / math.pi / float(np.nextafter(_Y1_X_MIN, 0.0)) == math.inf
 
     def test_domain_errors(self):
         with pytest.raises(BesselDomainError):
@@ -101,36 +145,43 @@ class TestBessel:
         np.testing.assert_allclose(bessel_j0(xs), [bessel_j0(float(x)) for x in xs], rtol=1e-15)
 
 
-def _unblocked(x, nu, kind):
-    """The evaluator without blocks: each branch over its whole masked part."""
-    small = x <= X_SWITCH
-    out = np.empty_like(x)
-    n_terms = _series_terms(0.25 * float(x[small].max()) ** 2, nu, kind)
-    out[small] = _series(x[small], nu, kind, n_terms)
-    out[~small] = _asymptotic(x[~small], nu, kind, float(x[~small].min()))
-    return out
-
-
 class TestBlockedEvaluator:
     @staticmethod
     def _straddling_input():
-        """Over three blocks: mixed, all-series, all-asymptotic, then a
-        mixed partial block, with X_SWITCH crossed at the block edges."""
+        """Over three blocks: all three regions, the near and table regions
+        only, the Hankel region only, then all three in a partial block, with
+        the breakpoints hit exactly and crossed at the block edges."""
         rng = np.random.default_rng(3)
-        parts = [rng.uniform(1e-3, 30.0, _BLOCK), rng.uniform(1e-3, X_SWITCH, _BLOCK),
-                 rng.uniform(X_SWITCH + 0.5, 60.0, _BLOCK), rng.uniform(1e-3, 30.0, 1001)]
-        parts[0][-1] = X_SWITCH + 1e-9
-        parts[1][0], parts[1][-1] = X_SWITCH, X_SWITCH - 1e-9
-        parts[2][-1] = X_SWITCH + 1e-12
+        parts = [rng.uniform(1e-3, 30.0, _BLOCK), rng.uniform(1e-3, FAR_X, _BLOCK),
+                 rng.uniform(FAR_X, 60.0, _BLOCK), rng.uniform(1e-3, 30.0, 1001)]
+        parts[0][-1] = FAR_X + 1e-9
+        parts[1][0], parts[1][-1] = float(np.nextafter(FAR_X, 0.0)), NEAR_X
+        parts[1][1:1 + len(BREAKPOINTS) - 1] = BREAKPOINTS[:-1]
+        parts[2][0], parts[2][-1] = FAR_X, FAR_X + 1e-12
         parts[3][0] = 0.25
         return np.concatenate(parts)
 
     @pytest.mark.parametrize("kind,order", [("J", 0), ("J", 1), ("Y", 0), ("Y", 1)])
     def test_bitwise_equal_to_unblocked(self, kind, order):
+        """Each value depends on its own x alone: every call form gives the
+        bits of evaluating each point by itself, as a scalar."""
+        fn = BESSEL[kind, order]
         x = self._straddling_input()
         assert x.size > 3 * _BLOCK and x.size % _BLOCK
-        out = BESSEL[kind, order](x)
-        np.testing.assert_array_equal(out.view(np.uint64), _unblocked(x, order, kind).view(np.uint64))
+        alone = np.array([fn(v) for v in x.tolist()])
+        whole = fn(x)
+        assert whole.tobytes() == alone.tobytes()
+        assert fn(x[::3]).tobytes() == alone[::3].tobytes()  # strided
+        z = np.zeros(x.shape, dtype=complex)
+        z.imag = x
+        fn(z.imag, out=z.imag)  # strided, in place
+        assert z.imag.tobytes() == alone.tobytes()
+        y = x.copy()
+        fn(y, out=y)  # contiguous, in place
+        assert y.tobytes() == alone.tobytes()
+        buf = np.zeros((2, x.size))
+        row = buf[1]
+        assert fn(x, out=row) is row and row.tobytes() == alone.tobytes() and not buf[0].any()
 
     @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_y0, bessel_y1])
     def test_shapes(self, fn):
@@ -194,7 +245,7 @@ class TestBlockedEvaluator:
 
     @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1, bessel_y0, bessel_y1])
     def test_out_may_be_the_argument_itself(self, fn):
-        x = self._straddling_input()  # straddles X_SWITCH over more than three blocks
+        x = self._straddling_input()  # straddles the breakpoints over more than three blocks
         want = fn(x.copy())
         y = x.copy()
         assert fn(y, out=y) is y and y.tobytes() == want.tobytes()
