@@ -18,6 +18,9 @@ overflows.  ``bessel_j0/j1/y0/y1`` write into an ``out=`` array, such as
 ``g.real`` of a complex result, when given one.  No special-function
 library is used.
 
+``kernel_matrices`` builds the G and dG/dn_y matrices of every family in
+row blocks, weighted per column when given weights.
+
 All kernels here satisfy L G = -delta (potential-theory sign), so the
 interior representation used elsewhere is
 ``u(x) = \\oint (G h - g dG/dn_y) ds`` plus, for sources, a volume term.
@@ -291,17 +294,16 @@ def _helmholtz2d_radial_derivative(kr: np.ndarray, k: float, out: np.ndarray) ->
     return out
 
 
-def _laplace_value(r2: np.ndarray, out=None) -> np.ndarray:
+def _laplace_value(r2: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Laplace G = ln(r^2) (-1/(4 pi)) from the squared distances, into ``out``."""
     g = np.log(r2, out=out)
     g *= _LAPLACE_G
     return g
 
 
-def _laplace_normal_derivative(diffs, r2: np.ndarray, normals, out=None) -> np.ndarray:
+def _laplace_normal_derivative(diffs, r2: np.ndarray, normals: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Laplace dG/dn_y = ((y - x) . n) (-1/(2 pi)) / r^2, into ``out``; the
     projection is summed in coordinate order from its first term."""
-    normals = np.asarray(normals, dtype=float)
     dg = np.multiply(diffs[0], normals[..., 0], out=out)
     for c in range(1, len(diffs)):
         dg += diffs[c] * normals[..., c]
@@ -310,21 +312,21 @@ def _laplace_normal_derivative(diffs, r2: np.ndarray, normals, out=None) -> np.n
     return dg
 
 
-def _value_from_r(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    """G of a Helmholtz family as a function of the distance r."""
+def _value_from_r(spec: KernelSpec, r: np.ndarray, out=None) -> np.ndarray:
+    """G of a Helmholtz family as a function of the distance r, into ``out``."""
     kr = spec.k * r
     if spec.family == "helmholtz2d":
-        return _helmholtz2d_value(kr, np.empty(r.shape, dtype=complex))
-    return (np.cos(kr) + 1j * np.sin(kr)) / (4.0 * math.pi * r)
+        return _helmholtz2d_value(kr, np.empty(r.shape, dtype=complex) if out is None else out)
+    return np.divide(np.cos(kr) + 1j * np.sin(kr), 4.0 * math.pi * r, out=out)
 
 
-def _radial_derivative(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    """dG/dr of a Helmholtz family as a function of the distance r."""
+def _radial_derivative(spec: KernelSpec, r: np.ndarray, out=None) -> np.ndarray:
+    """dG/dr of a Helmholtz family as a function of the distance r, into ``out``."""
     kr = spec.k * r
     if spec.family == "helmholtz2d":
-        return _helmholtz2d_radial_derivative(kr, spec.k, np.empty(r.shape, dtype=complex))
+        return _helmholtz2d_radial_derivative(kr, spec.k, np.empty(r.shape, dtype=complex) if out is None else out)
     phase = np.cos(kr) + 1j * np.sin(kr)
-    return phase * (1j * kr - 1.0) / (4.0 * math.pi * r * r)
+    return np.divide(phase * (1j * kr - 1.0), 4.0 * math.pi * r * r, out=out)
 
 
 def _pairwise(xs, ys):
@@ -351,13 +353,60 @@ def _pairwise_projection(xs, ys, normals):
     """``(proj, r, r2_min)`` for the Helmholtz kernels: the normal projections
     (y_j - x_i) . n_j / r_ij summed from +0.0 in coordinate order, r and r2_min."""
     diffs, r2, r2_min = _pairwise(xs, ys)
-    normals = np.atleast_2d(np.asarray(normals, dtype=float))
     r = np.sqrt(r2, out=r2)
     proj = np.zeros_like(r)
     for d, n in zip(diffs, normals.T):
         proj += d * n
     proj /= r
     return proj, r, r2_min
+
+
+def _fill_rows(spec: KernelSpec, xs, ys, normals, g, dg, weights):
+    """One row block of :func:`kernel_matrices`: its rows of G and dG/dn_y,
+    weighted, and their smallest r^2; the block's temporaries die on return.
+    The 2D Helmholtz kernel fills only its geometry here: the normal
+    projection into ``g.real``, k r into ``g.imag``."""
+    if spec.family == "laplace2d":
+        diffs, r2, r2_min = _pairwise(xs, ys)
+        _laplace_normal_derivative(diffs, r2, normals, out=dg)
+        _laplace_value(r2, out=g)
+    else:
+        proj, r, r2_min = _pairwise_projection(xs, ys, normals)
+        if spec.family == "helmholtz2d":
+            g.real[...] = proj
+            np.multiply(r, spec.k, out=g.imag)
+            return r2_min
+        _radial_derivative(spec, r, out=dg)
+        dg *= proj
+        _value_from_r(spec, r, out=g)
+    if weights is not None:
+        np.multiply(g, weights, out=g)
+        np.multiply(dg, weights, out=dg)
+    return r2_min
+
+
+def kernel_matrices(spec: KernelSpec, xs, ys, normals, weights=None):
+    """``(G, dG/dn_y, r2_min)`` for point sets with unit normals at the y
+    points, filled in row blocks of about ``_BLOCK`` entries, with each
+    row's smallest r^2; column j is scaled by ``weights[j]`` when given.
+    For 2D Helmholtz, J0, Y0, J1 and Y1 then each run once over all of k r
+    (the traced call count pins that), straight into the matrices: Y1 and
+    J1 into dG/dn_y (times the projection), Y0 and J0 over the geometry."""
+    xs, ys, normals = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (xs, ys, normals))
+    shape, dtype = (len(xs), len(ys)), complex if spec.is_complex else float
+    g, dg, r2_min = np.empty(shape, dtype), np.empty(shape, dtype), np.empty(len(xs))
+    step = max(1, _BLOCK // max(1, len(ys)))
+    for start in range(0, len(xs), step):
+        blk = slice(start, start + step)
+        r2_min[blk] = _fill_rows(spec, xs[blk], ys, normals, g[blk], dg[blk], weights)
+    if spec.family == "helmholtz2d":
+        _helmholtz2d_radial_derivative(g.imag, spec.k, dg)
+        dg *= g.real
+        _helmholtz2d_value(g.imag, g)  # Y0 over the projection, then J0 over k r in place
+        if weights is not None:
+            g *= weights
+            dg *= weights
+    return g, dg, r2_min
 
 
 def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
@@ -370,7 +419,7 @@ def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
 
 def kernel_normal_matrix(spec: KernelSpec, xs, ys, normals) -> np.ndarray:
     """dG/dn_y (x_i, y_j) for point sets with unit normals at the y points."""
-    return kernel_matrices(spec, xs, ys, normals, value=False)[1]
+    return kernel_matrices(spec, xs, ys, normals)[1]
 
 
 def kernel_value(spec: KernelSpec, x, y) -> complex:
@@ -389,32 +438,3 @@ def kernel_gradient_y(spec: KernelSpec, x, y) -> np.ndarray:
         return np.ravel(diffs) * _LAPLACE_DG / r2[0, 0]
     r = np.sqrt(r2, out=r2)
     return _radial_derivative(spec, r)[0, 0] * np.ravel(diffs) / r[0, 0]
-
-
-def kernel_normal_derivative_y(spec: KernelSpec, x, y, normal) -> complex:
-    """dG/dn_y: gradient wrt y projected onto the unit normal at y."""
-    return complex(kernel_normal_matrix(spec, [x], [y], [normal])[0, 0])
-
-
-def kernel_matrices(spec: KernelSpec, xs, ys, normals, out=(None, None), value=True):
-    """``(G, dG/dn_y, r2_min)`` for point sets from one pairwise pass, bit for
-    bit those of :func:`kernel_matrix` and :func:`kernel_normal_matrix`, with
-    each row's smallest r^2; ``value=False`` skips G (None).  ``out``, two
-    arrays of the matrix shape (row blocks of larger matrices, say), receives
-    the log kernel's pair straight from r^2 (G only if ``value``); the
-    Helmholtz families refuse it.
-    """
-    g_out, dg_out = out
-    if spec.family == "laplace2d":
-        diffs, r2, r2_min = _pairwise(xs, ys)
-        dg = _laplace_normal_derivative(diffs, r2, normals, out=dg_out)
-        g = _laplace_value(r2, out=r2 if g_out is None else g_out) if value else None
-        return g, dg, r2_min
-    if g_out is not None or dg_out is not None:
-        raise ValueError(f"kernel_matrices writes into out for the log kernel only, not {spec.family}")
-    proj, r, r2_min = _pairwise_projection(xs, ys, normals)
-    dg = _radial_derivative(spec, r)
-    dg *= proj
-    del proj
-    g = _value_from_r(spec, r) if value else None
-    return g, dg, r2_min

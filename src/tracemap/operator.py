@@ -10,14 +10,14 @@ Training minimizes the weighted squared trace misfit
  + lambda_2 * ||pred - g||^2 on Neumann-side slots) / (N1 + N2)``
 averaged over the batch, with plain Adam on the matrix entries and a
 best-loss checkpoint.  Because the model is linear the loss gradient is
-matrix algebra; no autodiff framework is involved.  A ridge-regularized
-normal-equations solve provides the exact minimizer as an independent
-oracle.
+matrix algebra; no autodiff framework is involved.  A normal-equations
+solve provides the ridge-regularized minimizer as an independent oracle.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -180,6 +180,9 @@ class TrainingConfig:
         for field in ("epochs", "batch_size"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be at least 1, got {getattr(self, field)}")
+        for field in ("learning_rate", "lambda1", "lambda2"):
+            if not math.isfinite(getattr(self, field)):
+                raise ValueError(f"{field} must be finite, got {getattr(self, field)!r}")
         if self.learning_rate < 0.0:
             raise ValueError("learning rate must be nonnegative")
         if self.lambda1 <= 0.0 or self.lambda2 <= 0.0:
@@ -327,7 +330,7 @@ def fit_least_squares(
     output_layout: Layout,
     ridge_factor: float = 1e-10,
 ) -> LinearBoundaryOperator:
-    """Exact minimizer via ridge-regularized normal equations.
+    """Ridge-regularized minimizer via the normal equations.
 
     Solves ``(X^T X + eps I) W^T = X^T T`` with
     ``eps = ridge_factor * trace(X^T X) / n`` so the conditioning guard is

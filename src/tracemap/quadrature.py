@@ -20,14 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BoundaryGrid, TriMesh, _point_blocks, freeze_arrays
-from .kernels import (
-    _BLOCK,
-    KernelSpec,
-    _helmholtz2d_radial_derivative,
-    _helmholtz2d_value,
-    _pairwise_projection,
-    kernel_matrices,
-)
+from .kernels import KernelSpec, kernel_matrices
 
 _SQRT15 = math.sqrt(15.0)
 
@@ -223,20 +216,10 @@ def boundary_integral(values, grid: BoundaryGrid):
 class BoundaryReconstructor:
     """Interior evaluation from boundary traces.
 
-    Each instance builds its weighted kernel matrices once, from one
-    pairwise pass over (points x boundary nodes) in row blocks of about
-    ``kernels._BLOCK`` entries, so its distance, difference and projection
-    temporaries stay cache-sized; each row's smallest r^2 gives its near
-    flag.  The log kernel's G and dG/dn_y are written from r^2 straight
-    into each row block of ``single`` and ``double`` and weighted there;
-    the 3D kernel's are weighted into them.  The 2D Helmholtz kernel fills
-    only its geometry per block, into ``single``: the normal projection in
-    its real part, k r in its imaginary part.  Then the four Bessel
-    functions each run once over all of k r (the traced call count pins
-    that), straight into the matrices: Y1 and J1 into ``double`` (then
-    times the projection), Y0 over the projection and J0 over k r in place.
-    The peak is the two matrices plus block-sized scratch; nothing is
-    shared between instances.
+    Each instance builds ``single`` (w_j G) and ``double`` (w_j dG/dn_y)
+    once, with one :func:`kernels.kernel_matrices` call (peak: the two
+    matrices plus block-sized scratch); each row's smallest r^2 gives its
+    near flag.  Nothing is shared between instances.
 
     Implements ``u(x) = sum_i w_i [G(x, y_i) h_i - g_i dG/dn(x, y_i)]``;
     the sign convention is fixed by the requirement that exact traces of
@@ -247,32 +230,9 @@ class BoundaryReconstructor:
         self.kernel = kernel
         self.grid = grid
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        n, m = len(self.points), grid.n_points
-        step = max(1, _BLOCK // m)
-        r2_min = np.empty(n)
-        bessel_pass = kernel.family == "helmholtz2d"
-        dtype = complex if kernel.is_complex else float
-        self.single = np.empty((n, m), dtype=dtype)
-        self.double = np.empty((n, m), dtype=dtype)
-        for start in range(0, n, step):
-            blk = slice(start, start + step)
-            if bessel_pass:  # the normal projection into single.real, k r into single.imag
-                proj, r, r2_min[blk] = _pairwise_projection(self.points[blk], grid.points, grid.normals)
-                self.single.real[blk] = proj
-                np.multiply(r, kernel.k, out=self.single.imag[blk])
-            else:  # the log kernel is written straight into the row blocks, then weighted there
-                out = (self.single[blk], self.double[blk]) if kernel.family == "laplace2d" else (None, None)
-                g, dg, r2_min[blk] = kernel_matrices(kernel, self.points[blk], grid.points, grid.normals, out=out)
-                np.multiply(g, grid.weights, out=self.single[blk])
-                np.multiply(dg, grid.weights, out=self.double[blk])
-                del g, dg  # a 3D block's arrays would otherwise live through the next block
-        if bessel_pass:  # the matrices are weighted in place
-            kr = self.single.imag
-            _helmholtz2d_radial_derivative(kr, kernel.k, self.double)
-            self.double *= self.single.real
-            self.double *= grid.weights
-            _helmholtz2d_value(kr, self.single)  # Y0 over the projection, then J0 over kr in place
-            self.single *= grid.weights
+        self.single, self.double, r2_min = kernel_matrices(
+            kernel, self.points, grid.points, grid.normals, weights=grid.weights
+        )
         # sqrt is monotone and correctly rounded: sqrt(min r^2) = min r
         self.near_flags = np.sqrt(r2_min, out=r2_min) < 2.0 * grid.min_spacing()
 
@@ -287,7 +247,7 @@ class BoundaryReconstructor:
 def double_layer_identity(kernel: KernelSpec, grid: BoundaryGrid, x) -> complex:
     """Reconstruction of the constant-1 trace pair; ~1 inside for Laplace.
 
-    Startup self-check pinning the representation's sign convention.
+    The tests use it to pin the representation's sign convention.
     """
     rec = BoundaryReconstructor(kernel, grid, np.atleast_2d(np.asarray(x, float)))
     return complex(rec.field(np.ones(grid.n_points), np.zeros(grid.n_points))[0])

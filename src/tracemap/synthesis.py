@@ -2,14 +2,16 @@
 
 Each sample is a Dirichlet/Neumann trace pair of an exact solution built
 as a convex combination of kernels centered at points outside the domain.
-The distances, normal projections, G and dG/dr all come from
-``kernels.py``; a source adds one part of the fundamental solution G:
-log kernels ``ln((x-xi)^2+(y-yi)^2) = -4 pi G`` for the Laplace family,
-``J0(kr) = 4 Im G`` or ``Y0(kr) = -4 Re G`` for 2D Helmholtz (each source
-evaluates only its own Bessel pair), and ``cos(kr)/(4 pi r) = Re G`` or
-``sin(kr)/(4 pi r) = Im G`` in 3D.  Pairs are normalized in two steps:
-subtract the first Dirichlet entry (Laplace mode only; constants are
-harmonic) and divide both traces by the max absolute Neumann value.
+G and dG/dn_y come from ``kernels.kernel_matrices``; a source adds one
+part of the fundamental solution G: log kernels
+``ln((x-xi)^2+(y-yi)^2) = -4 pi G`` for the Laplace family,
+``J0(kr) = 4 Im G`` or ``Y0(kr) = -4 Re G`` for 2D Helmholtz, and
+``cos(kr)/(4 pi r) = Re G`` or ``sin(kr)/(4 pi r) = Im G`` in 3D.  For 2D
+Helmholtz only the distances and normal projections come from
+``kernels.py``, so that each source evaluates only its own Bessel pair.
+Pairs are normalized in two steps: subtract the first Dirichlet entry
+(Laplace mode only; constants are harmonic) and divide both traces by the
+max absolute Neumann value.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BoundaryGrid, DomainSpec, boundary_distance, contains, freeze_arrays
-from .kernels import KernelSpec, bessel_j0, bessel_j1, bessel_y0, bessel_y1
-from .kernels import _pairwise_projection, _radial_derivative, _value_from_r, kernel_matrices
+from .kernels import KernelSpec, _pairwise_projection, bessel_j0, bessel_j1, bessel_y0, bessel_y1, kernel_matrices
 from .textio import float_cells, parse_floats, table_text
 
 _REJECTION_LIMIT = 10**6
@@ -76,6 +77,9 @@ class DatasetSpec:
         span = hi - lo  # bounds every coordinate difference between a source and the domain
         if not math.isfinite(self.domain.dimension * span * span):
             raise ConfigurationError(f"source_box {self.source_box!r} is so wide that squared distances overflow")
+        k = self.kernel.k  # k r must stay finite for every source-to-domain distance r
+        if self.kernel.is_complex and not math.isfinite(k * span * math.sqrt(self.domain.dimension)):
+            raise ConfigurationError(f"the wavenumber k = {k!r} is so large that k r overflows")
         blo, bhi = self.domain.bounding_box()
         if not (np.all(blo > lo) and np.all(bhi < hi)):
             raise ConfigurationError("source box must strictly contain the domain")
@@ -218,25 +222,23 @@ def synthesize_trace_pair(
     kernel = spec.kernel
     if kinds is None:
         kinds = np.zeros(len(sources), dtype=int)
-    if kernel.family == "laplace2d":  # ln r^2 = -4 pi G
+    if kernel.family != "helmholtz2d":
         val, dval, _ = kernel_matrices(kernel, sources, grid.points, grid.normals)
-        return TracePair(g=-4.0 * np.pi * (weights @ val), h=-4.0 * np.pi * (weights @ dval))
+        if kernel.family == "laplace2d":  # ln r^2 = -4 pi G
+            return TracePair(g=-4.0 * np.pi * (weights @ val), h=-4.0 * np.pi * (weights @ dval))
+        imag = kinds[:, None] != 0  # cos(kr)/(4 pi r) = Re G, sin(kr)/(4 pi r) = Im G
+        val, dval = np.where(imag, val.imag, val.real), np.where(imag, dval.imag, dval.real)
+        return TracePair(g=weights @ val, h=weights @ dval)
+    # J0 = 4 Im G and Y0 = -4 Re G: each source evaluates only its own pair,
+    # J0/J1 or Y0/Y1, and d/dr Z0(kr) = -k Z1(kr).
     proj, r, _ = _pairwise_projection(sources, grid.points, grid.normals)
-    if kernel.family == "helmholtz2d":
-        # J0 = 4 Im G and Y0 = -4 Re G: each source evaluates only its own
-        # pair, J0/J1 or Y0/Y1, and d/dr Z0(kr) = -k Z1(kr).
-        kr = kernel.k * r
-        val, dval = np.empty_like(r), np.empty_like(r)
-        for s, kind in enumerate(kinds):
-            z0, z1 = (bessel_j0, bessel_j1) if kind == 0 else (bessel_y0, bessel_y1)
-            z0(kr[s], out=val[s])
-            z1(kr[s], out=dval[s])
-        dval *= -kernel.k
-    else:  # cos(kr)/(4 pi r) = Re G, sin(kr)/(4 pi r) = Im G
-        val, dval = _value_from_r(kernel, r), _radial_derivative(kernel, r)
-        imag = kinds[:, None] != 0
-        val = np.where(imag, val.imag, val.real)
-        dval = np.where(imag, dval.imag, dval.real)
+    kr = kernel.k * r
+    val, dval = np.empty_like(r), np.empty_like(r)
+    for s, kind in enumerate(kinds):
+        z0, z1 = (bessel_j0, bessel_j1) if kind == 0 else (bessel_y0, bessel_y1)
+        z0(kr[s], out=val[s])
+        z1(kr[s], out=dval[s])
+    dval *= -kernel.k
     return TracePair(g=weights @ val, h=weights @ (dval * proj))
 
 

@@ -83,6 +83,19 @@ class TestGen:
         assert err.startswith(message) and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("equation", ["helmholtz", "helmholtz3d"])
+    def test_wavenumber_whose_k_r_overflows_refused(self, tmp_path, capsys, equation):
+        out = tmp_path / "data"
+        domain = ["--domain", "sphere"] if equation == "helmholtz3d" else []
+        argv = ["gen", "--equation", equation, *domain, "--k", 1e308, "--n", 40, "--samples", 2, "--seed", 1,
+                "--out", out]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way to the refusal
+            assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the wavenumber k = 1e+308 is so large") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_zero_samples_refused(self, tmp_path, capsys):
         out = tmp_path / "empty"
         assert run(["gen", "--equation", "laplace", "--n", 40, "--samples", 0, "--out", out]) == 1
@@ -100,6 +113,16 @@ class TestTrain:
         model = tmp_path / "model.json"
         assert run(["train", "--data", data, "--method", "adam", *flags, "--out", model]) == 1
         assert capsys.readouterr().err.startswith(f"error: {field} must be at least 1")
+        assert not model.exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_refused(self, laplace_run, tmp_path, capsys, lr):
+        _, data, _ = laplace_run
+        model = tmp_path / "model.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any epoch runs
+            assert run(["train", "--data", data, "--method", "adam", "--epochs", 3, f"--lr={lr}", "--out", model]) == 1
+        assert capsys.readouterr().err.startswith(f"error: learning_rate must be finite, got {lr}")
         assert not model.exists()
 
     def test_ls_model_written_with_log(self, laplace_run):

@@ -23,7 +23,6 @@ from tracemap.kernels import (
     kernel_gradient_y,
     kernel_matrices,
     kernel_matrix,
-    kernel_normal_derivative_y,
     kernel_normal_matrix,
     kernel_value,
 )
@@ -373,7 +372,7 @@ class TestLaplaceKernel:
         for y, n in self._pairs():
             g, dg, grad = laplace_kernel_oracle(self.X, y, n)
             worst[0] = max(worst[0], self._rel(kernel_value(LAPLACE, self.X, y).real, g))
-            worst[1] = max(worst[1], self._rel(kernel_normal_derivative_y(LAPLACE, self.X, y, n).real, dg))
+            worst[1] = max(worst[1], self._rel(kernel_normal_matrix(LAPLACE, [self.X], [y], [n])[0, 0], dg))
             got = kernel_gradient_y(LAPLACE, self.X, y)
             worst[2] = max(worst[2], *(self._rel(a, b) for a, b in zip(got, grad)))
         assert max(worst) <= 1e-15, worst
@@ -389,23 +388,17 @@ class TestLaplaceKernel:
             g, dg, _ = laplace_kernel_oracle(self.X, y, n)
             assert self._rel(g_mat[j], g) <= 1e-15 and self._rel(dg_mat[j], dg) <= 1e-15
 
-    def test_matrices_written_into_out(self):
-        ys, ns = map(np.array, zip(*self._pairs()))
-        xs = [self.X, (0.25, -0.5)]
-        g_want, dg_want, r2_want = kernel_matrices(LAPLACE, xs, ys, ns)
-        g_buf, dg_buf = np.full((2, 2, 2, len(ys)), np.nan)  # out is every other row of these
-        g, dg, r2_min = kernel_matrices(LAPLACE, xs, ys, ns, out=(g_buf[:, 0], dg_buf[:, 1]))
-        assert np.shares_memory(g, g_buf) and np.shares_memory(dg, dg_buf)
-        assert g_buf[:, 0].tobytes() == g_want.tobytes() and dg_buf[:, 1].tobytes() == dg_want.tobytes()
-        assert r2_min.tobytes() == r2_want.tobytes()
-        assert np.isnan(g_buf[:, 1]).all() and np.isnan(dg_buf[:, 0]).all()
-        dg_buf[:] = np.nan
-        g, dg, _ = kernel_matrices(LAPLACE, xs, ys, ns, out=(g_buf[:, 0], dg_buf[:, 0]), value=False)
-        assert g is None and dg_buf[:, 0].tobytes() == dg_want.tobytes()
-        for spec, dim in ((HELM1, 2), (HELM3D, 3)):  # the Helmholtz families refuse out
-            x, y, n = np.zeros((1, dim)), np.ones((1, dim)), np.eye(dim)[:1]
-            with pytest.raises(ValueError, match="log kernel only"):
-                kernel_matrices(spec, x, y, n, out=(None, np.empty((1, 1), complex)))
+    @pytest.mark.parametrize("spec", [LAPLACE, KernelSpec("helmholtz2d", 10.0), HELM3D], ids=lambda s: s.family)
+    def test_weighted_matrices_are_the_unweighted_times_the_weights(self, spec):
+        domain = DomainSpec.sphere() if spec.dimension == 3 else DomainSpec.unit_square()
+        grid = make_boundary_grid(domain, 60)
+        step = _BLOCK // grid.n_points
+        pts = np.random.default_rng(3).uniform(-0.4, 0.4, (3 * step + 1, spec.dimension))  # a one-row last block
+        g, dg, r2_min = kernel_matrices(spec, pts, grid.points, grid.normals)
+        gw, dgw, r2w = kernel_matrices(spec, pts, grid.points, grid.normals, weights=grid.weights)
+        assert gw.tobytes() == (g * grid.weights).tobytes() and dgw.tobytes() == (dg * grid.weights).tobytes()
+        assert r2w.tobytes() == r2_min.tobytes()
+        assert kernel_normal_matrix(spec, pts, grid.points, grid.normals).tobytes() == dg.tobytes()
 
     def test_coincident_pair_raises_without_a_warning(self):
         grid = make_boundary_grid(DomainSpec.unit_square(), 40)
@@ -413,7 +406,7 @@ class TestLaplaceKernel:
         calls = [
             lambda: kernel_value(LAPLACE, (0.3, 0.3), (0.3, 0.3)),
             lambda: kernel_gradient_y(LAPLACE, (0.3, 0.3), (0.3, 0.3)),
-            lambda: kernel_normal_derivative_y(LAPLACE, (0.3, 0.3), (0.3, 0.3), (0.0, 1.0)),
+            lambda: kernel_normal_matrix(LAPLACE, [(0.3, 0.3)], [(0.3, 0.3)], [(0.0, 1.0)]),
             lambda: kernel_matrix(LAPLACE, pts, grid.points),
             lambda: kernel_normal_matrix(LAPLACE, pts, grid.points, grid.normals),
             lambda: kernel_matrices(LAPLACE, pts, grid.points, grid.normals),
@@ -489,7 +482,7 @@ class TestKernelGradient:
             with pytest.raises(ValueError, match="non-finite"):
                 kernel_gradient_y(LAPLACE, x, y)
             with pytest.raises(ValueError, match="non-finite"):
-                kernel_normal_derivative_y(LAPLACE, x, y, (0.0, 1.0))
+                kernel_normal_matrix(LAPLACE, [x], [y], [(0.0, 1.0)])
 
     def test_point_pair_functions_refuse_mixed_dimensions(self):
         for x, y in (((0.0, 0.0), (1.0, 0.0, 0.5)), ((0.0, 0.0, 0.0), (1.0, 0.5))):
@@ -504,7 +497,7 @@ class TestKernelGradient:
 
     def test_normal_derivative_projection(self):
         n = np.array([0.6, 0.8])
-        v = kernel_normal_derivative_y(LAPLACE, (0.0, 0.0), (1.0, 0.0), n)
+        v = kernel_normal_matrix(LAPLACE, [(0.0, 0.0)], [(1.0, 0.0)], [n])[0, 0]
         grad = kernel_gradient_y(LAPLACE, (0.0, 0.0), (1.0, 0.0))
         assert v == pytest.approx(grad @ n)
 

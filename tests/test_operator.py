@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -272,6 +273,12 @@ class TestTrainAdam:
     @pytest.mark.parametrize("value", [0, -3])
     def test_non_positive_counts_refused(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            TrainingConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["learning_rate", "lambda1", "lambda2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rates_and_weights_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
             TrainingConfig(**{field: value})
 
     def test_batch_larger_than_dataset_rejected(self, rng):

@@ -266,14 +266,25 @@ class TestReconstruction:
         assert not rec.near_flags[1]
 
     @pytest.mark.parametrize(
-        "kernel", [LAPLACE, KernelSpec("helmholtz2d", 10.0)], ids=["laplace2d", "helmholtz2d"]
+        "kernel",
+        [LAPLACE, KernelSpec("helmholtz2d", 10.0), KernelSpec("helmholtz3d", 2.0)],
+        ids=["laplace2d", "helmholtz2d", "helmholtz3d"],
     )
     def test_fused_build_matches_separate_matrices_bitwise(self, kernel):
-        grid = make_boundary_grid(DomainSpec.unit_square(), 40)
-        # 45 x 45 points: the Laplace build takes 3 row blocks of _BLOCK // 40
-        gx, gy = np.meshgrid(np.linspace(0.2, 0.8, 45), np.linspace(0.2, 0.8, 45))
-        near = [[0.003, 0.004], [0.5, 0.002], [0.998, 0.6], [0.513, 0.0]]  # corner, edges, on an edge
-        pts = np.vstack([np.column_stack([gx.ravel(), gy.ravel()]), near])
+        if kernel.dimension == 3:
+            grid = make_boundary_grid(DomainSpec.sphere(), 300)
+            # 1196 interior points and 4 near ones: 12 row blocks of _BLOCK // 300, the last of one row
+            inner = np.random.default_rng(11).normal(size=(1196, 3))
+            inner *= np.random.default_rng(12).uniform(0.1, 0.5, (1196, 1)) / np.linalg.norm(inner, axis=1)[:, None]
+            near = grid.points[[0, 50, 100, 150]] * (1.0 - 1e-3)
+            assert (len(inner) + len(near)) % (_BLOCK // grid.n_points) == 1
+        else:
+            grid = make_boundary_grid(DomainSpec.unit_square(), 40)
+            # 45 x 45 points: the build takes 3 row blocks of _BLOCK // 40
+            gx, gy = np.meshgrid(np.linspace(0.2, 0.8, 45), np.linspace(0.2, 0.8, 45))
+            inner = np.column_stack([gx.ravel(), gy.ravel()])
+            near = [[0.003, 0.004], [0.5, 0.002], [0.998, 0.6], [0.513, 0.0]]  # corner, edges, on an edge
+        pts = np.vstack([inner, near])
         assert len(pts) > 2 * (_BLOCK // grid.n_points)
         rec = BoundaryReconstructor(kernel, grid, pts)
         w = grid.weights[None, :]
@@ -287,7 +298,7 @@ class TestReconstruction:
         with pytest.raises(SingularEvaluationError):  # coincident point in the last block
             BoundaryReconstructor(kernel, grid, np.vstack([pts, grid.points[7]]))
         with pytest.raises(ValueError, match="non-finite"):
-            BoundaryReconstructor(kernel, grid, np.vstack([pts, [np.nan, 0.5]]))
+            BoundaryReconstructor(kernel, grid, np.vstack([pts, np.full(kernel.dimension, np.nan)]))
 
     def test_trace_length_checked(self, square_grid):
         rec = BoundaryReconstructor(LAPLACE, square_grid, [[0.5, 0.5]])

@@ -552,6 +552,12 @@ class TestBuildDataset:
         with pytest.raises(ConfigurationError, match="^source_box .* squared distances overflow"):
             small_spec(source_box=box)
 
+    @pytest.mark.parametrize("family,domain", [("helmholtz2d", SQUARE), ("helmholtz3d", DomainSpec.sphere())])
+    def test_wavenumber_whose_k_r_overflows_refused(self, family, domain):
+        with pytest.raises(ConfigurationError, match=r"^the wavenumber k = 1e\+308 is so large that k r overflows"):
+            small_spec(kernel=KernelSpec(family, 1e308), domain=domain)
+        small_spec(kernel=KernelSpec(family, 1e306), domain=domain)  # k times the box diagonal stays finite
+
     def test_widest_box_keeps_squared_distances_finite(self):
         # 2 span^2 just below DBL_MAX: every source-to-domain r^2 is finite
         half = 0.49 * math.sqrt(np.finfo(float).max / 2.0)
