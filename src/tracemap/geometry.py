@@ -23,6 +23,7 @@ SQUARE_SEGMENTS = ("G1", "G2", "G3", "G4")
 # Point-element pairs per block of the all-pairs searches below: bounds
 # their temporaries whatever the number of points.
 _PAIR_BLOCK = 1 << 16
+_N_PROBE = 4096  # polar-curve samples: radius check, loop length, distance polyline
 
 
 def _point_blocks(n_points: int, n_elements: int) -> list[slice]:
@@ -181,8 +182,8 @@ def _curve_from_payload(payload: dict) -> PolarCurve:
     return PolarCurve(payload["base"], terms, tuple(payload["center"]))
 
 
-def _check_positive_radius(curve: PolarCurve, n_probe: int = 4096) -> None:
-    theta = np.linspace(0.0, 2.0 * math.pi, n_probe, endpoint=False)
+def _check_positive_radius(curve: PolarCurve) -> None:
+    theta = np.linspace(0.0, 2.0 * math.pi, _N_PROBE, endpoint=False)
     r = curve.radius(theta)
     if np.any(r <= 0.0):
         raise InvalidDomainError("polar radius must stay positive on [0, 2pi)")
@@ -312,10 +313,10 @@ def _polar_grid(spec: DomainSpec, curve: PolarCurve, n: int) -> BoundaryGrid:
     return BoundaryGrid(pts, nrm, w, ("G1",) * n, spec)
 
 
-def _loop_length(curve: PolarCurve, n_probe: int = 4096) -> float:
-    theta = np.linspace(0.0, 2.0 * math.pi, n_probe, endpoint=False)
+def _loop_length(curve: PolarCurve) -> float:
+    theta = np.linspace(0.0, 2.0 * math.pi, _N_PROBE, endpoint=False)
     speed = np.hypot(curve.radius_prime(theta), curve.radius(theta))
-    return float(speed.sum() * 2.0 * math.pi / n_probe)
+    return float(speed.sum() * 2.0 * math.pi / _N_PROBE)
 
 
 def _annulus_grid(spec: DomainSpec, n: int) -> BoundaryGrid:
@@ -395,7 +396,7 @@ def boundary_distance(spec: DomainSpec, p) -> np.ndarray | float:
     elif spec.shape == "sphere3d":
         d = np.abs(np.linalg.norm(pts - np.asarray(spec.center3d), axis=1) - spec.radius3d)
     else:
-        theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+        theta = np.linspace(0.0, 2.0 * math.pi, _N_PROBE, endpoint=False)
         loops = [spec.outer] if spec.shape == "polar_curve" else [spec.outer, spec.inner]
         poly = np.vstack([loop.points(theta) for loop in loops])
         d = np.empty(len(pts))
@@ -421,7 +422,6 @@ class TriMesh:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    target_h: float = 0.0
 
     def __post_init__(self):
         freeze_arrays(self, "vertices", "triangles")
@@ -507,7 +507,7 @@ def trimesh_from_csv(text: str) -> TriMesh:
         if len(coords) != 6:
             raise MshParseError(f"line {ln}: {len(coords)} coordinates, expected 6")
         tris.append([verts.setdefault((coords[k], coords[k + 1]), len(verts)) for k in (0, 2, 4)])
-    return _oriented_mesh(np.array(list(verts), dtype=float), np.array(tris, dtype=int), 0.0)
+    return _oriented_mesh(np.array(list(verts), dtype=float), np.array(tris, dtype=int))
 
 
 def triangulate_square(h: float) -> TriMesh:
@@ -535,14 +535,14 @@ def triangulate_square(h: float) -> TriMesh:
             tris[k] = (v00, v10, v11)
             tris[k + 1] = (v00, v11, v01)
             k += 2
-    return TriMesh(vertices, tris, target_h=h)
+    return TriMesh(vertices, tris)
 
 
-def _oriented_mesh(vertices: np.ndarray, triangles: np.ndarray, h: float) -> TriMesh:
+def _oriented_mesh(vertices: np.ndarray, triangles: np.ndarray) -> TriMesh:
     neg = TriMesh(vertices, triangles).areas() < 0.0
     flipped = triangles.copy()
     flipped[neg] = flipped[neg][:, [0, 2, 1]]
-    return TriMesh(vertices, flipped, target_h=h)
+    return TriMesh(vertices, flipped)
 
 
 def parse_msh(text: str) -> TriMesh:
@@ -634,4 +634,4 @@ def parse_msh(text: str) -> TriMesh:
             if nid not in remap:
                 raise MshParseError(f"line {ln}: element references unknown node {nid}")
             triangles[t, j] = remap[nid]
-    return _oriented_mesh(vertices, triangles, 0.0)
+    return _oriented_mesh(vertices, triangles)

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .textio import json_field
+
 _BLOCK = 1 << 15  # points per evaluator block: temporaries stay cache-sized
 _LAPLACE_G = -1.0 / (4.0 * math.pi)  # G = ln(r^2) * _LAPLACE_G
 _LAPLACE_DG = -1.0 / (2.0 * math.pi)  # dG/dn_y = ((y - x) . n) * _LAPLACE_DG / r^2
@@ -65,6 +67,16 @@ class KernelSpec:
             raise ValueError(f"the wavenumber k must be finite, got {self.k!r}")
         if self.family != "laplace2d" and not self.k > 0.0:
             raise ValueError("Helmholtz kernels need a positive wavenumber")
+
+    def to_payload(self) -> dict:
+        return {"family": self.family, "k": self.k}
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "KernelSpec":
+        """Inverse of :meth:`to_payload`, the ``"kernel"`` record of dataset
+        sidecars and model files; a missing or mistyped field raises a
+        ``ValueError`` naming it."""
+        return cls(json_field(payload, "family", str, "kernel."), json_field(payload, "k", float, "kernel."))
 
     @property
     def dimension(self) -> int:

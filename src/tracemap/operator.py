@@ -5,11 +5,9 @@ mapping an input trace vector to the complementary trace vector.  Vector
 slots are described by layout blocks so mixed boundary problems can state
 which points and which trace type (g or h) each slot carries.
 
-Training minimizes the weighted squared trace misfit
-``(lambda_1 * ||pred - h||^2 on Dirichlet-side slots
- + lambda_2 * ||pred - g||^2 on Neumann-side slots) / (N1 + N2)``
-averaged over the batch, with plain Adam on the matrix entries and a
-best-loss checkpoint.  Because the model is linear the loss gradient is
+Training minimizes the mean squared trace misfit over the batch and the
+output slots, with plain Adam on the matrix entries and a best-loss
+checkpoint.  Because the model is linear the loss gradient is
 matrix algebra; no autodiff framework is involved.  A normal-equations
 solve provides the ridge-regularized minimizer as an independent oracle.
 """
@@ -25,7 +23,10 @@ import numpy as np
 
 from .geometry import BoundaryGrid
 from .kernels import KernelSpec
-from .textio import float_cells, parse_floats, table_text
+from .textio import float_cells, json_field, parse_floats, table_text
+
+_ADAM_B1, _ADAM_B2, _ADAM_EPS = 0.9, 0.999, 1e-8
+_RIDGE = 1e-10  # the ridge is this times the mean diagonal of the data Gram matrix
 
 
 class LayoutError(ValueError):
@@ -169,24 +170,16 @@ class TrainingConfig:
     learning_rate: float = 1e-4
     batch_size: int = 1000
     epochs: int = 50_000
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    lambda1: float = 1.0
-    lambda2: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         for field in ("epochs", "batch_size"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be at least 1, got {getattr(self, field)}")
-        for field in ("learning_rate", "lambda1", "lambda2"):
-            if not math.isfinite(getattr(self, field)):
-                raise ValueError(f"{field} must be finite, got {getattr(self, field)!r}")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate!r}")
         if self.learning_rate < 0.0:
             raise ValueError("learning rate must be nonnegative")
-        if self.lambda1 <= 0.0 or self.lambda2 <= 0.0:
-            raise ValueError("loss weights must be positive")
 
 
 @dataclass(eq=False)
@@ -202,47 +195,26 @@ class TrainReport:
         return table_text("epoch,mean_loss,best_loss", rows, end="\n")
 
 
-def slot_weights(output_layout: Layout, cfg: TrainingConfig) -> np.ndarray:
-    """Per-output-slot loss weights: lambda_1 on slots predicting Neumann
-    data for the Dirichlet part, lambda_2 on slots predicting Dirichlet
-    data for the Neumann part."""
-    w = np.empty(layout_size(output_layout))
-    pos = 0
-    for b in output_layout:
-        lam = cfg.lambda1 if b.trace == "h" else cfg.lambda2
-        w[pos : pos + len(b.indices)] = lam
-        pos += len(b.indices)
-    return w
-
-
-def compute_loss(
-    op: LinearBoundaryOperator,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    cfg: TrainingConfig = TrainingConfig(),
-) -> float:
-    """Mean over the batch of the slot-weighted squared misfit / (N1+N2)."""
+def compute_loss(op: LinearBoundaryOperator, inputs: np.ndarray, targets: np.ndarray) -> float:
+    """Mean squared misfit over the batch and the output slots."""
     inputs = np.atleast_2d(inputs)
     targets = np.atleast_2d(targets)
     if inputs.shape[0] == 0:
         raise ValueError("empty batch")
     if inputs.shape[1] != op.input_dim or targets.shape[1] != op.output_dim:
         raise LayoutError("batch shapes do not match the operator")
-    lam = slot_weights(op.output_layout, cfg)
     resid = op.apply(inputs) - targets
-    return float(np.sum(lam * resid * resid) / (inputs.shape[0] * op.output_dim))
+    return float(np.sum(resid * resid) / (inputs.shape[0] * op.output_dim))
 
 
-def _loss_and_grad(W, x, t, lam, inv_count, grad=None):
-    """Weighted MSE and its gradient dL/dW, both in closed form; the
-    gradient is written into ``grad`` when one is given."""
+def _loss_and_grad(W, x, t, inv_count, grad=None):
+    """MSE and its gradient dL/dW, both in closed form; the gradient is
+    written into ``grad`` when one is given."""
     resid = x @ W.T
     resid -= t
-    weighted = lam * resid
-    resid *= weighted
-    loss = float(np.sum(resid) * inv_count)
-    weighted *= 2.0 * inv_count
-    return loss, np.matmul(weighted.T, x, out=grad)
+    loss = float(np.sum(resid * resid) * inv_count)
+    resid *= 2.0 * inv_count
+    return loss, np.matmul(resid.T, x, out=grad)
 
 
 def train_adam(
@@ -270,12 +242,11 @@ def train_adam(
 
     rng = np.random.default_rng(cfg.seed)
     W = np.zeros((n_out, n_in))
-    lam = slot_weights(output_layout, cfg)
     m = np.zeros_like(W)
     v = np.zeros_like(W)
     g = np.empty_like(W)
     upd = np.empty_like(W)
-    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+    b1, b2, eps, lr = _ADAM_B1, _ADAM_B2, _ADAM_EPS, cfg.learning_rate
 
     losses = np.empty(cfg.epochs)
     best_loss = np.inf
@@ -290,7 +261,7 @@ def train_adam(
             idx = order[start : start + cfg.batch_size]
             x, t = inputs[idx], targets[idx]
             inv_count = 1.0 / (len(idx) * n_out)
-            loss, _ = _loss_and_grad(W, x, t, lam, inv_count, g)
+            loss, _ = _loss_and_grad(W, x, t, inv_count, g)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, step {step}; "
@@ -328,14 +299,12 @@ def fit_least_squares(
     targets: np.ndarray,
     input_layout: Layout,
     output_layout: Layout,
-    ridge_factor: float = 1e-10,
 ) -> LinearBoundaryOperator:
     """Ridge-regularized minimizer via the normal equations.
 
     Solves ``(X^T X + eps I) W^T = X^T T`` with
-    ``eps = ridge_factor * trace(X^T X) / n`` so the conditioning guard is
-    scale invariant.  The per-slot loss weights scale each column's
-    independent problem uniformly, so they do not change the minimizer.
+    ``eps = 1e-10 * trace(X^T X) / n`` so the conditioning guard is scale
+    invariant.
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -344,7 +313,7 @@ def fit_least_squares(
     if inputs.shape[1] != n_in or targets.shape[1] != n_out:
         raise LayoutError("dataset shapes do not match the layouts")
     gram = inputs.T @ inputs
-    eps = ridge_factor * np.trace(gram) / n_in
+    eps = _RIDGE * np.trace(gram) / n_in
     if not eps > 0.0 or not np.isfinite(eps):
         raise IllConditionedError("data Gram matrix has no usable scale")
     gram[np.diag_indices_from(gram)] += eps
@@ -387,7 +356,7 @@ def save_model(op: LinearBoundaryOperator) -> str:
         ],
     }
     if op.kernel is not None:
-        payload["kernel"] = {"family": op.kernel.family, "k": op.kernel.k}
+        payload["kernel"] = op.kernel.to_payload()
     return json.dumps(payload)
 
 
@@ -411,7 +380,7 @@ def load_model(text: str) -> LinearBoundaryOperator:
             W = w @ W
         inp = _layout_from_payload(payload["input_layout"])
         out = _layout_from_payload(payload["output_layout"])
-        kernel = KernelSpec(**payload["kernel"]) if "kernel" in payload else None
+        kernel = KernelSpec.from_payload(json_field(payload, "kernel", dict)) if "kernel" in payload else None
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"malformed model file: {exc}") from exc
     return LinearBoundaryOperator(W, inp, out, kernel)

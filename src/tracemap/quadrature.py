@@ -15,60 +15,36 @@ O(r0^2 |log r0|).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundaryGrid, TriMesh, _point_blocks, freeze_arrays
+from .geometry import BoundaryGrid, TriMesh, _point_blocks
 from .kernels import KernelSpec, kernel_matrices
 
-_SQRT15 = math.sqrt(15.0)
+_R0 = 0.01  # exclusion radius of the Newton potential's analytic disc term
 
 
-@dataclass(frozen=True, eq=False)
-class TriangleQuadratureRule:
-    """Barycentric nodes and weights; weights sum to 1."""
-
-    nodes: np.ndarray  # (q, 3) barycentric coordinates
-    weights: np.ndarray  # (q,)
-
-    def __post_init__(self):
-        freeze_arrays(self, "nodes", "weights")
-
-
-def seven_point_rule() -> TriangleQuadratureRule:
-    """Symmetric degree-5 rule: centroid plus two three-point orbits."""
-    a = (6.0 - _SQRT15) / 21.0
-    b = (6.0 + _SQRT15) / 21.0
-    w_a = (155.0 - _SQRT15) / 1200.0
-    w_b = (155.0 + _SQRT15) / 1200.0
+def _seven_point_rule():
+    """Symmetric degree-5 rule: centroid plus two three-point orbits, as
+    barycentric nodes (7, 3) and weights (7,) summing to 1."""
+    sqrt15 = math.sqrt(15.0)
     nodes = [(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)]
     weights = [9.0 / 40.0]
-    for c, w in ((a, w_a), (b, w_b)):
+    for c, w in (((6.0 - sqrt15) / 21.0, (155.0 - sqrt15) / 1200.0),
+                 ((6.0 + sqrt15) / 21.0, (155.0 + sqrt15) / 1200.0)):
         nodes += [(1.0 - 2.0 * c, c, c), (c, 1.0 - 2.0 * c, c), (c, c, 1.0 - 2.0 * c)]
         weights += [w, w, w]
-    return TriangleQuadratureRule(np.array(nodes), np.array(weights))
+    return np.array(nodes), np.array(weights)
 
 
-_RULE = seven_point_rule()
-
-
-@dataclass(frozen=True)
-class SingularIntegralConfig:
-    """Exclusion radius for the analytic disc treatment of the log kernel."""
-
-    r0: float = 0.01
-
-    def __post_init__(self):
-        if not self.r0 > 0.0:
-            raise ValueError("exclusion radius must be positive")
+_NODES, _WEIGHTS = _seven_point_rule()
 
 
 class DegenerateTriangleError(ValueError):
     """Triangle with (near-)zero area passed to the quadrature."""
 
 
-def integrate_triangle(f, v1, v2, v3, rule: TriangleQuadratureRule = _RULE) -> float:
+def integrate_triangle(f, v1, v2, v3) -> float:
     """Integrate ``f`` over one triangle via the affine map to the reference.
 
     ``f`` must accept an (m, 2) array of points and return (m,) values.
@@ -79,11 +55,11 @@ def integrate_triangle(f, v1, v2, v3, rule: TriangleQuadratureRule = _RULE) -> f
     jac = (v2[0] - v1[0]) * (v3[1] - v1[1]) - (v3[0] - v1[0]) * (v2[1] - v1[1])
     if abs(jac) < 1e-14:
         raise DegenerateTriangleError("triangle has (near-)zero area")
-    pts = rule.nodes @ np.vstack([v1, v2, v3])
-    return 0.5 * abs(jac) * float(rule.weights @ np.asarray(f(pts), dtype=float))
+    pts = _NODES @ np.vstack([v1, v2, v3])
+    return 0.5 * abs(jac) * float(_WEIGHTS @ np.asarray(f(pts), dtype=float))
 
 
-def mesh_quadrature_nodes(mesh: TriMesh, rule: TriangleQuadratureRule = _RULE):
+def mesh_quadrature_nodes(mesh: TriMesh):
     """All physical quadrature nodes and their absolute weights.
 
     Returns ``(points (nt*q, 2), weights (nt*q,))`` ordered by element
@@ -93,19 +69,18 @@ def mesh_quadrature_nodes(mesh: TriMesh, rule: TriangleQuadratureRule = _RULE):
     areas = mesh.areas()
     if np.any(np.abs(areas) < 0.5e-14):
         raise DegenerateTriangleError("mesh contains a degenerate triangle")
-    lam = rule.nodes
     pts = (
-        lam[None, :, 0, None] * a[:, None, :]
-        + lam[None, :, 1, None] * b[:, None, :]
-        + lam[None, :, 2, None] * c[:, None, :]
+        _NODES[None, :, 0, None] * a[:, None, :]
+        + _NODES[None, :, 1, None] * b[:, None, :]
+        + _NODES[None, :, 2, None] * c[:, None, :]
     )
-    w = np.abs(areas)[:, None] * rule.weights[None, :]
+    w = np.abs(areas)[:, None] * _WEIGHTS[None, :]
     return pts.reshape(-1, 2), w.reshape(-1)
 
 
-def integrate_mesh(f, mesh: TriMesh, rule: TriangleQuadratureRule = _RULE) -> float:
+def integrate_mesh(f, mesh: TriMesh) -> float:
     """Sum of the 7-point rule over all elements, in element order."""
-    pts, w = mesh_quadrature_nodes(mesh, rule)
+    pts, w = mesh_quadrature_nodes(mesh)
     return float(np.dot(w, np.asarray(f(pts), dtype=float)))
 
 
@@ -114,22 +89,16 @@ def _log_disc_integral(r0: float) -> float:
     return 2.0 * math.pi * (0.5 * r0 * r0 * math.log(r0) - 0.25 * r0 * r0)
 
 
-def newton_potential_many(
-    kernel: KernelSpec,
-    f,
-    mesh: TriMesh,
-    xs,
-    cfg: SingularIntegralConfig = SingularIntegralConfig(),
-):
+def newton_potential_many(kernel: KernelSpec, f, mesh: TriMesh, xs):
     """Vectorized Newton potential at many evaluation points.
 
     Returns ``(values, near_boundary_flags)``.  The quadrature sum over the
-    mesh nodes farther than ``r0`` runs as one matrix-vector product per
+    mesh nodes farther than ``_R0`` = 0.01 runs as one matrix-vector product per
     block of evaluation points (``geometry._point_blocks``), so its
     temporaries stay cache-sized.  A point held by a triangle
     (:meth:`TriMesh.locate`) and more than 1e-12 from the mesh boundary
     then gets the disc term ``f(x) * disc``, in point order; it is flagged
-    within ``r0`` of the boundary, where the full disc is kept but the
+    within ``_R0`` of the boundary, where the full disc is kept but the
     clipped area is not (error O(r0^2 |log r0|)).
 
     ``f`` is called once over all nodes, then once per such point with that
@@ -143,7 +112,7 @@ def newton_potential_many(
     wf = w * np.asarray(f(pts), dtype=float)
     dist = mesh.boundary_distance(xs)
     inside = (mesh.locate(xs)[0] >= 0) & (dist > 1e-12)
-    disc = -_log_disc_integral(cfg.r0) / (2.0 * math.pi)  # integral of G over the disc
+    disc = -_log_disc_integral(_R0) / (2.0 * math.pi)  # integral of G over the disc
     values = np.empty(len(xs))
     for blk in _point_blocks(len(xs), len(pts)):
         # sqrt(dx^2 + dy^2), not np.hypot: hypot runs about 3x slower here and
@@ -153,34 +122,29 @@ def newton_potential_many(
         dy = pts[:, 1] - xs[blk, 1, None]
         r += dy * dy
         np.sqrt(r, out=r)
-        log_r = np.log(r, out=np.zeros_like(r), where=r >= cfg.r0)  # nodes in the disc add 0
+        log_r = np.log(r, out=np.zeros_like(r), where=r >= _R0)  # nodes in the disc add 0
         values[blk] = log_r @ wf
     values *= -1.0 / (2.0 * math.pi)
     for i in np.flatnonzero(inside):
         values[i] += float(np.asarray(f(xs[i, None]), dtype=float)[0]) * disc
-    return values, inside & (dist <= cfg.r0)
+    return values, inside & (dist <= _R0)
 
 
-def singular_log_integral(mesh: TriMesh, x0, r0: float = 0.01, f=None, inside_angle: float | None = None) -> float:
-    """Integral of ``ln(|y - x0|^2) * f(y)`` over the mesh domain.
-
-    The benchmark integrand.  ``inside_angle`` is the angular measure of
-    disc directions lying inside the domain at ``x0`` (2 pi for interior
-    points; pi on an edge; pi/2 at a square corner).  When omitted it is
-    derived from the mesh bounding box, which is exact for the
-    axis-aligned square domains used in the benchmark.
+def singular_log_integral(mesh: TriMesh, x0, r0: float = 0.01) -> float:
+    """Integral of ``ln(|y - x0|^2)`` over the mesh domain: the benchmark
+    integrand.  The disc term is scaled by the angular measure of disc
+    directions inside the domain at ``x0`` (2 pi for interior points, pi on
+    an edge, pi/2 at a square corner), derived from the mesh bounding box,
+    which is exact for the axis-aligned square domains of the benchmark.
     """
     x0 = np.asarray(x0, dtype=float)
     pts, w = mesh_quadrature_nodes(mesh)
-    fvals = np.ones(len(pts)) if f is None else np.asarray(f(pts), dtype=float)
     r = np.hypot(pts[:, 0] - x0[0], pts[:, 1] - x0[1])
     keep = r >= r0
-    total = float(np.dot(w[keep], 2.0 * np.log(r[keep]) * fvals[keep]))
-    if inside_angle is None:
-        inside_angle = _estimate_inside_angle(mesh, x0, r0)
+    total = float(np.dot(w[keep], 2.0 * np.log(r[keep])))
+    inside_angle = _estimate_inside_angle(mesh, x0, r0)
     if inside_angle > 0.0:
-        fx = 1.0 if f is None else float(np.asarray(f(x0[None, :]), dtype=float)[0])
-        total += fx * inside_angle * 2.0 * (0.5 * r0 * r0 * math.log(r0) - 0.25 * r0 * r0)
+        total += inside_angle * 2.0 * (0.5 * r0 * r0 * math.log(r0) - 0.25 * r0 * r0)
     return total
 
 

@@ -22,11 +22,7 @@ import numpy as np
 from .geometry import BoundaryGrid, DomainSpec, InvalidDomainError, TriMesh, boundary_distance, contains
 from .kernels import KernelSpec
 from .operator import LayoutError, LinearBoundaryOperator, assemble, dirichlet_layouts, mixed_layouts, scatter
-from .quadrature import (
-    BoundaryReconstructor,
-    SingularIntegralConfig,
-    newton_potential_many,
-)
+from .quadrature import BoundaryReconstructor, newton_potential_many
 from .textio import float_cells, table_text
 
 
@@ -241,7 +237,6 @@ def solve_poisson(
     mesh: TriMesh,
     grid: BoundaryGrid,
     eval_points: np.ndarray | None = None,
-    cfg: SingularIntegralConfig = SingularIntegralConfig(),
     exact=None,
     reconstructor: BoundaryReconstructor | None = None,
 ) -> SolutionField:
@@ -255,7 +250,7 @@ def solve_poisson(
     kernel = KernelSpec("laplace2d")
 
     def particular(points):
-        values, flags = newton_potential_many(kernel, f, mesh, points, cfg)
+        values, flags = newton_potential_many(kernel, f, mesh, points)
         return -values, flags
 
     g = np.asarray(g, dtype=float)
@@ -399,14 +394,13 @@ def make_test_suite(
     k: float | None = None,
     seed: int = 0,
     n_cases: int = 10,
-    source_margin: float = 1e-3,
 ) -> list[TestCase]:
     """Sampled test cases of one analytic family; deterministic per seed.
 
     Laplace parameters are uniform in [-4, 4] (the log-kernel source is
-    redrawn until it falls outside the domain); Helmholtz parameters
-    satisfy k^2 = a^2 + b^2 = c^2 - d^2 with a, b in (0, k], c, d in
-    (0, 2k], c > d.  Near-degenerate draws (vanishing trace norm) are
+    redrawn until it lies outside the domain, at least 1e-3 from it);
+    Helmholtz parameters satisfy k^2 = a^2 + b^2 = c^2 - d^2 with a, b in
+    (0, k], c, d in (0, 2k], c > d.  Near-degenerate draws (vanishing trace norm) are
     rejected with bounded retries.
     """
     if domain is None:
@@ -415,7 +409,7 @@ def make_test_suite(
     cases: list[TestCase] = []
     for _ in range(n_cases):
         for _attempt in range(64):
-            case = _draw_case(family, domain, k, rng, source_margin)
+            case = _draw_case(family, domain, k, rng)
             if case is not None:
                 cases.append(case)
                 break
@@ -424,11 +418,11 @@ def make_test_suite(
     return cases
 
 
-def _draw_case(family, domain, k, rng, source_margin):
+def _draw_case(family, domain, k, rng):
     if family == "u1":
         m, n = rng.uniform(-4.0, 4.0, size=2)
         p = np.array([m, n])
-        if contains(domain, p) or boundary_distance(domain, p) < source_margin:
+        if contains(domain, p) or boundary_distance(domain, p) < 1e-3:
             return None
         return _log_case(m, n)
     if family == "u2":

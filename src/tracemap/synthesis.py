@@ -25,7 +25,7 @@ import numpy as np
 
 from .geometry import BoundaryGrid, DomainSpec, boundary_distance, contains, freeze_arrays
 from .kernels import KernelSpec, _pairwise_projection, bessel_j0, bessel_j1, bessel_y0, bessel_y1, kernel_matrices
-from .textio import float_cells, parse_floats, table_text
+from .textio import float_cells, json_field, parse_floats, table_text
 
 _REJECTION_LIMIT = 10**6
 _CHUNK = 4096
@@ -63,8 +63,14 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ConfigurationError(f"n_samples must be at least 1, got {self.n_samples}")
+        if self.kernel.dimension != self.domain.dimension:
+            raise ConfigurationError(
+                f"kernel {self.kernel.family!r} is {self.kernel.dimension}-D, "
+                f"domain {self.domain.shape!r} is {self.domain.dimension}-D"
+            )
+        for name in ("n_samples", "n_kernels_per_sample"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 0.0 < self.min_boundary_distance < math.inf:
             raise ConfigurationError(
                 f"min_boundary_distance must be finite and positive, got {self.min_boundary_distance!r}"
@@ -92,7 +98,7 @@ class DatasetSpec:
 
     def to_json(self) -> str:
         payload = {
-            "kernel": {"family": self.kernel.family, "k": self.kernel.k},
+            "kernel": self.kernel.to_payload(),
             "domain": self.domain.to_payload(),
             "n_points": self.n_points,
             "n_samples": self.n_samples,
@@ -113,42 +119,26 @@ class DatasetSpec:
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("the dataset sidecar must be a JSON object")
-        kernel = _sidecar_field(payload, "kernel", dict)
+        kernel = json_field(payload, "kernel", dict)
         try:
-            domain = DomainSpec.from_payload(_sidecar_field(payload, "domain", dict))
+            domain = DomainSpec.from_payload(json_field(payload, "domain", dict))
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"sidecar field 'domain' is malformed: {exc!r}") from None
-        if _sidecar_field({"anchor_index": 0, **payload}, "anchor_index", int) != 0:
+        if json_field({"anchor_index": 0, **payload}, "anchor_index", int) != 0:
             raise ValueError(f"sidecar field 'anchor_index' must be 0, got {payload['anchor_index']!r}")
-        box = _sidecar_field(payload, "source_box", list)
+        box = json_field(payload, "source_box", list)
         if len(box) != 2 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in box):
             raise ValueError(f"sidecar field 'source_box' must be two numbers, got {box!r}")
         return cls(
-            kernel=KernelSpec(
-                _sidecar_field(kernel, "family", str, "kernel."),
-                _sidecar_field(kernel, "k", float, "kernel."),
-            ),
+            kernel=KernelSpec.from_payload(kernel),
             domain=domain,
-            n_points=_sidecar_field(payload, "n_points", int),
-            n_samples=_sidecar_field(payload, "n_samples", int),
-            n_kernels_per_sample=_sidecar_field(payload, "n_kernels_per_sample", int),
+            n_points=json_field(payload, "n_points", int),
+            n_samples=json_field(payload, "n_samples", int),
+            n_kernels_per_sample=json_field(payload, "n_kernels_per_sample", int),
             source_box=tuple(box),
-            min_boundary_distance=_sidecar_field(payload, "min_boundary_distance", float),
-            seed=_sidecar_field(payload, "seed", int),
+            min_boundary_distance=json_field(payload, "min_boundary_distance", float),
+            seed=json_field(payload, "seed", int),
         )
-
-
-def _sidecar_field(payload: dict, name: str, kind: type, prefix: str = ""):
-    """``payload[name]`` if it is a JSON value of ``kind`` (``float`` admits
-    integers, no kind admits booleans); else a ``ValueError`` naming the field."""
-    if name not in payload:
-        raise ValueError(f"sidecar field {prefix + name!r} is missing")
-    value = payload[name]
-    kinds = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        label = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
-        raise ValueError(f"sidecar field {prefix + name!r} must be {label[kind]}, got {value!r}")
-    return value
 
 
 def sample_source_points(spec: DatasetSpec, rng: np.random.Generator, n: int) -> np.ndarray:

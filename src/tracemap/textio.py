@@ -1,5 +1,6 @@
 """The one text table format of every CSV and model file: a header line, then
-comma-joined cells, floats as their shortest round-trip ``repr`` (same bits read back)."""
+comma-joined cells, floats as their shortest round-trip ``repr`` (same bits read back);
+and the one typed reader of the JSON records beside them."""
 
 import numpy as np
 
@@ -25,3 +26,16 @@ def parse_floats(cells, where: str) -> np.ndarray:
     if not finite.all():
         raise ValueError(f"{where}: non-finite value {values[~finite][0]}")
     return values
+
+
+def json_field(payload: dict, name: str, kind: type, prefix: str = ""):
+    """``payload[name]`` if it is a JSON value of ``kind`` (``float`` admits
+    integers, no kind admits booleans); else a ``ValueError`` naming the field."""
+    if name not in payload:
+        raise ValueError(f"sidecar field {prefix + name!r} is missing")
+    value = payload[name]
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        label = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+        raise ValueError(f"sidecar field {prefix + name!r} must be {label[kind]}, got {value!r}")
+    return value

@@ -102,6 +102,27 @@ class TestGen:
         assert capsys.readouterr().err.startswith("error: n_samples must be at least 1")
         assert not (out / "dataset.csv").exists()
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_non_positive_kernels_per_sample_refused(self, tmp_path, capsys, count):
+        out = tmp_path / "data"
+        argv = ["gen", "--equation", "laplace", "--n", 40, "--samples", 2, "--kernels-per-sample", count,
+                "--out", out]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: n_kernels_per_sample must be at least 1, got {count}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("equation,domain,message", [
+        ("laplace", "sphere", "kernel 'laplace2d' is 2-D, domain 'sphere3d' is 3-D"),
+        ("helmholtz3d", "square", "kernel 'helmholtz3d' is 3-D, domain 'unit_square' is 2-D"),
+    ])
+    def test_kernel_of_another_dimension_refused(self, tmp_path, capsys, equation, domain, message):
+        out = tmp_path / "data"
+        argv = ["gen", "--equation", equation, "--domain", domain, "--k", 2, "--n", 40, "--samples", 2,
+                "--seed", 1, "--out", out]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestTrain:
     @pytest.mark.parametrize(
@@ -232,6 +253,30 @@ class TestEvalSolve:
             assert fam["mean_total_error"] < 0.1
         case_files = list(out.glob("case_*.csv"))
         assert len(case_files) == 50
+
+    def test_eval_helmholtz_k10_summary(self, tmp_path):
+        data, model, out = tmp_path / "data", tmp_path / "model.json", tmp_path / "eval"
+        assert run(["gen", "--equation", "helmholtz", "--k", 10, "--n", 80, "--samples", 150, "--seed", 3,
+                    "--out", data]) == 0
+        assert run(["train", "--data", data, "--method", "ls", "--out", model]) == 0
+        assert run(["eval", "--model", model, "--suite", "helmholtz", "--k", 10, "--n", 80, "--seed", 7,
+                    "--out", out]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {"sin_sin", "sin_sinh"}
+        for fam in summary.values():
+            assert fam["n_cases"] == 10 and np.isfinite(fam["mean_total_error"])
+        assert len(list(out.glob("case_*.csv"))) == 20
+
+    def test_eval_helmholtz3d_summary(self, tmp_path):
+        data, model, out = tmp_path / "data", tmp_path / "model.json", tmp_path / "eval"
+        assert run(["gen", "--equation", "helmholtz3d", "--domain", "sphere", "--k", 2, "--n", 100,
+                    "--samples", 150, "--seed", 3, "--out", data]) == 0
+        assert run(["train", "--data", data, "--method", "ls", "--out", model]) == 0
+        assert run(["eval", "--model", model, "--suite", "helmholtz3d", "--k", 2, "--n", 100,
+                    "--out", out]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {"plane3d"}
+        assert summary["plane3d"]["n_cases"] == 1 and np.isfinite(summary["plane3d"]["dudn_error"])
 
     def test_solve_roundtrip_field_csv(self, laplace_run, tmp_path):
         _, _, model = laplace_run

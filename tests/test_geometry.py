@@ -486,17 +486,13 @@ def test_grid_arrays_read_only(square_grid):
 
 
 def test_stored_arrays_are_read_only_views_of_the_callers():
-    from tracemap.quadrature import TriangleQuadratureRule
-
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     t = np.array([[0, 1, 2]])
     pts, nrm, w = np.zeros((2, 2)), np.ones((2, 2)), np.ones(2)
-    nodes, weights = np.full((1, 3), 1.0 / 3.0), np.ones(1)
     mesh = TriMesh(v, t)
     grid = BoundaryGrid(pts, nrm, w, ("G1", "G1"), DomainSpec.unit_square())
-    rule = TriangleQuadratureRule(nodes, weights)
     pairs = [(v, mesh.vertices), (t, mesh.triangles), (pts, grid.points), (nrm, grid.normals),
-             (w, grid.weights), (nodes, rule.nodes), (weights, rule.weights)]
+             (w, grid.weights)]
     for mine, stored in pairs:
         assert mine.flags.writeable and not stored.flags.writeable
         assert np.shares_memory(mine, stored)

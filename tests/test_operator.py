@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from tracemap.operator import (
     mixed_layouts,
     mixed_training_arrays,
     save_model,
-    slot_weights,
     train_adam,
 )
 from tracemap.geometry import DomainSpec, make_boundary_grid
@@ -91,13 +91,6 @@ class TestLayouts:
         with pytest.raises(LayoutError):
             mixed_layouts(grid, {"G9"})
 
-    def test_slot_weights_follow_trace_kinds(self):
-        grid = make_boundary_grid(DomainSpec.unit_square(), 40)
-        inp, out = mixed_layouts(grid, {"G2"})
-        lam = slot_weights(out, TrainingConfig(lambda1=2.0, lambda2=0.5))
-        assert (lam[:10] == 2.0).all()  # h predictions on the Dirichlet part
-        assert (lam[10:] == 0.5).all()
-
     def test_mixed_training_arrays_reanchor(self, rng):
         grid = make_boundary_grid(DomainSpec.unit_square(), 40)
         inp, out = mixed_layouts(grid, {"G2"})
@@ -133,7 +126,7 @@ class TestComputeLoss:
         x = rng.normal(size=(4, 8))
         t = rng.normal(size=(4, 8))
         plain = float(np.mean((x @ W.T - t) ** 2))
-        assert compute_loss(op, x, t, TrainingConfig()) == pytest.approx(plain)
+        assert compute_loss(op, x, t) == pytest.approx(plain)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -145,9 +138,8 @@ class TestGradients:
         X = rng.normal(size=(7, 6))
         T = rng.normal(size=(7, 5))
         W = rng.normal(size=(5, 6))
-        lam = np.array([1.3, 1.3, 0.4, 0.4, 2.0])
         inv = 1.0 / (7 * 5)
-        _, grad = _loss_and_grad(W, X, T, lam, inv)
+        _, grad = _loss_and_grad(W, X, T, inv)
         eps = 1e-6
         r = np.random.default_rng(5)
         for _ in range(10):
@@ -155,21 +147,20 @@ class TestGradients:
             Wp, Wm = W.copy(), W.copy()
             Wp[i, j] += eps
             Wm[i, j] -= eps
-            lp, _ = _loss_and_grad(Wp, X, T, lam, inv)
-            lm, _ = _loss_and_grad(Wm, X, T, lam, inv)
+            lp, _ = _loss_and_grad(Wp, X, T, inv)
+            lm, _ = _loss_and_grad(Wm, X, T, inv)
             fd = (lp - lm) / (2 * eps)
             assert grad[i, j] == pytest.approx(fd, rel=1e-6)
 
 
-def _reference_adam(inputs, targets, output_layout, cfg):
+def _reference_adam(inputs, targets, cfg):
     """The Adam loop written with a fresh array per op: ``(W, losses,
     best_epoch)`` that :func:`train_adam` must reproduce bit for bit."""
     rng = np.random.default_rng(cfg.seed)
     n_samples, n_out = len(inputs), targets.shape[1]
     W = np.zeros((n_out, inputs.shape[1]))
-    lam = slot_weights(output_layout, cfg)
     m, v = np.zeros_like(W), np.zeros_like(W)
-    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, cfg.learning_rate
     losses = np.empty(cfg.epochs)
     best_loss, best_epoch, best_W = np.inf, -1, W.copy()
     step = 0
@@ -181,9 +172,8 @@ def _reference_adam(inputs, targets, output_layout, cfg):
             x, t = inputs[idx], targets[idx]
             inv_count = 1.0 / (len(idx) * n_out)
             resid = x @ W.T - t
-            weighted = lam * resid
-            epoch_losses.append(float(np.sum(weighted * resid) * inv_count))
-            g = (2.0 * inv_count * weighted).T @ x
+            epoch_losses.append(float(np.sum(resid * resid) * inv_count))
+            g = (2.0 * inv_count * resid).T @ x
             step += 1
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
@@ -252,7 +242,7 @@ class TestTrainAdam:
         inp, out = dirichlet_layouts(12)
         cfg = TrainingConfig(learning_rate=3e-2, batch_size=20, epochs=60, seed=4)
         op, report = train_adam(X, T, inp, out, cfg)
-        W, losses, best_epoch = _reference_adam(X, T, out, cfg)
+        W, losses, best_epoch = _reference_adam(X, T, cfg)
         assert op.W.tobytes() == W.tobytes()
         assert report.losses.tobytes() == losses.tobytes()
         assert report.best_epoch == best_epoch
@@ -262,9 +252,9 @@ class TestTrainAdam:
         inp, out = mixed_layouts(grid, {"G1"})
         g, h = rng.normal(size=(90, 24)), rng.normal(size=(90, 24))
         X, T = mixed_training_arrays(g, h, inp, out)
-        cfg = TrainingConfig(learning_rate=1e-2, batch_size=25, epochs=40, lambda1=2.0, lambda2=0.5, seed=6)
+        cfg = TrainingConfig(learning_rate=1e-2, batch_size=25, epochs=40, seed=6)
         op, report = train_adam(X, T, inp, out, cfg)
-        W, losses, best_epoch = _reference_adam(X, T, out, cfg)
+        W, losses, best_epoch = _reference_adam(X, T, cfg)
         assert op.W.tobytes() == W.tobytes()
         assert report.losses.tobytes() == losses.tobytes()
         assert report.best_epoch == best_epoch
@@ -275,7 +265,7 @@ class TestTrainAdam:
         with pytest.raises(ValueError, match=f"{field} must be at least 1"):
             TrainingConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["learning_rate", "lambda1", "lambda2"])
+    @pytest.mark.parametrize("field", ["learning_rate"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rates_and_weights_refused(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
@@ -356,6 +346,18 @@ class TestModelIO:
         assert load_model(save_model(op)).kernel is None
         op.kernel = KernelSpec("helmholtz2d", 10.0)
         assert load_model(save_model(op)).kernel == KernelSpec("helmholtz2d", 10.0)
+
+    @pytest.mark.parametrize("record,message", [
+        ({"family": "laplace2d", "k": True}, "sidecar field 'kernel.k' must be a number, got True"),
+        ({"family": "laplace2d"}, "sidecar field 'kernel.k' is missing"),
+        ({"family": 2, "k": 0.0}, "sidecar field 'kernel.family' must be a string, got 2"),
+        ([], "sidecar field 'kernel' must be an object, got []"),
+    ])
+    def test_kernel_record_read_by_the_typed_reader(self, rng, record, message):
+        payload = json.loads(save_model(random_op(rng)))
+        payload["kernel"] = record
+        with pytest.raises(ValueError, match="^" + re.escape(f"malformed model file: {message}") + "$"):
+            load_model(json.dumps(payload))
 
     def test_model_bytes_match_per_float_loop(self, rng):
         W = rng.normal(size=(4, 4))

@@ -9,14 +9,14 @@ from tracemap.kernels import _BLOCK, KernelSpec, SingularEvaluationError, kernel
 from tracemap.quadrature import (
     BoundaryReconstructor,
     DegenerateTriangleError,
-    SingularIntegralConfig,
     boundary_integral,
     double_layer_identity,
     integrate_mesh,
     integrate_triangle,
     mesh_quadrature_nodes,
+    _NODES,
+    _WEIGHTS,
     newton_potential_many,
-    seven_point_rule,
     singular_log_integral,
 )
 
@@ -30,10 +30,9 @@ LAPLACE = KernelSpec("laplace2d")
 
 class TestSevenPointRule:
     def test_weights_sum_to_one(self):
-        rule = seven_point_rule()
-        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-15)
-        assert rule.nodes.shape == (7, 3)
-        np.testing.assert_allclose(rule.nodes.sum(axis=1), 1.0, atol=1e-15)
+        assert _WEIGHTS.sum() == pytest.approx(1.0, abs=1e-15)
+        assert _NODES.shape == (7, 3)
+        np.testing.assert_allclose(_NODES.sum(axis=1), 1.0, atol=1e-15)
 
     def test_constant_over_unit_right_triangle(self):
         v = integrate_triangle(lambda p: np.ones(len(p)), (0, 0), (1, 0), (0, 1))
@@ -162,7 +161,6 @@ class TestNewtonPotential:
         vals, flags = newton_potential_many(
             LAPLACE, lambda p: np.ones(len(p)), mesh,
             np.array([[0.5, 0.5], [0.5, 0.005], [0.5, -0.5], [0.5, -5e-12]]),
-            SingularIntegralConfig(r0=0.01),
         )
         assert not flags[0]
         assert flags[1]
@@ -186,10 +184,9 @@ class TestNewtonPotential:
             calls.append(len(p))
             return 1.0 + np.sin(3.0 * p[:, 0]) * p[:, 1]
 
-        cfg = SingularIntegralConfig(r0=0.01)
-        want, want_flags = _reference_newton(f, mesh, xs, cfg.r0)
+        want, want_flags = _reference_newton(f, mesh, xs, 0.01)
         calls.clear()
-        got, flags = newton_potential_many(LAPLACE, f, mesh, xs, cfg)
+        got, flags = newton_potential_many(LAPLACE, f, mesh, xs)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
         np.testing.assert_array_equal(flags, want_flags)
         np.testing.assert_array_equal(flags[-6:], [True, True, True, False, False, False])

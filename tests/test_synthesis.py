@@ -542,6 +542,19 @@ class TestBuildDataset:
         with pytest.raises(ConfigurationError, match="n_samples must be at least 1"):
             small_spec(n_samples=n_samples)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_non_positive_kernels_per_sample_refused(self, count):
+        with pytest.raises(ConfigurationError, match=f"^n_kernels_per_sample must be at least 1, got {count}$"):
+            small_spec(n_kernels_per_sample=count)
+
+    @pytest.mark.parametrize("kernel,domain,message", [
+        (KernelSpec("laplace2d"), DomainSpec.sphere(), "kernel 'laplace2d' is 2-D, domain 'sphere3d' is 3-D"),
+        (KernelSpec("helmholtz3d", 2.0), SQUARE, "kernel 'helmholtz3d' is 3-D, domain 'unit_square' is 2-D"),
+    ])
+    def test_kernel_and_domain_dimensions_must_agree(self, kernel, domain, message):
+        with pytest.raises(ConfigurationError, match="^" + re.escape(message) + "$"):
+            small_spec(kernel=kernel, domain=domain)
+
     @pytest.mark.parametrize("box", [(-math.inf, 7.0), (-7.0, math.inf), (math.nan, 7.0), (-7.0, math.nan)])
     def test_non_finite_box_refused(self, box):
         with pytest.raises(ConfigurationError, match="^source_box ends must be finite"):
