@@ -14,10 +14,15 @@ sides alike.  For every workload
 and end-to-end metric of the change's ``BENCHMARK.json`` it prints both
 sides' median and quartiles, the change of the median, and how many pairs
 the change won (better in the metric's direction); ``rel_l2_error`` is
-printed next to them.  Checkout paths of unequal length are refused,
-because ``peak_rss_mb`` moves with the length of the checkout's path, and
-so is cached bytecode under one checkout's ``src`` only, because every
-stage of the other would then compile the package before it starts.
+printed next to them.  A run that fails (nonzero exit or an incorrect
+result) is recorded with its side, seed, exit code and last ``check
+failed:`` / ``problem:`` line, and the comparison goes on: its pair is left
+out of the medians and win counts, each workload's report counts the
+failures per side, and the script exits 1 at the end.  Checkout paths of
+unequal length are refused, because ``peak_rss_mb`` moves with the length
+of the checkout's path, and so is cached bytecode under one checkout's
+``src`` only, because every stage of the other would then compile the
+package before it starts.
 
 Standard library only; the benchmark's own files are read, never changed.
 """
@@ -34,17 +39,22 @@ from pathlib import Path
 
 DEFAULT_WORKLOADS = ["laplace-eval", "helmholtz-k10-solve", "poisson-source-solve", "mixed-adam-solve"]
 REL_L2 = re.compile(r"^\s*rel_l2_error = (\S+)", re.MULTILINE)
+FAILURE_LINE = re.compile(r"^\s*((?:check failed|problem):.*)$", re.MULTILINE)
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One untraced benchmark run: ``{metric: value}`` plus ``rel_l2_error``."""
+    """One untraced benchmark run: ``{metric: value}`` plus ``rel_l2_error``,
+    or, for a failed run, ``{"exit": code, "reason": last failure line}``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if lines else {}
+    try:
+        result = json.loads(lines[-1]) if lines else {}
+    except ValueError:
+        result = {}
     if proc.returncode != 0 or not result.get("correct"):
-        tail = "\n".join((proc.stdout + proc.stderr).strip().splitlines()[-15:])
-        raise SystemExit(f"{checkout}: {workload} seed {seed} failed (exit {proc.returncode})\n{tail}")
+        reasons = FAILURE_LINE.findall(proc.stderr + "\n" + proc.stdout)
+        return {"exit": proc.returncode, "reason": reasons[-1] if reasons else "no check failed:/problem: line"}
     values = {name: m["value"] for name, m in result["metrics"].items()}
     err = REL_L2.search(proc.stdout)
     values["rel_l2_error"] = float(err.group(1)) if err else float("nan")
@@ -59,8 +69,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def report(workload: str, runs: dict[str, list[dict]], directions: dict[str, str]) -> None:
-    """Print one workload's table."""
-    print(f"\n{workload}: {len(runs['parent'])} pairs")
+    """Print one workload's table over the pairs in which both runs passed."""
+    failed = {side: sum("exit" in r for r in rs) for side, rs in runs.items()}
+    pairs = [(p, c) for p, c in zip(runs["parent"], runs["change"]) if "exit" not in p and "exit" not in c]
+    print(f"\n{workload}: {len(pairs)} of {len(runs['parent'])} pairs complete; "
+          f"failed runs: parent {failed['parent']}, change {failed['change']}")
+    if not pairs:
+        return
+    runs = {"parent": [p for p, _ in pairs], "change": [c for _, c in pairs]}
     print(f"  {'metric':14s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} {'median':>8s} {'won':>6s}")
     for name in [*directions, "rel_l2_error"]:
         par = [r[name] for r in runs["parent"]]
@@ -98,6 +114,7 @@ def main(argv=None) -> int:
                      "every stage of the other would compile the package first")
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    any_failed = False
     for workload in args.workload or DEFAULT_WORKLOADS:
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
@@ -105,11 +122,16 @@ def main(argv=None) -> int:
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for side in order:
                 runs[side].append(run_once(sides[side], workload, seed))
-            print(f"  {workload} pair {i + 1}/{args.pairs} (seed {seed}): "
-                  + ", ".join(f"{m} {runs['parent'][-1][m]:.4g} -> {runs['change'][-1][m]:.4g}" for m in directions),
-                  flush=True)
+            par, chg = runs["parent"][-1], runs["change"][-1]
+            head = f"  {workload} pair {i + 1}/{args.pairs} (seed {seed}): "
+            for side, r in (("parent", par), ("change", chg)):
+                if "exit" in r:
+                    any_failed = True
+                    print(f"{head}{side} failed (exit {r['exit']}): {r['reason']}", flush=True)
+            if "exit" not in par and "exit" not in chg:
+                print(head + ", ".join(f"{m} {par[m]:.4g} -> {chg[m]:.4g}" for m in directions), flush=True)
         report(workload, runs, directions)
-    return 0
+    return 1 if any_failed else 0
 
 
 if __name__ == "__main__":

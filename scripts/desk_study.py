@@ -4,7 +4,8 @@
 Trains the boundary operator for each problem class (least squares by
 default, optionally Adam), evaluates the analytic test families on the
 margin-excluded 100x100 grid, and prints one summary table.  Runs in a
-few minutes on a laptop; see full_scale_study.py for the long version.
+few minutes on a laptop; the README's published-scale CLI recipe is the
+long version.
 """
 
 import argparse
@@ -25,7 +26,6 @@ from tracemap.operator import (
 )
 from tracemap.quadrature import BoundaryReconstructor
 from tracemap.solvers import (
-    MixedPartition,
     evaluate_suite,
     make_eval_grid,
     make_test_suite,
@@ -76,8 +76,7 @@ def main():
              for c in make_test_suite(f, SQUARE, seed=7, n_cases=10)]
 
     def solve_lap(case):
-        fld = solve_dirichlet(op_lap, KernelSpec("laplace2d"), grid,
-                              case.dirichlet(grid), reconstructor=rec, exact=case.u)
+        fld = solve_dirichlet(op_lap, rec, case.dirichlet(grid), exact=case.u)
         return fld, case.neumann(grid)
 
     summ = evaluate_suite(cases, solve_lap)
@@ -90,8 +89,7 @@ def main():
     mesh = triangulate_square(args.mesh_h)
     errs = []
     for case in poisson_cases():
-        fld = solve_poisson(op_lap, case.source, case.dirichlet(grid), mesh,
-                            grid, exact=case.u, reconstructor=rec)
+        fld = solve_poisson(op_lap, case.source, case.dirichlet(grid), mesh, rec, exact=case.u)
         errs.append(fld.relative_l2)
     rows.append(("poisson (2 cases)", loss, float("nan"), np.mean(errs), time.time() - t0))
 
@@ -100,11 +98,10 @@ def main():
     inp_m, out_m = mixed_layouts(grid, {"G1"})
     X, T = mixed_training_arrays(ds.g_rows, ds.h_rows, inp_m, out_m)
     op_m = fit_least_squares(X, T, inp_m, out_m)
-    part = MixedPartition.from_edges("G1")
     totals, nerrs = [], []
     for case in cases[::5]:
         g, h = case.dirichlet(grid), case.neumann(grid)
-        fld = solve_mixed(op_m, grid, part, g, h, exact=case.u, reconstructor=rec)
+        fld = solve_mixed(op_m, rec, {"G1"}, g, h, exact=case.u)
         totals.append(fld.relative_l2)
         nerrs.append(relative_l2(fld.h_trace, h))
     rows.append(("mixed (G1 dirichlet)", compute_loss(op_m, X, T),
@@ -117,14 +114,12 @@ def main():
                              n_points=400, n_samples=args.samples, seed=args.seed)
         ds_h = build_dataset(spec_h, grid)
         op_h, loss_h = train(ds_h, inp, out, args.method, args.epochs)
-        kernel_h = KernelSpec("helmholtz2d", k)
-        rec_h = BoundaryReconstructor(kernel_h, grid, eval_pts)
+        rec_h = BoundaryReconstructor(KernelSpec("helmholtz2d", k), grid, eval_pts)
         hcases = [c for f in ("sin_sin", "sin_sinh")
                   for c in make_test_suite(f, SQUARE, k=k, seed=7, n_cases=10)]
 
-        def solve_h(case, kernel_h=kernel_h, op_h=op_h, rec_h=rec_h):
-            fld = solve_dirichlet(op_h, kernel_h, grid, case.dirichlet(grid),
-                                  reconstructor=rec_h, exact=case.u)
+        def solve_h(case, op_h=op_h, rec_h=rec_h):
+            fld = solve_dirichlet(op_h, rec_h, case.dirichlet(grid), exact=case.u)
             return fld, case.neumann(grid)
 
         summ = evaluate_suite(hcases, solve_h)

@@ -31,11 +31,10 @@ from .operator import (
     save_model,
     train_adam,
 )
-from .quadrature import singular_log_integral
+from .quadrature import BoundaryReconstructor, singular_log_integral
 from .solvers import (
     HELMHOLTZ_FAMILIES,
     LAPLACE_FAMILIES,
-    MixedPartition,
     evaluate_suite,
     make_eval_grid,
     make_test_suite,
@@ -191,15 +190,16 @@ def cmd_eval(args) -> int:
     domain = _domain_from_name(args.domain)
 
     if args.suite == "helmholtz3d":
-        grid = make_boundary_grid(DomainSpec.sphere(), args.n)
+        if domain.dimension != 3:
+            raise ValueError(f"suite helmholtz3d needs a 3-D domain, got {domain.shape!r}")
+        grid = make_boundary_grid(domain, args.n)
         case = plane_wave_3d(args.k)
-        h_pred, err = predict_normal_derivative_3d(
-            op, grid, case.dirichlet(grid), case.neumann(grid)
-        )
+        _, err = predict_normal_derivative_3d(op, grid, case.dirichlet(grid), case.neumann(grid))
         summary = {"plane3d": {"n_cases": 1, "dudn_error": err}}
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
         print(f"3D normal-derivative relative error {err:.4e}")
+        _emit_provenance(args, out_dir / "summary.json")
         return 0
 
     grid = make_boundary_grid(domain, args.n)
@@ -213,9 +213,10 @@ def cmd_eval(args) -> int:
 
     def solve_one(case):
         g = case.dirichlet(grid)
+        rec = BoundaryReconstructor(kernel, grid, eval_points)
         if args.suite == "poisson":  # h_trace is the harmonic part's: no exact trace to match
-            return solve_poisson(op, case.source, g, mesh, grid, eval_points, exact=case.u), None
-        return solve_dirichlet(op, kernel, grid, g, eval_points, exact=case.u), case.neumann(grid)
+            return solve_poisson(op, case.source, g, mesh, rec, exact=case.u), None
+        return solve_dirichlet(op, rec, g, exact=case.u), case.neumann(grid)
 
     summary = evaluate_suite(cases, solve_one)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -234,14 +235,12 @@ def cmd_solve(args) -> int:
     domain, n = _parse_grid_name(args.grid)
     grid = make_boundary_grid(domain, n)
     g = _read_column(Path(args.g))
-    eval_points = make_eval_grid(domain, 100, margin=args.margin)
+    rec = BoundaryReconstructor(kernel, grid, make_eval_grid(domain, 100, margin=args.margin))
 
     if args.dirichlet_edges:
         h = _read_column(Path(args.h))
-        partition = MixedPartition.from_edges(
-            *[f"G{e}" for e in args.dirichlet_edges.split(",")]
-        )
-        fld = solve_mixed(op, grid, partition, g, h, eval_points)
+        edges = {f"G{e}" for e in args.dirichlet_edges.split(",")}
+        fld = solve_mixed(op, rec, edges, g, h)
     elif args.source:
         mesh = _source_mesh(domain, args.grid, args.mesh_h)
         f_vertex = _read_column(Path(args.source))
@@ -250,9 +249,10 @@ def cmd_solve(args) -> int:
                 f"source file has {len(f_vertex)} values, mesh has {len(mesh.vertices)} vertices"
             )
         f = _vertex_interpolant(mesh, f_vertex)
-        fld = solve_poisson(op, f, g, mesh, grid, eval_points)
+        fld = solve_poisson(op, f, g, mesh, rec)
     else:
-        fld = solve_dirichlet(op, kernel, grid, g, eval_points)
+        fld = solve_dirichlet(op, rec, g)
+    del rec  # free the kernel matrices before to_csv builds its text, so the two never add up in the peak
     Path(args.out).write_text(fld.to_csv())
     print(f"wrote field ({len(fld.points)} points) to {args.out}")
     _emit_provenance(args, Path(args.out))

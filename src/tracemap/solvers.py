@@ -4,11 +4,12 @@ trained operator, then reconstruct the interior by boundary integrals
 
 Every solver runs the same two steps: ``_predict`` completes the boundary
 traces with one operator apply, and ``_field`` rebuilds the interior from
-them.  Because the operator is linear and bias-free, inference does not
-need the training-time Neumann scale: Laplace data is anchored at its first
-Dirichlet entry (the true map annihilates constants) and nothing else is
-done to it, so pipelines are homogeneous of degree one in the boundary
-data.
+them with the :class:`BoundaryReconstructor` the caller built, whose kernel,
+grid and evaluation points define the problem.  Because the operator is
+linear and bias-free, inference does not need the training-time Neumann
+scale: Laplace data is anchored at its first Dirichlet entry (the true map
+annihilates constants) and nothing else is done to it, so pipelines are
+homogeneous of degree one in the boundary data.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import BoundaryGrid, DomainSpec, InvalidDomainError, TriMesh, boundary_distance, contains
-from .kernels import KernelSpec
 from .operator import LayoutError, LinearBoundaryOperator, assemble, dirichlet_layouts, mixed_layouts, scatter
 from .quadrature import BoundaryReconstructor, newton_potential_many
 from .textio import float_cells, table_text
@@ -40,23 +40,6 @@ def relative_l2(pred, exact) -> float:
     if denom == 0.0:
         raise UndefinedMetricError("reference vector has zero norm")
     return float(np.linalg.norm(pred - exact) / denom)
-
-
-@dataclass(frozen=True)
-class MixedPartition:
-    """Assignment of square edges G1..G4 to the Dirichlet part."""
-
-    dirichlet: frozenset
-
-    def __post_init__(self):
-        d = frozenset(self.dirichlet)
-        object.__setattr__(self, "dirichlet", d)
-        if not d or {"G1", "G2", "G3", "G4"} <= d:
-            raise LayoutError("a mixed partition needs both boundary condition types")
-
-    @classmethod
-    def from_edges(cls, *edges: str) -> "MixedPartition":
-        return cls(frozenset(edges))
 
 
 @dataclass(eq=False)
@@ -147,18 +130,10 @@ def _predict(op: LinearBoundaryOperator, grid: BoundaryGrid, layouts, g, h=None,
     return g_out, h_out
 
 
-def _field(kernel, grid, g, h, eval_points, exact, reconstructor, particular=None) -> SolutionField:
-    """The interior field of ``(g, h)`` at ``reconstructor.points`` (one built
-    for ``kernel`` and ``grid``), else at ``eval_points``, else on the domain's
-    :func:`make_eval_grid`.  ``particular(points) -> (values, flags)`` adds a
-    particular solution whose boundary values were taken out of ``g``."""
-    if reconstructor is None:
-        points = make_eval_grid(grid.spec) if eval_points is None else eval_points
-        reconstructor = BoundaryReconstructor(kernel, grid, points)
-    elif eval_points is not None:
-        raise ValueError("pass eval_points or a reconstructor, not both")
-    elif reconstructor.kernel != kernel or reconstructor.grid is not grid:
-        raise ValueError("reconstructor was built for a different problem")
+def _field(reconstructor: BoundaryReconstructor, g, h, exact, particular=None) -> SolutionField:
+    """The interior field of ``(g, h)`` at ``reconstructor.points``.
+    ``particular(points) -> (values, flags)`` adds a particular solution whose
+    boundary values were taken out of ``g``."""
     points = reconstructor.points
     pred, near_flags = reconstructor.field(g, h), reconstructor.near_flags
     if particular is not None:
@@ -172,92 +147,73 @@ def _field(kernel, grid, g, h, eval_points, exact, reconstructor, particular=Non
 
 
 def solve_dirichlet(
-    op: LinearBoundaryOperator,
-    kernel: KernelSpec,
-    grid: BoundaryGrid,
-    g: np.ndarray,
-    eval_points: np.ndarray | None = None,
-    exact=None,
-    reconstructor: BoundaryReconstructor | None = None,
+    op: LinearBoundaryOperator, reconstructor: BoundaryReconstructor, g: np.ndarray, exact=None
 ) -> SolutionField:
-    """Full-boundary Dirichlet data -> predicted Neumann trace -> interior.
+    """Full-boundary Dirichlet data -> predicted Neumann trace -> interior at
+    ``reconstructor.points``, with the reconstructor's kernel and grid.
 
     Laplace-family inputs are anchored by subtracting the first entry, the
-    same transformation the training data saw.  Pass a prebuilt
-    ``reconstructor`` (instead of ``eval_points``) to reuse kernel matrices
-    across many solves on the same grid and evaluation points.
+    same transformation the training data saw.
     """
+    grid = reconstructor.grid
     layouts = dirichlet_layouts(grid.n_points)
-    g, h = _predict(op, grid, layouts, g, anchored=kernel.family == "laplace2d")
-    return _field(kernel, grid, g, h, eval_points, exact, reconstructor)
+    g, h = _predict(op, grid, layouts, g, anchored=reconstructor.kernel.family == "laplace2d")
+    return _field(reconstructor, g, h, exact)
 
 
 def solve_helmholtz(
-    op: LinearBoundaryOperator,
-    k: float,
-    grid: BoundaryGrid,
-    g: np.ndarray,
-    eval_points: np.ndarray | None = None,
-    exact=None,
-    reconstructor: BoundaryReconstructor | None = None,
+    op: LinearBoundaryOperator, reconstructor: BoundaryReconstructor, g: np.ndarray, exact=None
 ) -> SolutionField:
     """Dirichlet Helmholtz pipeline: scale-only normalization, complex
     kernel reconstruction; the real part is the solution and the imaginary
     magnitude is a consistency diagnostic."""
-    return solve_dirichlet(
-        op, KernelSpec("helmholtz2d", k), grid, g, eval_points, exact, reconstructor
-    )
+    if reconstructor.kernel.family != "helmholtz2d":
+        raise ValueError(f"solve_helmholtz needs a helmholtz2d reconstructor, got {reconstructor.kernel}")
+    return solve_dirichlet(op, reconstructor, g, exact)
 
 
 def solve_mixed(
-    op: LinearBoundaryOperator,
-    grid: BoundaryGrid,
-    partition: MixedPartition,
-    g_dirichlet: np.ndarray,
-    h_neumann: np.ndarray,
-    eval_points: np.ndarray | None = None,
-    exact=None,
-    reconstructor: BoundaryReconstructor | None = None,
+    op: LinearBoundaryOperator, reconstructor: BoundaryReconstructor, dirichlet_segments,
+    g_dirichlet: np.ndarray, h_neumann: np.ndarray, exact=None,
 ) -> SolutionField:
     """Mixed boundary data -> predicted complements -> merged traces ->
     interior.  Known slots pass through to the merged traces verbatim.
 
+    ``dirichlet_segments`` (e.g. ``{"G1"}``) goes to :func:`mixed_layouts`.
     ``g_dirichlet`` / ``h_neumann`` are full-length vectors whose values
     are read only on their own segments.
     """
-    layouts = mixed_layouts(grid, partition.dirichlet)
+    if reconstructor.kernel.family != "laplace2d":
+        raise ValueError(f"solve_mixed needs a laplace2d reconstructor, got {reconstructor.kernel}")
+    grid = reconstructor.grid
+    layouts = mixed_layouts(grid, dirichlet_segments)
     g, h = _predict(op, grid, layouts, g_dirichlet, h_neumann, anchored=True)
-    return _field(KernelSpec("laplace2d"), grid, g, h, eval_points, exact, reconstructor)
+    return _field(reconstructor, g, h, exact)
 
 
 def solve_poisson(
-    op: LinearBoundaryOperator,
-    f,
-    g: np.ndarray,
-    mesh: TriMesh,
-    grid: BoundaryGrid,
-    eval_points: np.ndarray | None = None,
+    op: LinearBoundaryOperator, f, g: np.ndarray, mesh: TriMesh, reconstructor: BoundaryReconstructor,
     exact=None,
-    reconstructor: BoundaryReconstructor | None = None,
 ) -> SolutionField:
     """Source decomposition: a Newton-potential particular part plus a
     learned harmonic part matching the corrected boundary data.
 
     The particular part is ``u_f(x) = (1/2pi) int ln|x-y| f(y) dy`` so that
     its Laplacian equals ``f``; the homogeneous part solves the Laplace
-    problem with boundary data ``g - u_f``.
+    problem with boundary data ``g - u_f``.  The Newton potential refuses a
+    reconstructor of any kernel but ``laplace2d``.
     """
-    kernel = KernelSpec("laplace2d")
+    grid = reconstructor.grid
 
     def particular(points):
-        values, flags = newton_potential_many(kernel, f, mesh, points)
+        values, flags = newton_potential_many(reconstructor.kernel, f, mesh, points)
         return -values, flags
 
     g = np.asarray(g, dtype=float)
     _check_trace("g_dirichlet", g, grid.n_points)  # before g meets the Newton potential
     layouts = dirichlet_layouts(grid.n_points)
     g_harmonic, h = _predict(op, grid, layouts, g - particular(grid.points)[0], anchored=True)
-    fld = _field(kernel, grid, g_harmonic, h, eval_points, exact, reconstructor, particular)
+    fld = _field(reconstructor, g_harmonic, h, exact, particular)
     return replace(fld, g_trace=g)
 
 

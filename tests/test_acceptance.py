@@ -40,7 +40,6 @@ from tracemap.quadrature import (
     singular_log_integral,
 )
 from tracemap.solvers import (
-    MixedPartition,
     evaluate_suite,
     make_eval_grid,
     make_test_suite,
@@ -120,7 +119,7 @@ def laplace_suite():
 
 def run_laplace_eval(op, grid, rec):
     def solve_one(case):
-        fld = solve_dirichlet(op, LAPLACE, grid, case.dirichlet(grid), reconstructor=rec, exact=case.u)
+        fld = solve_dirichlet(op, rec, case.dirichlet(grid), exact=case.u)
         return fld, case.neumann(grid)
 
     summary = evaluate_suite(laplace_suite(), solve_one)
@@ -240,8 +239,7 @@ def test_criterion_06_desk_scale_poisson(square_grid, laplace_desk, eval100, lap
     errs = {}
     for case in poisson_cases():
         fld = solve_poisson(
-            laplace_desk["ls"], case.source, case.dirichlet(square_grid),
-            mesh, square_grid, exact=case.u, reconstructor=laplace_rec,
+            laplace_desk["ls"], case.source, case.dirichlet(square_grid), mesh, laplace_rec, exact=case.u,
         )
         errs[case.family] = fld.relative_l2
         assert fld.relative_l2 <= 5e-2, f"{case.family}: {fld.relative_l2:.2e}"
@@ -269,7 +267,7 @@ def test_criterion_07_desk_scale_helmholtz(square_grid, eval100, k, enforce):
     ]
 
     def solve_one(case):
-        fld = solve_helmholtz(op, k, square_grid, case.dirichlet(square_grid), reconstructor=rec, exact=case.u)
+        fld = solve_helmholtz(op, rec, case.dirichlet(square_grid), exact=case.u)
         return fld, case.neumann(square_grid)
 
     summary = evaluate_suite(cases, solve_one)
@@ -290,7 +288,6 @@ def test_criterion_08_mixed_boundary_conditions(square_grid, laplace_desk, eval1
     inp, out = mixed_layouts(square_grid, {"G1"})
     X, T = mixed_training_arrays(ds.g_rows, ds.h_rows, inp, out)
     op = fit_least_squares(X, T, inp, out)
-    partition = MixedPartition.from_edges("G1")
     idx_d = square_grid.segment_indices("G1")
     idx_n = np.setdiff1d(np.arange(400), idx_d)
 
@@ -302,7 +299,7 @@ def test_criterion_08_mixed_boundary_conditions(square_grid, laplace_desk, eval1
     d_errs, n_errs, totals = [], [], []
     for case in suite:
         g, h = case.dirichlet(square_grid), case.neumann(square_grid)
-        fld = solve_mixed(op, square_grid, partition, g, h, exact=case.u, reconstructor=laplace_rec)
+        fld = solve_mixed(op, laplace_rec, {"G1"}, g, h, exact=case.u)
         np.testing.assert_array_equal(fld.g_trace[idx_d], g[idx_d])
         np.testing.assert_array_equal(fld.h_trace[idx_n], h[idx_n])
         d_errs.append(relative_l2(fld.g_trace, g))

@@ -30,6 +30,16 @@ def laplace_run(tmp_path_factory):
     return root, data, model
 
 
+@pytest.fixture(scope="module")
+def sphere_model(tmp_path_factory):
+    """A k = 2 LS model on 100 sphere points, for the 3-D eval suite."""
+    root = tmp_path_factory.mktemp("sphere")
+    assert run(["gen", "--equation", "helmholtz3d", "--domain", "sphere", "--k", 2, "--n", 100,
+                "--samples", 150, "--seed", 3, "--out", root / "data"]) == 0
+    assert run(["train", "--data", root / "data", "--method", "ls", "--out", root / "model.json"]) == 0
+    return root / "model.json"
+
+
 class TestGen:
     def test_outputs_and_determinism(self, laplace_run, tmp_path, capsys):
         _, data, _ = laplace_run
@@ -267,16 +277,23 @@ class TestEvalSolve:
             assert fam["n_cases"] == 10 and np.isfinite(fam["mean_total_error"])
         assert len(list(out.glob("case_*.csv"))) == 20
 
-    def test_eval_helmholtz3d_summary(self, tmp_path):
-        data, model, out = tmp_path / "data", tmp_path / "model.json", tmp_path / "eval"
-        assert run(["gen", "--equation", "helmholtz3d", "--domain", "sphere", "--k", 2, "--n", 100,
-                    "--samples", 150, "--seed", 3, "--out", data]) == 0
-        assert run(["train", "--data", data, "--method", "ls", "--out", model]) == 0
-        assert run(["eval", "--model", model, "--suite", "helmholtz3d", "--k", 2, "--n", 100,
-                    "--out", out]) == 0
+    def test_eval_helmholtz3d_summary(self, sphere_model, tmp_path, capsys):
+        out = tmp_path / "eval"
+        assert run(["eval", "--model", sphere_model, "--suite", "helmholtz3d", "--domain", "sphere",
+                    "--k", 2, "--n", 100, "--out", out]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary) == {"plane3d"}
         assert summary["plane3d"]["n_cases"] == 1 and np.isfinite(summary["plane3d"]["dudn_error"])
+        config, artifact = capsys.readouterr().out.splitlines()[-2:]
+        assert config.startswith("config: ") and {"domain=sphere", "suite=helmholtz3d"} <= set(config.split())
+        assert artifact.startswith(f"artifact: {out / 'summary.json'} sha256:")
+
+    def test_eval_helmholtz3d_on_a_2d_domain_refused(self, sphere_model, tmp_path, capsys):
+        out = tmp_path / "eval"
+        assert run(["eval", "--model", sphere_model, "--suite", "helmholtz3d", "--domain", "star5",
+                    "--k", 2, "--n", 100, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: suite helmholtz3d needs a 3-D domain, got 'polar_curve'\n"
+        assert not out.exists()
 
     def test_solve_roundtrip_field_csv(self, laplace_run, tmp_path):
         _, _, model = laplace_run

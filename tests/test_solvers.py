@@ -20,7 +20,6 @@ from tracemap.operator import (
 )
 from tracemap.quadrature import BoundaryReconstructor
 from tracemap.solvers import (
-    MixedPartition,
     SolutionField,
     UndefinedMetricError,
     evaluate_suite,
@@ -61,6 +60,11 @@ def small_laplace(small_grid):
 @pytest.fixture(scope="module")
 def eval_pts():
     return make_eval_grid(SQUARE, 40, margin=0.05)
+
+
+@pytest.fixture(scope="module")
+def lap_rec(small_grid, eval_pts):
+    return BoundaryReconstructor(LAPLACE, small_grid, eval_pts)
 
 
 class TestRelativeL2:
@@ -109,65 +113,47 @@ class TestEvalGrid:
 
 
 class TestSolveDirichlet:
-    def test_log_kernel_case(self, small_grid, small_laplace, eval_pts):
+    def test_log_kernel_case(self, small_grid, small_laplace, lap_rec):
         _, op = small_laplace
         suite = make_test_suite("u1", SQUARE, seed=3, n_cases=1)
         case = suite[0]
-        fld = solve_dirichlet(op, LAPLACE, small_grid, case.dirichlet(small_grid), eval_pts, exact=case.u)
+        fld = solve_dirichlet(op, lap_rec, case.dirichlet(small_grid), exact=case.u)
         assert fld.relative_l2 < 5e-3
         assert relative_l2(fld.h_trace, case.neumann(small_grid)) < 5e-2
 
-    def test_constant_data_maps_to_constant_field(self, small_grid, small_laplace, eval_pts):
+    def test_constant_data_maps_to_constant_field(self, small_laplace, lap_rec):
         # anchoring sends constant input to the zero vector, so the
         # predicted Neumann trace is exactly zero and the field is the
         # double-layer constant
         _, op = small_laplace
-        fld = solve_dirichlet(op, LAPLACE, small_grid, np.full(N_SMALL, 7.0), eval_pts)
+        fld = solve_dirichlet(op, lap_rec, np.full(N_SMALL, 7.0))
         np.testing.assert_array_equal(fld.h_trace, np.zeros(N_SMALL))
         assert np.abs(fld.pred.real - 7.0).max() < 7.0 * 1e-2
 
-    def test_scale_equivariance_exact(self, small_grid, small_laplace, eval_pts):
+    def test_scale_equivariance_exact(self, small_grid, small_laplace, lap_rec):
         _, op = small_laplace
         case = make_test_suite("u2", SQUARE, seed=5, n_cases=1)[0]
         g = case.dirichlet(small_grid)
-        rec = BoundaryReconstructor(LAPLACE, small_grid, eval_pts)
-        f1 = solve_dirichlet(op, LAPLACE, small_grid, g, reconstructor=rec)
-        f3 = solve_dirichlet(op, LAPLACE, small_grid, 3.0 * g, reconstructor=rec)
+        f1 = solve_dirichlet(op, lap_rec, g)
+        f3 = solve_dirichlet(op, lap_rec, 3.0 * g)
         np.testing.assert_allclose(f3.pred, 3.0 * f1.pred, rtol=1e-12)
 
-    def test_size_mismatch(self, small_laplace, small_grid):
+    def test_size_mismatch(self, small_laplace, lap_rec):
         _, op = small_laplace
         with pytest.raises(LayoutError):
-            solve_dirichlet(op, LAPLACE, small_grid, np.ones(N_SMALL + 1))
+            solve_dirichlet(op, lap_rec, np.ones(N_SMALL + 1))
 
-    def test_h_trace_is_one_apply_of_the_anchored_data(self, small_grid, small_laplace, eval_pts):
+    def test_h_trace_is_one_apply_of_the_anchored_data(self, small_grid, small_laplace, lap_rec):
         _, op = small_laplace
         for case in make_test_suite("u3", SQUARE, seed=4, n_cases=3):
             g = case.dirichlet(small_grid)
-            fld = solve_dirichlet(op, LAPLACE, small_grid, g, eval_pts)
+            fld = solve_dirichlet(op, lap_rec, g)
             assert fld.h_trace.tobytes() == op.apply(g - g[0]).tobytes()
             assert fld.g_trace.tobytes() == g.tobytes()
 
-    def test_operator_for_another_layout_refused(self, small_grid, mixed_setup):
-        op, _ = mixed_setup
+    def test_operator_for_another_layout_refused(self, lap_rec, mixed_setup):
         with pytest.raises(LayoutError, match="another grid size or boundary partition"):
-            solve_dirichlet(op, LAPLACE, small_grid, np.ones(N_SMALL))
-
-
-@pytest.mark.parametrize("solver", ["dirichlet", "mixed", "poisson"])
-def test_eval_points_with_a_reconstructor_refused(solver, small_grid, small_laplace, mixed_setup, eval_pts):
-    _, op = small_laplace
-    op_mixed, part = mixed_setup
-    rec = BoundaryReconstructor(LAPLACE, small_grid, eval_pts)
-    g, h = np.ones(N_SMALL), np.zeros(N_SMALL)
-    with pytest.raises(ValueError, match="^pass eval_points or a reconstructor, not both$"):
-        if solver == "dirichlet":
-            solve_dirichlet(op, LAPLACE, small_grid, g, eval_pts, reconstructor=rec)
-        elif solver == "mixed":
-            solve_mixed(op_mixed, small_grid, part, g, h, eval_pts, reconstructor=rec)
-        else:
-            zero = lambda p: np.zeros(len(p))
-            solve_poisson(op, zero, g, triangulate_square(0.5), small_grid, eval_pts, reconstructor=rec)
+            solve_dirichlet(mixed_setup, lap_rec, np.ones(N_SMALL))
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +161,7 @@ def mixed_setup(small_grid, small_laplace):
     ds, _ = small_laplace
     inp, out = mixed_layouts(small_grid, {"G1"})
     X, T = mixed_training_arrays(ds.g_rows, ds.h_rows, inp, out)
-    return fit_least_squares(X, T, inp, out), MixedPartition.from_edges("G1")
+    return fit_least_squares(X, T, inp, out)
 
 
 @pytest.fixture(scope="module")
@@ -190,91 +176,98 @@ def helm_setup(small_grid):
     return k, fit_least_squares(ds.g_rows, ds.h_rows, inp, out)
 
 
+@pytest.fixture(scope="module")
+def helm_rec(small_grid, helm_setup, eval_pts):
+    k, _ = helm_setup
+    return BoundaryReconstructor(KernelSpec("helmholtz2d", k), small_grid, eval_pts)
+
+
+@pytest.mark.parametrize("solver", ["helmholtz", "mixed", "poisson"])
+def test_reconstructor_of_another_kernel_family_refused(solver, small_laplace, mixed_setup, lap_rec, helm_rec):
+    _, op = small_laplace
+    g, h = np.ones(N_SMALL), np.zeros(N_SMALL)
+    if solver == "helmholtz":
+        with pytest.raises(ValueError, match="^solve_helmholtz needs a helmholtz2d reconstructor, got "):
+            solve_helmholtz(op, lap_rec, g)
+    elif solver == "mixed":
+        with pytest.raises(ValueError, match="^solve_mixed needs a laplace2d reconstructor, got "):
+            solve_mixed(mixed_setup, helm_rec, {"G1"}, g, h)
+    else:
+        with pytest.raises(ValueError, match="^the Newton potential is implemented for the 2D log kernel$"):
+            solve_poisson(op, lambda p: np.zeros(len(p)), g, triangulate_square(0.5), helm_rec)
+
+
 class TestSolveMixed:
-    def test_known_slots_pass_through_verbatim(self, small_grid, mixed_setup, eval_pts):
-        op, part = mixed_setup
+    def test_known_slots_pass_through_verbatim(self, small_grid, mixed_setup, lap_rec):
+        op = mixed_setup
         case = make_test_suite("u5", SQUARE, seed=0, n_cases=1)[0]
         g, h = case.dirichlet(small_grid), case.neumann(small_grid)
-        fld = solve_mixed(op, small_grid, part, g, h, eval_pts, exact=case.u)
+        fld = solve_mixed(op, lap_rec, {"G1"}, g, h, exact=case.u)
         idx_d = small_grid.segment_indices("G1")
         idx_n = [i for i in range(N_SMALL) if i not in set(idx_d.tolist())]
         np.testing.assert_array_equal(fld.g_trace[idx_d], g[idx_d])
         np.testing.assert_array_equal(fld.h_trace[idx_n], h[idx_n])
 
-    def test_recovers_complementary_traces(self, small_grid, mixed_setup, eval_pts):
-        op, part = mixed_setup
+    def test_recovers_complementary_traces(self, small_grid, mixed_setup, lap_rec):
+        op = mixed_setup
         case = make_test_suite("u4", SQUARE, seed=8, n_cases=1)[0]
         g, h = case.dirichlet(small_grid), case.neumann(small_grid)
-        fld = solve_mixed(op, small_grid, part, g, h, eval_pts, exact=case.u)
+        fld = solve_mixed(op, lap_rec, {"G1"}, g, h, exact=case.u)
         assert relative_l2(fld.g_trace, g) < 2e-2
         assert relative_l2(fld.h_trace, h) < 5e-2
         assert fld.relative_l2 < 5e-2
 
-    def test_wrong_partition_rejected(self, small_grid, mixed_setup):
-        op, _ = mixed_setup
-        other = MixedPartition.from_edges("G2")
+    def test_wrong_partition_rejected(self, mixed_setup, lap_rec):
         with pytest.raises(LayoutError):
-            solve_mixed(op, small_grid, other, np.ones(N_SMALL), np.zeros(N_SMALL))
+            solve_mixed(mixed_setup, lap_rec, {"G2"}, np.ones(N_SMALL), np.zeros(N_SMALL))
 
     @pytest.mark.parametrize("n_g, n_h", [(N_SMALL + 50, N_SMALL), (N_SMALL, N_SMALL + 50),
                                           (N_SMALL, N_SMALL // 2), (N_SMALL - 1, N_SMALL)])
-    def test_trace_lengths_must_match_the_grid(self, small_grid, mixed_setup, n_g, n_h):
-        op, part = mixed_setup
+    def test_trace_lengths_must_match_the_grid(self, mixed_setup, lap_rec, n_g, n_h):
         name, n = ("g_dirichlet", n_g) if n_g != N_SMALL else ("h_neumann", n_h)
         with pytest.raises(LayoutError, match=f"^{name} has {n} values, the grid has {N_SMALL} points$"):
-            solve_mixed(op, small_grid, part, np.ones(n_g), np.zeros(n_h))
-
-    def test_partition_requires_both_types(self):
-        with pytest.raises(LayoutError):
-            MixedPartition.from_edges("G1", "G2", "G3", "G4")
+            solve_mixed(mixed_setup, lap_rec, {"G1"}, np.ones(n_g), np.zeros(n_h))
 
 
 class TestSolvePoisson:
-    def test_zero_source_reduces_to_dirichlet(self, small_grid, small_laplace, eval_pts):
+    def test_zero_source_reduces_to_dirichlet(self, small_grid, small_laplace, lap_rec):
         _, op = small_laplace
         case = make_test_suite("u2", SQUARE, seed=2, n_cases=1)[0]
         g = case.dirichlet(small_grid)
         mesh = triangulate_square(0.1)
-        rec = BoundaryReconstructor(LAPLACE, small_grid, eval_pts)
-        direct = solve_dirichlet(op, LAPLACE, small_grid, g, reconstructor=rec)
-        viapoisson = solve_poisson(
-            op, lambda p: np.zeros(len(p)), g, mesh, small_grid, reconstructor=rec
-        )
+        direct = solve_dirichlet(op, lap_rec, g)
+        viapoisson = solve_poisson(op, lambda p: np.zeros(len(p)), g, mesh, lap_rec)
         np.testing.assert_array_equal(viapoisson.pred, direct.pred)
         np.testing.assert_array_equal(viapoisson.h_trace, direct.h_trace)
 
-    def test_quadratic_case_coarse(self, small_grid, small_laplace, eval_pts):
+    def test_quadratic_case_coarse(self, small_grid, small_laplace, lap_rec):
         _, op = small_laplace
         case = poisson_cases()[0]  # u = (x^2+y^2)/4, f = 1
         mesh = triangulate_square(0.05)
-        fld = solve_poisson(
-            op, case.source, case.dirichlet(small_grid), mesh, small_grid, eval_pts,
-            exact=case.u,
-        )
+        fld = solve_poisson(op, case.source, case.dirichlet(small_grid), mesh, lap_rec, exact=case.u)
         assert fld.relative_l2 < 5e-2
 
 
 class TestHelmholtz:
-    def test_sin_sin_pipeline(self, small_grid, helm_setup, eval_pts):
+    def test_sin_sin_pipeline(self, small_grid, helm_setup, helm_rec):
         k, op = helm_setup
         case = make_test_suite("sin_sin", SQUARE, k=k, seed=4, n_cases=1)[0]
-        fld = solve_helmholtz(op, k, small_grid, case.dirichlet(small_grid), eval_pts, exact=case.u)
+        fld = solve_helmholtz(op, helm_rec, case.dirichlet(small_grid), exact=case.u)
         assert fld.relative_l2 < 5e-2
         assert fld.imag_ratio < 1e-2
 
-    def test_scale_equivariance(self, small_grid, helm_setup, eval_pts):
+    def test_scale_equivariance(self, small_grid, helm_setup, helm_rec):
         k, op = helm_setup
         case = make_test_suite("sin_sin", SQUARE, k=k, seed=6, n_cases=1)[0]
         g = case.dirichlet(small_grid)
-        rec = BoundaryReconstructor(KernelSpec("helmholtz2d", k), small_grid, eval_pts)
-        f1 = solve_helmholtz(op, k, small_grid, g, reconstructor=rec)
-        f2 = solve_helmholtz(op, k, small_grid, -2.0 * g, reconstructor=rec)
+        f1 = solve_helmholtz(op, helm_rec, g)
+        f2 = solve_helmholtz(op, helm_rec, -2.0 * g)
         np.testing.assert_allclose(f2.pred, -2.0 * f1.pred, rtol=1e-12)
 
-    def test_h_trace_is_one_apply_of_the_data(self, small_grid, helm_setup, eval_pts):
+    def test_h_trace_is_one_apply_of_the_data(self, small_grid, helm_setup, helm_rec):
         k, op = helm_setup
         g = make_test_suite("sin_sinh", SQUARE, k=k, seed=6, n_cases=1)[0].dirichlet(small_grid)
-        fld = solve_dirichlet(op, KernelSpec("helmholtz2d", k), small_grid, g, eval_pts)
+        fld = solve_dirichlet(op, helm_rec, g)
         assert fld.h_trace.tobytes() == op.apply(g).tobytes()
 
 
@@ -353,10 +346,10 @@ class TestTestSuite:
 
 
 class TestSolutionField:
-    def test_csv_schema(self, small_grid, small_laplace, eval_pts):
+    def test_csv_schema(self, small_grid, small_laplace, eval_pts, lap_rec):
         _, op = small_laplace
         case = make_test_suite("u4", SQUARE, seed=3, n_cases=1)[0]
-        fld = solve_dirichlet(op, LAPLACE, small_grid, case.dirichlet(small_grid), eval_pts, exact=case.u)
+        fld = solve_dirichlet(op, lap_rec, case.dirichlet(small_grid), exact=case.u)
         lines = fld.to_csv().splitlines()
         assert lines[0] == "x,y,u_pred_re,u_pred_im,u_exact,abs_err,flag"
         assert len(lines) == len(eval_pts) + 1
@@ -389,17 +382,17 @@ class TestSolutionField:
         _, op = small_laplace
         pts = np.array([[0.5, 0.5], [0.5, 0.001]])  # second is near-boundary
         case = make_test_suite("u4", SQUARE, seed=3, n_cases=1)[0]
-        fld = solve_dirichlet(op, LAPLACE, small_grid, case.dirichlet(small_grid), pts, exact=case.u)
+        rec = BoundaryReconstructor(LAPLACE, small_grid, pts)
+        fld = solve_dirichlet(op, rec, case.dirichlet(small_grid), exact=case.u)
         assert fld.near_flags[1] and not fld.near_flags[0]
         assert fld.relative_l2 <= fld.relative_l2_full
 
-    def test_evaluate_suite_summary_shape(self, small_grid, small_laplace, eval_pts):
+    def test_evaluate_suite_summary_shape(self, small_grid, small_laplace, lap_rec):
         _, op = small_laplace
-        rec = BoundaryReconstructor(LAPLACE, small_grid, eval_pts)
         cases = make_test_suite("u4", SQUARE, seed=3, n_cases=2)
 
         def solve_one(case):
-            fld = solve_dirichlet(op, LAPLACE, small_grid, case.dirichlet(small_grid), reconstructor=rec, exact=case.u)
+            fld = solve_dirichlet(op, lap_rec, case.dirichlet(small_grid), exact=case.u)
             return fld, case.neumann(small_grid)
 
         summary = evaluate_suite(cases, solve_one)
