@@ -21,8 +21,8 @@ from tracemap.operator import (
     dirichlet_layouts,
     fit_least_squares,
     mixed_layouts,
-    mixed_training_arrays,
     train_adam,
+    training_arrays,
 )
 from tracemap.quadrature import BoundaryReconstructor
 from tracemap.solvers import (
@@ -43,11 +43,13 @@ SQUARE = DomainSpec.unit_square()
 
 
 def train(ds, inp, out, method, epochs):
+    """The operator fitted to ``ds`` for the layouts ``(inp, out)``, and its training loss."""
+    X, T = training_arrays(ds.g_rows, ds.h_rows, inp, out, ds.spec.kernel.anchored)
     if method == "ls":
-        op = fit_least_squares(ds.g_rows, ds.h_rows, inp, out)
-        return op, compute_loss(op, ds.g_rows, ds.h_rows)
+        op = fit_least_squares(X, T, inp, out)
+        return op, compute_loss(op, X, T)
     cfg = TrainingConfig(epochs=epochs, seed=3)
-    op, report = train_adam(ds.g_rows, ds.h_rows, inp, out, cfg)
+    op, report = train_adam(X, T, inp, out, cfg)
     return op, report.best_loss
 
 
@@ -96,15 +98,14 @@ def main():
     # Mixed boundary conditions, Dirichlet part = bottom edge
     t0 = time.time()
     inp_m, out_m = mixed_layouts(grid, {"G1"})
-    X, T = mixed_training_arrays(ds.g_rows, ds.h_rows, inp_m, out_m)
-    op_m = fit_least_squares(X, T, inp_m, out_m)
+    op_m, loss_m = train(ds, inp_m, out_m, "ls", args.epochs)
     totals, nerrs = [], []
     for case in cases[::5]:
         g, h = case.dirichlet(grid), case.neumann(grid)
         fld = solve_mixed(op_m, rec, {"G1"}, g, h, exact=case.u)
         totals.append(fld.relative_l2)
         nerrs.append(relative_l2(fld.h_trace, h))
-    rows.append(("mixed (G1 dirichlet)", compute_loss(op_m, X, T),
+    rows.append(("mixed (G1 dirichlet)", loss_m,
                  np.mean(nerrs), np.mean(totals), time.time() - t0))
 
     # Helmholtz
@@ -135,11 +136,11 @@ def main():
                         n_points=1200, n_samples=args.samples, seed=args.seed)
     ds3 = build_dataset(spec3, grid3)
     inp3, out3 = dirichlet_layouts(1200)
-    op3 = fit_least_squares(ds3.g_rows, ds3.h_rows, inp3, out3)
+    op3, loss3 = train(ds3, inp3, out3, "ls", args.epochs)
     case3 = plane_wave_3d(1.0)
     _, err3 = predict_normal_derivative_3d(op3, grid3, case3.dirichlet(grid3),
                                            case3.neumann(grid3))
-    rows.append(("helmholtz 3d (boundary)", compute_loss(op3, ds3.g_rows, ds3.h_rows),
+    rows.append(("helmholtz 3d (boundary)", loss3,
                  err3, float("nan"), time.time() - t0))
 
     print(f"\n{'problem':<24} {'train loss':>11} {'dudn err':>10} {'total err':>10} {'secs':>6}")

@@ -27,9 +27,9 @@ from .operator import (
     fit_least_squares,
     load_model,
     mixed_layouts,
-    mixed_training_arrays,
     save_model,
     train_adam,
+    training_arrays,
 )
 from .quadrature import BoundaryReconstructor, singular_log_integral
 from .solvers import (
@@ -133,6 +133,12 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _make_parents(*paths: str) -> None:
+    """Create the directory of each named output file before any work is done."""
+    for path in filter(None, paths):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _load_dataset(data_dir: Path) -> Dataset:
     spec = DatasetSpec.from_json((data_dir / "dataset.json").read_text())
     grid = make_boundary_grid(spec.domain, spec.n_points)
@@ -140,16 +146,16 @@ def _load_dataset(data_dir: Path) -> Dataset:
 
 
 def cmd_train(args) -> int:
-    data_dir = Path(args.data)
-    ds = _load_dataset(data_dir)
-    n = ds.spec.n_points
+    _make_parents(args.out, args.log)
+    ds = _load_dataset(Path(args.data))
+    kernel = ds.spec.kernel
     if args.dirichlet_edges:
-        edges = {f"G{e}" for e in args.dirichlet_edges.split(",")}
-        inp_layout, out_layout = mixed_layouts(ds.grid, edges)
-        inputs, targets = mixed_training_arrays(ds.g_rows, ds.h_rows, inp_layout, out_layout)
+        if kernel.family != "laplace2d":  # the one kernel solve_mixed takes
+            raise ValueError(f"{args.data}: mixed operators are trained on laplace2d data only, not {kernel}")
+        inp_layout, out_layout = mixed_layouts(ds.grid, {f"G{e}" for e in args.dirichlet_edges.split(",")})
     else:
-        inp_layout, out_layout = dirichlet_layouts(n)
-        inputs, targets = ds.g_rows, ds.h_rows
+        inp_layout, out_layout = dirichlet_layouts(ds.spec.n_points)
+    inputs, targets = training_arrays(ds.g_rows, ds.h_rows, inp_layout, out_layout, kernel.anchored)
 
     if args.method == "ls":
         op = fit_least_squares(inputs, targets, inp_layout, out_layout)
@@ -168,7 +174,7 @@ def cmd_train(args) -> int:
         )
         log_text = report.to_csv()
     print(f"constant annihilation {constant_annihilation(op):.3e}")
-    op.kernel = ds.spec.kernel
+    op.kernel = kernel
     Path(args.out).write_text(save_model(op))
     written = [Path(args.out)]
     if args.log:
@@ -230,6 +236,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _make_parents(args.out)
     kernel = _kernel(args.equation, args.k)
     op = _load_model_for(args.model, kernel)
     domain, n = _parse_grid_name(args.grid)
@@ -310,21 +317,19 @@ def cmd_quadbench(args) -> int:
         if args.kernel not in integrands:
             raise SystemExit(f"unknown benchmark kernel {args.kernel!r}")
         integrands = {args.kernel: integrands[args.kernel]}
-    rows = []
-    worst = 0.0
+    rows, rels = [], []
     for h in args.h:
         mesh = triangulate_square(h)
         for label, (x0, ref) in integrands.items():
             val = singular_log_integral(mesh, x0, args.r0)
-            rel = abs(val - ref) / abs(ref)
-            worst = max(worst, rel)
-            rows.append([label, *float_cells([h, val, ref, rel])])
+            rels.append(abs(val - ref) / abs(ref))
+            rows.append([label, *float_cells([h, val, ref, rels[-1]])])
     report = table_text("integrand,h,computed,reference,rel_error", rows, end="\n")
     print(report, end="")
     if args.out:
         Path(args.out).write_text(report)
         _emit_provenance(args, Path(args.out))
-    return 0 if worst <= args.fail_above else 1
+    return 0 if all(rel <= args.fail_above for rel in rels) else 1  # a NaN error fails
 
 
 def build_parser() -> argparse.ArgumentParser:

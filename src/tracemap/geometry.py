@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .textio import float_cells, parse_floats, table_text
+from .textio import float_cells, json_field, json_numbers, parse_floats, table_text
 
 SQUARE_SEGMENTS = ("G1", "G2", "G3", "G4")
 
@@ -138,18 +138,19 @@ class DomainSpec:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "DomainSpec":
-        shape = payload["shape"]
+        """Inverse of :meth:`to_payload`, the ``"domain"`` record of dataset
+        sidecars; a missing or mistyped field raises a ``ValueError`` naming it."""
+        shape = json_field(payload, "shape", str, "domain.")
         if shape == "unit_square":
             return cls.unit_square()
         if shape == "polar_curve":
-            c = _curve_from_payload(payload["outer"])
+            c = _curve_from_payload(payload, "outer")
             return cls.polar(c.base, c.terms, c.center)
         if shape == "multi_loop":
-            return cls.multi_loop(
-                _curve_from_payload(payload["outer"]), _curve_from_payload(payload["inner"])
-            )
+            return cls.multi_loop(_curve_from_payload(payload, "outer"), _curve_from_payload(payload, "inner"))
         if shape == "sphere3d":
-            return cls.sphere(tuple(payload["center"]), payload["radius"])
+            center = json_numbers(payload, "center", 3, "domain.")
+            return cls.sphere(center, json_field(payload, "radius", float, "domain."))
         raise InvalidDomainError(f"unknown domain shape {shape!r}")
 
     @property
@@ -177,9 +178,20 @@ def _curve_payload(c: PolarCurve) -> dict:
     }
 
 
-def _curve_from_payload(payload: dict) -> PolarCurve:
-    terms = tuple(PolarTerm(k, a, f) for k, a, f in payload["terms"])
-    return PolarCurve(payload["base"], terms, tuple(payload["center"]))
+def _curve_from_payload(domain: dict, name: str) -> PolarCurve:
+    """The curve record ``domain[name]``; a ``ValueError`` names a bad field."""
+    prefix = f"domain.{name}."
+    curve = json_field(domain, name, dict, "domain.")
+    fields = {"kind": str, "amplitude": float, "frequency": int}
+    terms = []
+    for i, term in enumerate(json_field(curve, "terms", list, prefix)):
+        where = f"{prefix}terms[{i}]"
+        if not isinstance(term, list) or len(term) != len(fields):
+            raise ValueError(f"sidecar field {where!r} must be a [{', '.join(fields)}] list, got {term!r}")
+        record = dict(zip(fields, term))
+        terms.append(PolarTerm(*(json_field(record, f, kind, where + ".") for f, kind in fields.items())))
+    base = json_field(curve, "base", float, prefix)
+    return PolarCurve(base, tuple(terms), json_numbers(curve, "center", 2, prefix))
 
 
 def _check_positive_radius(curve: PolarCurve) -> None:
@@ -583,9 +595,9 @@ def parse_msh(text: str) -> TriMesh:
                     fail(ln + 1, "node needs id and at least x y")
                 try:
                     nid = int(parts[0])
-                    x, y = float(parts[1]), float(parts[2])
-                except ValueError:
-                    fail(ln + 1, "non-numeric node entry")
+                    x, y = parse_floats(parts[1:3], "node coordinates")
+                except ValueError as exc:
+                    fail(ln + 1, f"bad node entry ({exc})")
                 nodes[nid] = (x, y)
             i += 2 + count
             if i >= len(lines) or lines[i].strip() != "$EndNodes":

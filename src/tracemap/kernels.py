@@ -86,6 +86,11 @@ class KernelSpec:
     def is_complex(self) -> bool:
         return self.family != "laplace2d"
 
+    @property
+    def anchored(self) -> bool:
+        """Traces are taken relative to a Dirichlet entry: constants solve Laplace, not Helmholtz."""
+        return self.family == "laplace2d"
+
 
 # ---------------------------------------------------------------------------
 # Bessel functions J0, J1, Y0, Y1

@@ -88,47 +88,24 @@ def mixed_layouts(grid: BoundaryGrid, dirichlet_segments) -> tuple[Layout, Layou
     return inp, out
 
 
-def assemble(layout: Layout, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Gather full-boundary traces into the layout's vector order."""
-    parts = [np.asarray(g if b.trace == "g" else h)[list(b.indices)] for b in layout]
-    return np.concatenate(parts)
+def _slots(layout: Layout, n: int) -> np.ndarray:
+    """Each slot's index into the stacked trace vector ``[g, h]`` of an
+    ``n``-point boundary."""
+    return np.concatenate([np.add(b.indices, n if b.trace == "h" else 0) for b in layout])
 
 
-def mixed_training_arrays(
-    g_rows: np.ndarray, h_rows: np.ndarray, input_layout: Layout, output_layout: Layout
-):
-    """Slice full-trace sample rows into mixed input/target matrices.
-
-    Dirichlet values are re-anchored at the first point of the Dirichlet
-    part so the subtraction is reproducible from the data known at solve
-    time (harmless when that point is already the dataset anchor).
-    """
-    anchor = input_layout[0].indices[0]
-    g_anchored = g_rows - g_rows[:, [anchor]]
-    inputs = np.column_stack(
-        [
-            (g_anchored if b.trace == "g" else h_rows)[:, list(b.indices)]
-            for b in input_layout
-        ]
-    )
-    targets = np.column_stack(
-        [
-            (g_anchored if b.trace == "g" else h_rows)[:, list(b.indices)]
-            for b in output_layout
-        ]
-    )
-    return inputs, targets
-
-
-def scatter(layout: Layout, vec: np.ndarray, g_out: np.ndarray, h_out: np.ndarray) -> None:
-    """Write a layout-ordered vector back into full-boundary trace arrays."""
-    if len(vec) != layout_size(layout):
-        raise LayoutError("vector length does not match the layout")
-    pos = 0
-    for b in layout:
-        target = g_out if b.trace == "g" else h_out
-        target[list(b.indices)] = vec[pos : pos + len(b.indices)]
-        pos += len(b.indices)
+def training_arrays(
+    g_rows: np.ndarray, h_rows: np.ndarray, input_layout: Layout, output_layout: Layout, anchored: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full-trace sample rows as the input and target matrices of a layout
+    pair.  ``anchored`` data (Laplace) has its Dirichlet values re-anchored
+    at the first input slot's point, which the inputs at solve time also
+    know (a no-op for Dirichlet layouts: the dataset is anchored there)."""
+    n = g_rows.shape[1]
+    traces = np.hstack([g_rows, h_rows])
+    if anchored:
+        traces[:, :n] -= traces[:, [input_layout[0].indices[0]]]
+    return traces[:, _slots(input_layout, n)], traces[:, _slots(output_layout, n)]
 
 
 @dataclass(eq=False)
@@ -163,6 +140,20 @@ class LinearBoundaryOperator:
                 f"input has {v.shape[-1]} slots, operator expects {self.input_dim}"
             )
         return v @ self.W.T
+
+    def complete(self, g: np.ndarray, h: np.ndarray, anchored: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The full-boundary traces ``(g, h)`` completed by one apply: input
+        slots pass through verbatim, output slots are predicted.  ``anchored``
+        subtracts the Dirichlet value at the first input slot before the
+        apply and adds it back to the predicted Dirichlet values, as
+        :func:`training_arrays` anchored the data."""
+        n = len(g)
+        out = _slots(self.output_layout, n)
+        shift = g[self.input_layout[0].indices[0]] if anchored else 0.0
+        traces = np.concatenate([g, h])
+        traces[out] = self.apply(np.concatenate([g - shift, h])[_slots(self.input_layout, n)])
+        traces[out[out < n]] += shift
+        return traces[:n], traces[n:]
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,8 @@ def singular_log_integral(mesh: TriMesh, x0, r0: float = 0.01) -> float:
     an edge, pi/2 at a square corner), derived from the mesh bounding box,
     which is exact for the axis-aligned square domains of the benchmark.
     """
+    if not (math.isfinite(r0) and r0 > 0.0):
+        raise ValueError(f"r0 must be finite and positive, got {r0!r}")
     x0 = np.asarray(x0, dtype=float)
     pts, w = mesh_quadrature_nodes(mesh)
     r = np.hypot(pts[:, 0] - x0[0], pts[:, 1] - x0[1])

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import BoundaryGrid, DomainSpec, InvalidDomainError, TriMesh, boundary_distance, contains
-from .operator import LayoutError, LinearBoundaryOperator, assemble, dirichlet_layouts, mixed_layouts, scatter
+from .operator import LayoutError, LinearBoundaryOperator, dirichlet_layouts, mixed_layouts
 from .quadrature import BoundaryReconstructor, newton_potential_many
 from .textio import float_cells, table_text
 
@@ -110,11 +110,8 @@ def _check_trace(name: str, vals: np.ndarray, n: int) -> None:
 
 
 def _predict(op: LinearBoundaryOperator, grid: BoundaryGrid, layouts, g, h=None, anchored=False):
-    """Complete the traces ``(g, h)`` with one apply of ``op``, which must be
-    trained for ``layouts``: its input slots pass through verbatim, its
-    output slots are predicted.  ``anchored`` (Laplace) subtracts the first
-    Dirichlet input before the apply and adds it back to the predicted
-    Dirichlet values, as the training data was anchored."""
+    """Complete the traces ``(g, h)`` with :meth:`LinearBoundaryOperator.complete`;
+    ``op`` must be trained for ``layouts``."""
     if (op.input_layout, op.output_layout) != layouts:
         raise LayoutError("operator was trained for another grid size or boundary partition")
     n = grid.n_points
@@ -122,12 +119,7 @@ def _predict(op: LinearBoundaryOperator, grid: BoundaryGrid, layouts, g, h=None,
     h = np.zeros(n) if h is None else np.asarray(h, dtype=float)
     _check_trace("g_dirichlet", g, n)
     _check_trace("h_neumann", h, n)
-    shift = g[op.input_layout[0].indices[0]] if anchored else 0.0
-    g_out, h_out = np.zeros(n), np.zeros(n)
-    scatter(op.output_layout, op.apply(assemble(op.input_layout, g - shift, h)), g_out, h_out)
-    g_out += shift  # undo the anchor on predicted Dirichlet values
-    scatter(op.input_layout, assemble(op.input_layout, g, h), g_out, h_out)
-    return g_out, h_out
+    return op.complete(g, h, anchored)
 
 
 def _field(reconstructor: BoundaryReconstructor, g, h, exact, particular=None) -> SolutionField:
@@ -157,7 +149,7 @@ def solve_dirichlet(
     """
     grid = reconstructor.grid
     layouts = dirichlet_layouts(grid.n_points)
-    g, h = _predict(op, grid, layouts, g, anchored=reconstructor.kernel.family == "laplace2d")
+    g, h = _predict(op, grid, layouts, g, anchored=reconstructor.kernel.anchored)
     return _field(reconstructor, g, h, exact)
 
 
@@ -187,7 +179,7 @@ def solve_mixed(
         raise ValueError(f"solve_mixed needs a laplace2d reconstructor, got {reconstructor.kernel}")
     grid = reconstructor.grid
     layouts = mixed_layouts(grid, dirichlet_segments)
-    g, h = _predict(op, grid, layouts, g_dirichlet, h_neumann, anchored=True)
+    g, h = _predict(op, grid, layouts, g_dirichlet, h_neumann, anchored=reconstructor.kernel.anchored)
     return _field(reconstructor, g, h, exact)
 
 
@@ -212,7 +204,8 @@ def solve_poisson(
     g = np.asarray(g, dtype=float)
     _check_trace("g_dirichlet", g, grid.n_points)  # before g meets the Newton potential
     layouts = dirichlet_layouts(grid.n_points)
-    g_harmonic, h = _predict(op, grid, layouts, g - particular(grid.points)[0], anchored=True)
+    g_harmonic = g - particular(grid.points)[0]
+    g_harmonic, h = _predict(op, grid, layouts, g_harmonic, anchored=reconstructor.kernel.anchored)
     fld = _field(reconstructor, g_harmonic, h, exact, particular)
     return replace(fld, g_trace=g)
 

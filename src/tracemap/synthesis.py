@@ -10,8 +10,8 @@ part of the fundamental solution G: log kernels
 Helmholtz only the distances and normal projections come from
 ``kernels.py``, so that each source evaluates only its own Bessel pair.
 Pairs are normalized in two steps: subtract the first Dirichlet entry
-(Laplace mode only; constants are harmonic) and divide both traces by the
-max absolute Neumann value.
+(anchored kernels only, see ``KernelSpec.anchored``) and divide both traces
+by the max absolute Neumann value.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .geometry import BoundaryGrid, DomainSpec, boundary_distance, contains, freeze_arrays
 from .kernels import KernelSpec, _pairwise_projection, bessel_j0, bessel_j1, bessel_y0, bessel_y1, kernel_matrices
-from .textio import float_cells, json_field, parse_floats, table_text
+from .textio import float_cells, json_field, json_numbers, parse_floats, table_text
 
 _REJECTION_LIMIT = 10**6
 _CHUNK = 4096
@@ -90,12 +90,6 @@ class DatasetSpec:
         if not (np.all(blo > lo) and np.all(bhi < hi)):
             raise ConfigurationError("source box must strictly contain the domain")
 
-    @property
-    def normalization_mode(self) -> str:
-        # Constants solve the Laplace equation but not Helmholtz, so only
-        # the Laplace family gets the first-entry subtraction.
-        return "laplace_mode" if self.kernel.family == "laplace2d" else "scale_only"
-
     def to_json(self) -> str:
         payload = {
             "kernel": self.kernel.to_payload(),
@@ -106,7 +100,7 @@ class DatasetSpec:
             "source_box": list(self.source_box),
             "min_boundary_distance": self.min_boundary_distance,
             "seed": self.seed,
-            "normalization": self.normalization_mode,
+            "normalization": "laplace_mode" if self.kernel.anchored else "scale_only",
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -120,22 +114,16 @@ class DatasetSpec:
         if not isinstance(payload, dict):
             raise ValueError("the dataset sidecar must be a JSON object")
         kernel = json_field(payload, "kernel", dict)
-        try:
-            domain = DomainSpec.from_payload(json_field(payload, "domain", dict))
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ValueError(f"sidecar field 'domain' is malformed: {exc!r}") from None
+        domain = DomainSpec.from_payload(json_field(payload, "domain", dict))
         if json_field({"anchor_index": 0, **payload}, "anchor_index", int) != 0:
             raise ValueError(f"sidecar field 'anchor_index' must be 0, got {payload['anchor_index']!r}")
-        box = json_field(payload, "source_box", list)
-        if len(box) != 2 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in box):
-            raise ValueError(f"sidecar field 'source_box' must be two numbers, got {box!r}")
         return cls(
             kernel=KernelSpec.from_payload(kernel),
             domain=domain,
             n_points=json_field(payload, "n_points", int),
             n_samples=json_field(payload, "n_samples", int),
             n_kernels_per_sample=json_field(payload, "n_kernels_per_sample", int),
-            source_box=tuple(box),
+            source_box=json_numbers(payload, "source_box", 2),
             min_boundary_distance=json_field(payload, "min_boundary_distance", float),
             seed=json_field(payload, "seed", int),
         )
@@ -232,18 +220,15 @@ def synthesize_trace_pair(
     return TracePair(g=weights @ val, h=weights @ (dval * proj))
 
 
-def normalize_pair(pair: TracePair, mode: str) -> TracePair:
-    """Two-step normalization of a raw pair.
-
-    ``laplace_mode`` subtracts the first Dirichlet entry before scaling;
-    ``scale_only`` just divides both traces by max |h|.
+def normalize_pair(pair: TracePair, anchored: bool) -> TracePair:
+    """Two-step normalization of a raw pair: ``anchored`` (see
+    :attr:`KernelSpec.anchored`) subtracts the first Dirichlet entry, then
+    both traces are divided by max |h|.
     """
-    if mode not in ("laplace_mode", "scale_only"):
-        raise ValueError(f"unknown normalization mode {mode!r}")
     scale = float(np.max(np.abs(pair.h)))
     if scale == 0.0:
         raise DegenerateSampleError("Neumann trace is identically zero")
-    shift = float(pair.g[0]) if mode == "laplace_mode" else 0.0
+    shift = float(pair.g[0]) if anchored else 0.0
     g = (pair.g - shift) / scale
     h = pair.h / scale
     return TracePair(g=g, h=h)
@@ -282,7 +267,7 @@ def build_sample(spec: DatasetSpec, grid: BoundaryGrid, index: int) -> TracePair
             kinds = rng.integers(0, 2, size=spec.n_kernels_per_sample)
         raw = synthesize_trace_pair(spec, grid, sources, weights, kinds)
         try:
-            return normalize_pair(raw, spec.normalization_mode)
+            return normalize_pair(raw, spec.kernel.anchored)
         except DegenerateSampleError:
             continue  # regenerate from the same stream
     raise DegenerateSampleError(f"sample {index}: could not draw a non-degenerate pair")

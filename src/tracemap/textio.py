@@ -2,6 +2,8 @@
 comma-joined cells, floats as their shortest round-trip ``repr`` (same bits read back);
 and the one typed reader of the JSON records beside them."""
 
+import math
+
 import numpy as np
 
 
@@ -30,7 +32,8 @@ def parse_floats(cells, where: str) -> np.ndarray:
 
 def json_field(payload: dict, name: str, kind: type, prefix: str = ""):
     """``payload[name]`` if it is a JSON value of ``kind`` (``float`` admits
-    integers, no kind admits booleans); else a ``ValueError`` naming the field."""
+    integers but not NaN or infinities, no kind admits booleans); else a
+    ``ValueError`` naming the field."""
     if name not in payload:
         raise ValueError(f"sidecar field {prefix + name!r} is missing")
     value = payload[name]
@@ -38,4 +41,16 @@ def json_field(payload: dict, name: str, kind: type, prefix: str = ""):
     if isinstance(value, bool) or not isinstance(value, kinds):
         label = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
         raise ValueError(f"sidecar field {prefix + name!r} must be {label[kind]}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"sidecar field {prefix + name!r} must be finite, got {value!r}")
     return value
+
+
+def json_numbers(payload: dict, name: str, count: int, prefix: str = "") -> tuple:
+    """``payload[name]`` as a tuple of ``count`` (2 or 3) finite numbers; else a
+    ``ValueError`` naming the field."""
+    values = json_field(payload, name, list, prefix)
+    if len(values) != count:
+        words = {2: "two", 3: "three"}
+        raise ValueError(f"sidecar field {prefix + name!r} must be {words[count]} numbers, got {values!r}")
+    return tuple(json_field({name: v}, name, float, prefix) for v in values)

@@ -31,8 +31,8 @@ from tracemap.operator import (
     dirichlet_layouts,
     fit_least_squares,
     mixed_layouts,
-    mixed_training_arrays,
     train_adam,
+    training_arrays,
 )
 from tracemap.quadrature import (
     BoundaryReconstructor,
@@ -225,10 +225,11 @@ def test_criterion_05_adam_vs_ls_agreement(laplace_desk):
         f"adam-vs-ls: fro {fro:.3f} (bound 0.1), loss ratio {loss_adam / loss_ls:.1e} (bound 2)"
     )
     assert fro <= 0.1, (
-        f"Frobenius agreement {fro:.3f} > 0.1: the exact least-squares "
-        "interpolator carries most of its norm in near-null data directions "
-        "(near-boundary source samples) that contribute negligibly to the "
-        "loss; see the decisions ledger for the full analysis"
+        f"Frobenius agreement {fro:.3f} > 0.1: the desk data is numerically "
+        "rank-deficient (rank 66 of 400 at 1e-8 sigma_max), and the ridge "
+        "minimizer puts most of its norm into near-null directions that the "
+        "loss barely sees, which Adam from W = 0 does not learn; see "
+        "ROADMAP.md, 'The one red'"
     )
     assert loss_adam <= 2.0 * loss_ls
 
@@ -286,7 +287,7 @@ def test_criterion_07_desk_scale_helmholtz(square_grid, eval100, k, enforce):
 def test_criterion_08_mixed_boundary_conditions(square_grid, laplace_desk, eval100, laplace_rec):
     ds = laplace_desk["dataset"]
     inp, out = mixed_layouts(square_grid, {"G1"})
-    X, T = mixed_training_arrays(ds.g_rows, ds.h_rows, inp, out)
+    X, T = training_arrays(ds.g_rows, ds.h_rows, inp, out, ds.spec.kernel.anchored)
     op = fit_least_squares(X, T, inp, out)
     idx_d = square_grid.segment_indices("G1")
     idx_n = np.setdiff1d(np.arange(400), idx_d)

@@ -233,6 +233,34 @@ class TestTrain:
         assert payload["input_layout"][1]["trace"] == "h"
         assert payload["output_layout"][0]["trace"] == "h"
 
+    def test_mixed_training_on_helmholtz_data_refused(self, tmp_path, capsys):
+        data, model = tmp_path / "data", tmp_path / "model.json"
+        assert run(["gen", "--equation", "helmholtz", "--k", 3, "--n", 40, "--samples", 60, "--out", data]) == 0
+        capsys.readouterr()
+        assert run(["train", "--data", data, "--dirichlet-edges", 1, "--out", model]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}: mixed operators are trained on laplace2d data only, "
+            "not KernelSpec(family='helmholtz2d', k=3.0)\n"
+        )
+        assert not model.exists()
+
+    def test_output_directories_created(self, laplace_run, tmp_path):
+        _, data, _ = laplace_run
+        model, log = tmp_path / "models" / "a" / "model.json", tmp_path / "logs" / "train_log.csv"
+        assert run(["train", "--data", data, "--method", "adam", "--epochs", 2, "--batch", 50,
+                    "--out", model, "--log", log]) == 0
+        assert model.is_file() and log.is_file()
+
+    @pytest.mark.parametrize("flag", ["--out", "--log"])
+    def test_unwritable_output_fails_before_the_fit(self, laplace_run, tmp_path, capsys, monkeypatch, flag):
+        _, data, _ = laplace_run
+        (tmp_path / "file").write_text("")
+        paths = {"--out": tmp_path / "model.json", "--log": tmp_path / "log.csv", flag: tmp_path / "file" / "x"}
+        monkeypatch.setattr("tracemap.cli.fit_least_squares", lambda *a: pytest.fail("the fit ran"))
+        assert run(["train", "--data", data, "--method", "ls", *(a for kv in paths.items() for a in kv)]) == 1
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
     def test_ls_on_annulus_dataset_written_by_library(self, tmp_path):
         from tracemap.geometry import DomainSpec, PolarCurve
         from tracemap.kernels import KernelSpec
@@ -314,6 +342,23 @@ class TestEvalSolve:
         first = lines[1].split(",")
         x, y, u = float(first[0]), float(first[1]), float(first[2])
         assert u == pytest.approx(x + y, abs=5e-2)
+
+    def test_solve_creates_the_output_directory(self, laplace_run, tmp_path):
+        _, _, model = laplace_run
+        g_file, out = tmp_path / "g.csv", tmp_path / "fields" / "field.csv"
+        g_file.write_text("1.0\n" * 80)
+        assert run(["solve", "--model", model, "--grid", "square80", "--g", g_file, "--out", out]) == 0
+        assert out.read_text().startswith("x,y,u_pred_re")
+
+    def test_solve_to_an_unwritable_path_fails_before_the_solve(self, laplace_run, tmp_path, capsys, monkeypatch):
+        _, _, model = laplace_run
+        g_file = tmp_path / "g.csv"
+        g_file.write_text("1.0\n" * 80)
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr("tracemap.cli._load_model_for", lambda *a: pytest.fail("the solve started"))
+        assert run(["solve", "--model", model, "--grid", "square80", "--g", g_file,
+                    "--out", tmp_path / "file" / "field.csv"]) == 1
+        assert "error: " in capsys.readouterr().err
 
     def test_solve_poisson_with_vertex_source_file(self, laplace_run, tmp_path):
         _, _, model = laplace_run
@@ -585,3 +630,13 @@ class TestQuadbench:
     def test_fail_above_gate(self, tmp_path):
         code = run(["quadbench", "--h", 0.2, "--fail-above", 1e-9])
         assert code == 1
+
+    @pytest.mark.parametrize("r0", ["nan", "inf", "0", "-1"])
+    def test_bad_r0_refused(self, capsys, r0):
+        assert run(["quadbench", "--h", 0.2, f"--r0={r0}", "--fail-above", 1e-3]) == 1
+        assert capsys.readouterr().err == f"error: r0 must be finite and positive, got {float(r0)!r}\n"
+
+    def test_nan_error_fails_the_gate(self, monkeypatch, capsys):
+        monkeypatch.setattr("tracemap.cli.singular_log_integral", lambda *a: float("nan"))
+        assert run(["quadbench", "--h", 0.2]) == 1
+        assert "nan" in capsys.readouterr().out

@@ -273,6 +273,12 @@ class TestMshParser:
         with pytest.raises(MshParseError, match="line 7"):
             parse_msh(bad)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_node_coordinate_refused(self, value):
+        bad = MINIMAL_MSH.replace("2 1 0 0", f"2 {value} 0 0")
+        with pytest.raises(MshParseError, match=f"^line 7: bad node entry \\(node coordinates: non-finite value {value}\\)$"):
+            parse_msh(bad)
+
     def test_missing_end_marker(self):
         bad = MINIMAL_MSH.replace("$EndNodes", "$Oops")
         with pytest.raises(MshParseError):

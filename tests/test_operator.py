@@ -20,12 +20,13 @@ from tracemap.operator import (
     fit_least_squares,
     load_model,
     mixed_layouts,
-    mixed_training_arrays,
     save_model,
     train_adam,
+    training_arrays,
 )
 from tracemap.geometry import DomainSpec, make_boundary_grid
 from tracemap.kernels import KernelSpec
+from tracemap.synthesis import DatasetSpec, build_dataset
 
 
 def identity_op(n=4):
@@ -96,12 +97,97 @@ class TestLayouts:
         inp, out = mixed_layouts(grid, {"G2"})
         g = rng.normal(size=(3, 40))
         h = rng.normal(size=(3, 40))
-        X, T = mixed_training_arrays(g, h, inp, out)
+        X, T = training_arrays(g, h, inp, out, anchored=True)
         anchor = inp[0].indices[0]
         np.testing.assert_array_equal(X[:, 0], np.zeros(3))
         np.testing.assert_allclose(
             T[:, 10:], g[:, list(out[1].indices)] - g[:, [anchor]], rtol=1e-15
         )
+
+
+def _reference_assemble(layout, g, h):
+    """The former ``operator.assemble``: one trace vector in layout order."""
+    parts = [np.asarray(g if b.trace == "g" else h)[list(b.indices)] for b in layout]
+    return np.concatenate(parts)
+
+
+def _reference_scatter(layout, vec, g_out, h_out):
+    """The former ``operator.scatter``: a layout-ordered vector back into traces."""
+    pos = 0
+    for b in layout:
+        target = g_out if b.trace == "g" else h_out
+        target[list(b.indices)] = vec[pos : pos + len(b.indices)]
+        pos += len(b.indices)
+
+
+def _reference_mixed_training_arrays(g_rows, h_rows, input_layout, output_layout):
+    """The former ``operator.mixed_training_arrays``, which always anchored."""
+    anchor = input_layout[0].indices[0]
+    g_anchored = g_rows - g_rows[:, [anchor]]
+    inputs = np.column_stack(
+        [(g_anchored if b.trace == "g" else h_rows)[:, list(b.indices)] for b in input_layout]
+    )
+    targets = np.column_stack(
+        [(g_anchored if b.trace == "g" else h_rows)[:, list(b.indices)] for b in output_layout]
+    )
+    return inputs, targets
+
+
+def _reference_complete(op, g, h, anchored):
+    """The former solver-side completion: gather, anchor, apply, two scatters."""
+    shift = g[op.input_layout[0].indices[0]] if anchored else 0.0
+    g_out, h_out = np.zeros(len(g)), np.zeros(len(g))
+    _reference_scatter(op.output_layout, op.apply(_reference_assemble(op.input_layout, g - shift, h)), g_out, h_out)
+    g_out += shift
+    _reference_scatter(op.input_layout, _reference_assemble(op.input_layout, g, h), g_out, h_out)
+    return g_out, h_out
+
+
+class TestSlotConvention:
+    """``training_arrays`` and ``LinearBoundaryOperator.complete`` against the
+    former gather/scatter code, bit for bit."""
+
+    N = 40
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        spec = DatasetSpec(KernelSpec("laplace2d"), DomainSpec.unit_square(), n_points=self.N,
+                           n_samples=30, seed=5)
+        return build_dataset(spec)
+
+    def layouts(self, name):
+        if name == "dirichlet":
+            return dirichlet_layouts(self.N)
+        return mixed_layouts(make_boundary_grid(DomainSpec.unit_square(), self.N), name.split(","))
+
+    @pytest.mark.parametrize("anchored", [True, False])
+    @pytest.mark.parametrize("name", ["dirichlet", "G1", "G1,G3"])
+    def test_training_arrays_match_the_former_code(self, dataset, rng, name, anchored):
+        inp, out = self.layouts(name)
+        for g_rows, h_rows in ((dataset.g_rows, dataset.h_rows), (rng.normal(size=(7, self.N)),) * 2):
+            X, T = training_arrays(g_rows, h_rows, inp, out, anchored)
+            if anchored:
+                X_ref, T_ref = _reference_mixed_training_arrays(g_rows, h_rows, inp, out)
+            else:
+                X_ref = np.array([_reference_assemble(inp, g, h) for g, h in zip(g_rows, h_rows)])
+                T_ref = np.array([_reference_assemble(out, g, h) for g, h in zip(g_rows, h_rows)])
+            assert X.tobytes() == X_ref.tobytes() and T.tobytes() == T_ref.tobytes()
+
+    @pytest.mark.parametrize("anchored", [True, False])
+    def test_dirichlet_training_arrays_are_the_dataset_rows(self, dataset, anchored):
+        # the former Dirichlet path trained on the rows as stored
+        X, T = training_arrays(dataset.g_rows, dataset.h_rows, *dirichlet_layouts(self.N), anchored)
+        assert X.tobytes() == dataset.g_rows.tobytes() and T.tobytes() == dataset.h_rows.tobytes()
+
+    @pytest.mark.parametrize("anchored", [True, False])
+    @pytest.mark.parametrize("name", ["dirichlet", "G1", "G1,G3"])
+    def test_complete_matches_the_former_code(self, rng, name, anchored):
+        inp, out = self.layouts(name)
+        op = LinearBoundaryOperator(rng.normal(size=(self.N, self.N)), inp, out)
+        for g, h in ((rng.normal(size=self.N), rng.normal(size=self.N)), (np.zeros(self.N), -np.zeros(self.N))):
+            got = op.complete(g, h, anchored)
+            want = _reference_complete(op, g, h, anchored)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 class TestComputeLoss:
@@ -251,7 +337,7 @@ class TestTrainAdam:
         grid = make_boundary_grid(DomainSpec.unit_square(), 24)
         inp, out = mixed_layouts(grid, {"G1"})
         g, h = rng.normal(size=(90, 24)), rng.normal(size=(90, 24))
-        X, T = mixed_training_arrays(g, h, inp, out)
+        X, T = training_arrays(g, h, inp, out, anchored=True)
         cfg = TrainingConfig(learning_rate=1e-2, batch_size=25, epochs=40, seed=6)
         op, report = train_adam(X, T, inp, out, cfg)
         W, losses, best_epoch = _reference_adam(X, T, cfg)

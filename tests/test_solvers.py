@@ -16,7 +16,7 @@ from tracemap.operator import (
     dirichlet_layouts,
     fit_least_squares,
     mixed_layouts,
-    mixed_training_arrays,
+    training_arrays,
 )
 from tracemap.quadrature import BoundaryReconstructor
 from tracemap.solvers import (
@@ -160,7 +160,7 @@ class TestSolveDirichlet:
 def mixed_setup(small_grid, small_laplace):
     ds, _ = small_laplace
     inp, out = mixed_layouts(small_grid, {"G1"})
-    X, T = mixed_training_arrays(ds.g_rows, ds.h_rows, inp, out)
+    X, T = training_arrays(ds.g_rows, ds.h_rows, inp, out, ds.spec.kernel.anchored)
     return fit_least_squares(X, T, inp, out)
 
 

@@ -257,8 +257,8 @@ class TestSynthesizeTracePair:
         weights = sample_simplex_weights(3, rng)
         pair = synthesize_trace_pair(spec, grid, sources, weights)
         shifted = TracePair(g=pair.g + 5.0, h=pair.h.copy())
-        n1 = normalize_pair(pair, "laplace_mode")
-        n2 = normalize_pair(shifted, "laplace_mode")
+        n1 = normalize_pair(pair, anchored=True)
+        n2 = normalize_pair(shifted, anchored=True)
         assert np.array_equal(n1.h, n2.h)
         np.testing.assert_allclose(n1.g, n2.g, atol=1e-14)
 
@@ -369,19 +369,19 @@ class TestReferenceFormulas:
 class TestNormalization:
     def test_worked_example(self):
         pair = TracePair(g=np.array([2.0, 3.0, 4.0]), h=np.array([1.0, -2.0, 1.0]))
-        out = normalize_pair(pair, "laplace_mode")
+        out = normalize_pair(pair, anchored=True)
         np.testing.assert_array_equal(out.g, [0.0, 0.5, 1.0])
         np.testing.assert_array_equal(out.h, [0.5, -1.0, 0.5])
 
     def test_scale_only_mode(self):
         pair = TracePair(g=np.array([2.0, 3.0]), h=np.array([4.0, -8.0]))
-        out = normalize_pair(pair, "scale_only")
+        out = normalize_pair(pair, anchored=False)
         np.testing.assert_array_equal(out.g, [0.25, 0.375])
 
     def test_zero_neumann_is_degenerate(self):
         pair = TracePair(g=np.array([1.0, 2.0]), h=np.zeros(2))
         with pytest.raises(DegenerateSampleError):
-            normalize_pair(pair, "laplace_mode")
+            normalize_pair(pair, anchored=True)
 
     def test_normalized_invariants(self):
         ds = build_dataset(small_spec())
@@ -516,7 +516,7 @@ class TestBuildDataset:
         (lambda p: p.pop("seed"), "sidecar field 'seed' is missing"),
         (lambda p: p["kernel"].pop("k"), "sidecar field 'kernel.k' is missing"),
         (lambda p: p.pop("domain"), "sidecar field 'domain' is missing"),
-        (lambda p: p["domain"].pop("shape"), "sidecar field 'domain' is malformed: KeyError('shape')"),
+        (lambda p: p["domain"].pop("shape"), "sidecar field 'domain.shape' is missing"),
         (lambda p: p.update(n_points="80"), "sidecar field 'n_points' must be an integer, got '80'"),
         (lambda p: p.update(n_samples=2.0), "sidecar field 'n_samples' must be an integer, got 2.0"),
         (lambda p: p.update(seed=True), "sidecar field 'seed' must be an integer, got True"),
@@ -530,6 +530,48 @@ class TestBuildDataset:
         payload = json.loads(small_spec().to_json())
         edit(payload)
         with pytest.raises(ValueError, match="^" + re.escape(message)):
+            DatasetSpec.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("domain, edit, message", [
+        ("star5", lambda d: d["outer"]["terms"][0].__setitem__(2, 5.5),
+         "sidecar field 'domain.outer.terms[0].frequency' must be an integer, got 5.5"),
+        ("star5", lambda d: d["outer"]["terms"][0].__setitem__(2, True),
+         "sidecar field 'domain.outer.terms[0].frequency' must be an integer, got True"),
+        ("star5", lambda d: d["outer"]["terms"][0].__setitem__(1, math.nan),
+         "sidecar field 'domain.outer.terms[0].amplitude' must be finite, got nan"),
+        ("star5", lambda d: d["outer"]["terms"][0].__setitem__(0, 3),
+         "sidecar field 'domain.outer.terms[0].kind' must be a string, got 3"),
+        ("star5", lambda d: d["outer"]["terms"].__setitem__(0, ["sin", 0.2]),
+         "sidecar field 'domain.outer.terms[0]' must be a [kind, amplitude, frequency] list, got ['sin', 0.2]"),
+        ("star5", lambda d: d["outer"].update(base="0.65"), "sidecar field 'domain.outer.base' must be a number, got '0.65'"),
+        ("star5", lambda d: d["outer"].update(base=True), "sidecar field 'domain.outer.base' must be a number, got True"),
+        ("star5", lambda d: d["outer"].update(center=[0.0, 0.0, 0.0]),
+         "sidecar field 'domain.outer.center' must be two numbers, got [0.0, 0.0, 0.0]"),
+        ("star5", lambda d: d.pop("outer"), "sidecar field 'domain.outer' is missing"),
+        ("annulus", lambda d: d["inner"].update(center=[0.0, "0"]),
+         "sidecar field 'domain.inner.center' must be a number, got '0'"),
+        ("sphere", lambda d: d.update(center=[0.0, 0.0]), "sidecar field 'domain.center' must be three numbers, got [0.0, 0.0]"),
+        ("sphere", lambda d: d.update(radius=math.inf), "sidecar field 'domain.radius' must be finite, got inf"),
+        ("square", lambda d: d.update(shape=1), "sidecar field 'domain.shape' must be a string, got 1"),
+    ], ids=["fractional-frequency", "bool-frequency", "nan-amplitude", "kind", "short-term", "string-base",
+            "bool-base", "3-number-center", "outer", "inner-center", "sphere-center", "sphere-radius", "shape"])
+    def test_sidecar_domain_defects_are_named(self, domain, edit, message):
+        domains = {
+            "square": (KernelSpec("laplace2d"), SQUARE),
+            "star5": (KernelSpec("laplace2d"), DomainSpec.polar(0.65, [PolarTerm("sin", 0.2, 5)])),
+            "annulus": (KernelSpec("laplace2d"), DomainSpec.multi_loop(PolarCurve(1.0), PolarCurve(0.4))),
+            "sphere": (KernelSpec("helmholtz3d", 2.0), DomainSpec.sphere()),
+        }
+        kernel, dom = domains[domain]
+        payload = json.loads(small_spec(kernel=kernel, domain=dom).to_json())
+        edit(payload["domain"])
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            DatasetSpec.from_json(json.dumps(payload))
+
+    def test_non_finite_source_box_in_sidecar_named(self):
+        payload = json.loads(small_spec().to_json())
+        payload["source_box"][1] = math.inf
+        with pytest.raises(ValueError, match=r"^sidecar field 'source_box' must be finite, got inf$"):
             DatasetSpec.from_json(json.dumps(payload))
 
     def test_grid_size_mismatch(self):
