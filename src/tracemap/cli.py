@@ -2,8 +2,9 @@
 solving, and the quadrature benchmark.
 
 Every artifact-producing command is deterministic given its config and
-seed, echoes its configuration next to the outputs, and exits nonzero if
-any requested output could not be written.
+seed, echoes its configuration next to the outputs, checks its output
+paths before any work (``_prepare_outputs``), and exits nonzero if any
+requested output could not be written.
 """
 
 from __future__ import annotations
@@ -109,6 +110,23 @@ def _source_mesh(domain: DomainSpec, name: str, h: float):
     return triangulate_square(h)
 
 
+def _prepare_outputs(*outputs) -> None:
+    """Check and create every output before any work is done.  Each output is
+    ``(flag, path, is_dir)``; an empty path is skipped.  A file output may not
+    name a directory and a directory output may not name anything else; the
+    directory that is written into is created.  A refusal names the flag."""
+    for flag, path, is_dir in outputs:
+        if not path:
+            continue
+        path = Path(path)
+        if path.exists() and path.is_dir() != is_dir:
+            raise ValueError(f"{flag} {path} {'is not' if is_dir else 'is'} a directory")
+        try:
+            (path if is_dir else path.parent).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"{flag} {path}: cannot create its directory ({exc.strerror or exc})") from None
+
+
 def cmd_gen(args) -> int:
     kernel = _kernel(args.equation, args.k)
     domain = _domain_from_name(args.domain)
@@ -121,9 +139,9 @@ def cmd_gen(args) -> int:
         source_box=(args.box_lo, args.box_hi),
         seed=args.seed,
     )
+    _prepare_outputs(("--out", args.out, True))
     ds = build_dataset(spec)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     csv_text = dataset_to_csv(ds)
     (out / "dataset.csv").write_text(csv_text)
     (out / "dataset.json").write_text(spec.to_json())
@@ -133,12 +151,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _make_parents(*paths: str) -> None:
-    """Create the directory of each named output file before any work is done."""
-    for path in filter(None, paths):
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-
-
 def _load_dataset(data_dir: Path) -> Dataset:
     spec = DatasetSpec.from_json((data_dir / "dataset.json").read_text())
     grid = make_boundary_grid(spec.domain, spec.n_points)
@@ -146,7 +158,7 @@ def _load_dataset(data_dir: Path) -> Dataset:
 
 
 def cmd_train(args) -> int:
-    _make_parents(args.out, args.log)
+    _prepare_outputs(("--out", args.out, False), ("--log", args.log, False))
     ds = _load_dataset(Path(args.data))
     kernel = ds.spec.kernel
     if args.dirichlet_edges:
@@ -192,26 +204,27 @@ def cmd_eval(args) -> int:
         raise SystemExit(f"unknown suite {args.suite!r}")
     kernel = _kernel("laplace" if args.suite == "poisson" else args.suite, args.k)
     op = _load_model_for(args.model, kernel)
-    out_dir = Path(args.out)
     domain = _domain_from_name(args.domain)
+    if args.suite == "helmholtz3d" and domain.dimension != 3:
+        raise ValueError(f"suite helmholtz3d needs a 3-D domain, got {domain.shape!r}")
+    grid = make_boundary_grid(domain, args.n)
+    if args.suite != "helmholtz3d":
+        eval_points = make_eval_grid(domain, 100, margin=args.margin)
+    if args.suite == "poisson":
+        mesh = _source_mesh(domain, args.domain, args.mesh_h)
+    _prepare_outputs(("--out", args.out, True))
+    out_dir = Path(args.out)
 
     if args.suite == "helmholtz3d":
-        if domain.dimension != 3:
-            raise ValueError(f"suite helmholtz3d needs a 3-D domain, got {domain.shape!r}")
-        grid = make_boundary_grid(domain, args.n)
         case = plane_wave_3d(args.k)
         _, err = predict_normal_derivative_3d(op, grid, case.dirichlet(grid), case.neumann(grid))
         summary = {"plane3d": {"n_cases": 1, "dudn_error": err}}
-        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
         print(f"3D normal-derivative relative error {err:.4e}")
         _emit_provenance(args, out_dir / "summary.json")
         return 0
 
-    grid = make_boundary_grid(domain, args.n)
-    eval_points = make_eval_grid(domain, 100, margin=args.margin)
     if args.suite == "poisson":
-        mesh = _source_mesh(domain, args.domain, args.mesh_h)
         cases = poisson_cases()
     else:
         families = LAPLACE_FAMILIES if args.suite == "laplace" else HELMHOLTZ_FAMILIES
@@ -225,7 +238,6 @@ def cmd_eval(args) -> int:
         return solve_dirichlet(op, rec, g, exact=case.u), case.neumann(grid)
 
     summary = evaluate_suite(cases, solve_one)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.json").write_text(summary_to_json(summary))
     for i, case in enumerate(cases):
         fld, _ = solve_one(case)
@@ -236,7 +248,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _make_parents(args.out)
+    _prepare_outputs(("--out", args.out, False))
     kernel = _kernel(args.equation, args.k)
     op = _load_model_for(args.model, kernel)
     domain, n = _parse_grid_name(args.grid)
@@ -309,6 +321,7 @@ def _read_column(path: Path) -> np.ndarray:
 
 
 def cmd_quadbench(args) -> int:
+    _prepare_outputs(("--out", args.out, False))
     integrands = {
         "ln(x2+y2)": ((0.0, 0.0), LOG_REFERENCE_CORNER),
         "ln((x-0.5)2+(y-0.5)2)": ((0.5, 0.5), LOG_REFERENCE_CENTER),

@@ -5,7 +5,9 @@ polar curve, annulus between two polar curves, or a 3D sphere surface).
 ``make_boundary_grid`` discretizes the boundary into collocation points
 with outward unit normals and arc-length quadrature weights suitable for
 trapezoidal boundary integration.  ``triangulate_square`` / ``parse_msh``
-provide triangle meshes for volume quadrature.
+provide triangle meshes for volume quadrature: the square's triangles come
+from index arithmetic on its vertex grid, and ``parse_msh`` reads $Nodes and
+$Elements through one section reader, ``_msh_section``.
 """
 
 from __future__ import annotations
@@ -534,19 +536,11 @@ def triangulate_square(h: float) -> TriMesh:
     xs = np.linspace(0.0, 1.0, m + 1)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([gx.ravel(), gy.ravel()])
-
-    def vid(i, j):
-        return i * (m + 1) + j
-
-    tris = np.empty((2 * m * m, 3), dtype=int)
-    k = 0
-    for i in range(m):
-        for j in range(m):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris[k] = (v00, v10, v11)
-            tris[k + 1] = (v00, v11, v01)
-            k += 2
+    # vertex (i, j) is i * (m + 1) + j; cell (i, j), i-major, gives
+    # (v00, v10, v11) then (v00, v11, v01)
+    v00 = (np.arange(m)[:, None] * (m + 1) + np.arange(m)).ravel()
+    v10, v01, v11 = v00 + (m + 1), v00 + 1, v00 + (m + 2)
+    tris = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
     return TriMesh(vertices, tris)
 
 
@@ -555,6 +549,27 @@ def _oriented_mesh(vertices: np.ndarray, triangles: np.ndarray) -> TriMesh:
     flipped = triangles.copy()
     flipped[neg] = flipped[neg][:, [0, 2, 1]]
     return TriMesh(vertices, flipped)
+
+
+def _msh_section(lines: list[str], i: int, name: str):
+    """The entries of the MSH section whose ``$name`` header is ``lines[i]``,
+    as (line number, fields) pairs, and the index of the line after its
+    ``$End`` marker: its count, length and marker are checked here."""
+    word = name[:-1].lower()
+    if i + 1 >= len(lines):
+        raise MshParseError(f"line {i + 1}: truncated ${name} section")
+    try:
+        count = int(lines[i + 1])
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise MshParseError(f"line {i + 2}: expected {word} count, got {lines[i + 1].strip()!r}")
+    end = i + 2 + count
+    if end > len(lines):
+        raise MshParseError(f"line {i + 2}: fewer {word} lines than declared")
+    if end == len(lines) or lines[end].strip() != f"$End{name}":
+        raise MshParseError(f"line {end + 1}: missing $End{name}")
+    return [(ln + 1, lines[ln].split()) for ln in range(i + 2, end)], end + 1
 
 
 def parse_msh(text: str) -> TriMesh:
@@ -568,80 +583,43 @@ def parse_msh(text: str) -> TriMesh:
     """
     lines = text.splitlines()
     nodes: dict[int, tuple[float, float]] = {}
-    tris: list[tuple[int, int, int]] = []
-    tri_lines: list[int] = []
+    tris: list[tuple[int, list[int]]] = []  # (line number, node ids)
     i = 0
-
-    def fail(lineno: int, msg: str):
-        raise MshParseError(f"line {lineno}: {msg}")
-
     while i < len(lines):
-        tok = lines[i].strip()
-        if tok == "$Nodes":
-            if i + 1 >= len(lines):
-                fail(i + 1, "truncated $Nodes section")
-            try:
-                count = int(lines[i + 1])
-            except ValueError:
-                fail(i + 2, "expected node count")
-            if i + 2 + count >= len(lines) + 1 and count > 0:
-                fail(i + 2, "fewer node lines than declared")
-            for k in range(count):
-                ln = i + 2 + k
-                if ln >= len(lines):
-                    fail(ln + 1, "truncated $Nodes section")
-                parts = lines[ln].split()
+        if lines[i].strip() not in ("$Nodes", "$Elements"):
+            i += 1
+            continue
+        name = lines[i].strip()[1:]
+        entries, i = _msh_section(lines, i, name)
+        for ln, parts in entries:
+            if name == "Nodes":
                 if len(parts) < 3:
-                    fail(ln + 1, "node needs id and at least x y")
+                    raise MshParseError(f"line {ln}: node needs id and at least x y")
                 try:
                     nid = int(parts[0])
                     x, y = parse_floats(parts[1:3], "node coordinates")
                 except ValueError as exc:
-                    fail(ln + 1, f"bad node entry ({exc})")
+                    raise MshParseError(f"line {ln}: bad node entry ({exc})") from None
                 nodes[nid] = (x, y)
-            i += 2 + count
-            if i >= len(lines) or lines[i].strip() != "$EndNodes":
-                fail(i + 1, "missing $EndNodes")
-            i += 1
-        elif tok == "$Elements":
-            if i + 1 >= len(lines):
-                fail(i + 1, "truncated $Elements section")
+                continue
             try:
-                count = int(lines[i + 1])
+                vals = [int(p) for p in parts]
             except ValueError:
-                fail(i + 2, "expected element count")
-            for k in range(count):
-                ln = i + 2 + k
-                if ln >= len(lines):
-                    fail(ln + 1, "truncated $Elements section")
-                parts = lines[ln].split()
-                try:
-                    vals = [int(p) for p in parts]
-                except ValueError:
-                    fail(ln + 1, "non-numeric element entry")
-                if len(vals) < 3:
-                    fail(ln + 1, "element needs id, type, tag count")
-                etype, ntags = vals[1], vals[2]
-                conn = vals[3 + ntags :]
-                if etype == 2:
-                    if len(conn) != 3:
-                        fail(ln + 1, "triangle needs exactly 3 nodes")
-                    tris.append(tuple(conn))
-                    tri_lines.append(ln + 1)
-                # other element types (lines, points, quads, ...) skipped
-            i += 2 + count
-            if i >= len(lines) or lines[i].strip() != "$EndElements":
-                fail(i + 1, "missing $EndElements")
-            i += 1
-        else:
-            i += 1
+                raise MshParseError(f"line {ln}: non-numeric element entry") from None
+            if len(vals) < 3:
+                raise MshParseError(f"line {ln}: element needs id, type, tag count")
+            if vals[1] == 2:  # other element types (lines, points, quads, ...) are skipped
+                conn = vals[3 + vals[2]:]
+                if len(conn) != 3:
+                    raise MshParseError(f"line {ln}: triangle needs exactly 3 nodes")
+                tris.append((ln, conn))
 
     if not tris:
         raise MshParseError("no triangles found in $Elements")
     remap = {nid: k for k, nid in enumerate(sorted(nodes))}
     vertices = np.array([nodes[nid] for nid in sorted(nodes)], dtype=float)
     triangles = np.empty((len(tris), 3), dtype=int)
-    for t, (tri, ln) in enumerate(zip(tris, tri_lines)):
+    for t, (ln, tri) in enumerate(tris):
         for j, nid in enumerate(tri):
             if nid not in remap:
                 raise MshParseError(f"line {ln}: element references unknown node {nid}")

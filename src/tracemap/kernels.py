@@ -19,7 +19,9 @@ overflows.  ``bessel_j0/j1/y0/y1`` write into an ``out=`` array, such as
 library is used.
 
 ``kernel_matrices`` builds the G and dG/dn_y matrices of every family in
-row blocks, weighted per column when given weights.
+row blocks, weighted per column when given weights.  It is the one kernel
+evaluator: ``kernel_matrix``, ``kernel_normal_matrix``, ``kernel_value`` and
+``kernel_gradient_y`` are views of its result.
 
 All kernels here satisfy L G = -delta (potential-theory sign), so the
 interior representation used elsewhere is
@@ -329,23 +331,6 @@ def _laplace_normal_derivative(diffs, r2: np.ndarray, normals: np.ndarray, out: 
     return dg
 
 
-def _value_from_r(spec: KernelSpec, r: np.ndarray, out=None) -> np.ndarray:
-    """G of a Helmholtz family as a function of the distance r, into ``out``."""
-    kr = spec.k * r
-    if spec.family == "helmholtz2d":
-        return _helmholtz2d_value(kr, np.empty(r.shape, dtype=complex) if out is None else out)
-    return np.divide(np.cos(kr) + 1j * np.sin(kr), 4.0 * math.pi * r, out=out)
-
-
-def _radial_derivative(spec: KernelSpec, r: np.ndarray, out=None) -> np.ndarray:
-    """dG/dr of a Helmholtz family as a function of the distance r, into ``out``."""
-    kr = spec.k * r
-    if spec.family == "helmholtz2d":
-        return _helmholtz2d_radial_derivative(kr, spec.k, np.empty(r.shape, dtype=complex) if out is None else out)
-    phase = np.cos(kr) + 1j * np.sin(kr)
-    return np.divide(phase * (1j * kr - 1.0), 4.0 * math.pi * r * r, out=out)
-
-
 def _pairwise(xs, ys):
     """Per-coordinate differences y_j - x_i, each (len(xs), len(ys)), the squared
     distances r^2 summed in coordinate order and each row's smallest r^2; a
@@ -381,6 +366,7 @@ def _pairwise_projection(xs, ys, normals):
 def _fill_rows(spec: KernelSpec, xs, ys, normals, g, dg, weights):
     """One row block of :func:`kernel_matrices`: its rows of G and dG/dn_y,
     weighted, and their smallest r^2; the block's temporaries die on return.
+    The 3D kernel is G = e^{ikr}/(4 pi r), dG/dr = e^{ikr} (ikr - 1)/(4 pi r^2).
     The 2D Helmholtz kernel fills only its geometry here: the normal
     projection into ``g.real``, k r into ``g.imag``."""
     if spec.family == "laplace2d":
@@ -393,9 +379,11 @@ def _fill_rows(spec: KernelSpec, xs, ys, normals, g, dg, weights):
             g.real[...] = proj
             np.multiply(r, spec.k, out=g.imag)
             return r2_min
-        _radial_derivative(spec, r, out=dg)
+        kr = spec.k * r
+        phase = np.cos(kr) + 1j * np.sin(kr)
+        np.divide(phase * (1j * kr - 1.0), 4.0 * math.pi * r * r, out=dg)
         dg *= proj
-        _value_from_r(spec, r, out=g)
+        np.divide(phase, 4.0 * math.pi * r, out=g)
     if weights is not None:
         np.multiply(g, weights, out=g)
         np.multiply(dg, weights, out=dg)
@@ -427,11 +415,9 @@ def kernel_matrices(spec: KernelSpec, xs, ys, normals, weights=None):
 
 
 def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
-    """G(x_i, y_j) for point sets; shape (len(xs), len(ys))."""
-    _, r2, _ = _pairwise(xs, ys)
-    if spec.family == "laplace2d":
-        return _laplace_value(r2, out=r2)
-    return _value_from_r(spec, np.sqrt(r2, out=r2))
+    """G(x_i, y_j) for point sets; shape (len(xs), len(ys)): the G of
+    :func:`kernel_matrices` (zero normals)."""
+    return kernel_matrices(spec, xs, ys, np.zeros_like(ys, dtype=float))[0]
 
 
 def kernel_normal_matrix(spec: KernelSpec, xs, ys, normals) -> np.ndarray:
@@ -445,13 +431,9 @@ def kernel_value(spec: KernelSpec, x, y) -> complex:
 
 
 def kernel_gradient_y(spec: KernelSpec, x, y) -> np.ndarray:
-    """Gradient of G with respect to the second argument, per component.
-
-    For these radial kernels grad_y G = (dG/dr) (y - x)/r, and
-    grad_x G = -grad_y G; for the log kernel, component c is dG/dn_y along e_c.
+    """Gradient of G with respect to the second argument, per component:
+    component c is the dG/dn_y of :func:`kernel_matrices` with n = e_c at a
+    copy of y.  grad_x G = -grad_y G for these radial kernels.
     """
-    diffs, r2, _ = _pairwise([x], [y])
-    if spec.family == "laplace2d":
-        return np.ravel(diffs) * _LAPLACE_DG / r2[0, 0]
-    r = np.sqrt(r2, out=r2)
-    return _radial_derivative(spec, r)[0, 0] * np.ravel(diffs) / r[0, 0]
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    return kernel_matrices(spec, [x], np.tile(y, (y.size, 1)), np.eye(y.size))[1][0]

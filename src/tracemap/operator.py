@@ -330,11 +330,16 @@ def _layout_payload(layout: Layout):
     ]
 
 
-def _layout_from_payload(payload) -> Layout:
-    return tuple(
-        LayoutBlock(b["trace"], b["segment"], tuple(int(i) for i in b["indices"]))
-        for b in payload
-    )
+def _layout_from_payload(payload: dict, name: str) -> Layout:
+    """The layout record ``payload[name]``; a ``ValueError`` names a missing or mistyped field."""
+    layout = []
+    for i, record in enumerate(json_field(payload, name, list)):
+        where = f"{name}[{i}]"
+        block, prefix = json_field({where: record}, where, dict), where + "."
+        indices = json_field(block, "indices", list, prefix)
+        indices = tuple(json_field({f"indices[{j}]": v}, f"indices[{j}]", int, prefix) for j, v in enumerate(indices))
+        layout.append(LayoutBlock(json_field(block, "trace", str, prefix), json_field(block, "segment", str, prefix), indices))
+    return tuple(layout)
 
 
 def save_model(op: LinearBoundaryOperator) -> str:
@@ -369,8 +374,8 @@ def load_model(text: str) -> LinearBoundaryOperator:
         W = layers[0]
         for w in layers[1:]:
             W = w @ W
-        inp = _layout_from_payload(payload["input_layout"])
-        out = _layout_from_payload(payload["output_layout"])
+        inp = _layout_from_payload(payload, "input_layout")
+        out = _layout_from_payload(payload, "output_layout")
         kernel = KernelSpec.from_payload(json_field(payload, "kernel", dict)) if "kernel" in payload else None
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"malformed model file: {exc}") from exc

@@ -4,6 +4,9 @@ and trapezoidal boundary integrals including interior reconstruction.
 Triangle integration uses the symmetric 7-point degree-5 rule in
 barycentric form; the convention here is that the reference weights sum
 to 1 and the physical integral is ``area(T) * sum(w_q f(x_q))``.
+``mesh_quadrature_nodes`` is its one node mapping and degeneracy check:
+``integrate_mesh`` sums over it and ``integrate_triangle`` is
+``integrate_mesh`` on a one-triangle mesh.
 
 The Newton potential of the 2D log kernel is computed by excluding
 quadrature nodes inside a small disc of radius ``r0`` around the
@@ -45,18 +48,12 @@ class DegenerateTriangleError(ValueError):
 
 
 def integrate_triangle(f, v1, v2, v3) -> float:
-    """Integrate ``f`` over one triangle via the affine map to the reference.
+    """Integrate ``f`` over one triangle: :func:`integrate_mesh` on the
+    one-triangle mesh, either orientation.
 
     ``f`` must accept an (m, 2) array of points and return (m,) values.
     """
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    v3 = np.asarray(v3, dtype=float)
-    jac = (v2[0] - v1[0]) * (v3[1] - v1[1]) - (v3[0] - v1[0]) * (v2[1] - v1[1])
-    if abs(jac) < 1e-14:
-        raise DegenerateTriangleError("triangle has (near-)zero area")
-    pts = _NODES @ np.vstack([v1, v2, v3])
-    return 0.5 * abs(jac) * float(_WEIGHTS @ np.asarray(f(pts), dtype=float))
+    return integrate_mesh(f, TriMesh(np.array([v1, v2, v3], dtype=float), np.array([[0, 1, 2]])))
 
 
 def mesh_quadrature_nodes(mesh: TriMesh):

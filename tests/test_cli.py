@@ -261,6 +261,16 @@ class TestTrain:
         assert "error: " in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--log"])
+    def test_output_naming_a_directory_fails_before_the_fit(self, laplace_run, tmp_path, capsys, monkeypatch, flag):
+        _, data, _ = laplace_run
+        paths = {"--out": tmp_path / "model.json", "--log": tmp_path / "log.csv", flag: tmp_path / "dir"}
+        paths[flag].mkdir()
+        monkeypatch.setattr("tracemap.cli.fit_least_squares", lambda *a: pytest.fail("the fit ran"))
+        assert run(["train", "--data", data, "--method", "ls", *(a for kv in paths.items() for a in kv)]) == 1
+        assert capsys.readouterr().err == f"error: {flag} {paths[flag]} is a directory\n"
+        assert not (tmp_path / "model.json").exists() and not (tmp_path / "log.csv").exists()
+
     def test_ls_on_annulus_dataset_written_by_library(self, tmp_path):
         from tracemap.geometry import DomainSpec, PolarCurve
         from tracemap.kernels import KernelSpec
@@ -359,6 +369,24 @@ class TestEvalSolve:
         assert run(["solve", "--model", model, "--grid", "square80", "--g", g_file,
                     "--out", tmp_path / "file" / "field.csv"]) == 1
         assert "error: " in capsys.readouterr().err
+
+    def test_solve_to_a_directory_fails_before_the_solve(self, laplace_run, tmp_path, capsys, monkeypatch):
+        _, _, model = laplace_run
+        g_file, out = tmp_path / "g.csv", tmp_path / "fields"
+        g_file.write_text("1.0\n" * 80)
+        out.mkdir()
+        monkeypatch.setattr("tracemap.cli._load_model_for", lambda *a: pytest.fail("the solve started"))
+        assert run(["solve", "--model", model, "--grid", "square80", "--g", g_file, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: --out {out} is a directory\n"
+
+    def test_eval_to_a_file_fails_before_the_suite(self, laplace_run, tmp_path, capsys, monkeypatch):
+        _, _, model = laplace_run
+        out = tmp_path / "eval"
+        out.write_text("")
+        monkeypatch.setattr("tracemap.cli.evaluate_suite", lambda *a: pytest.fail("the suite ran"))
+        assert run(["eval", "--model", model, "--suite", "laplace", "--n", 80, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: --out {out} is not a directory\n"
+        assert out.read_text() == ""
 
     def test_solve_poisson_with_vertex_source_file(self, laplace_run, tmp_path):
         _, _, model = laplace_run
@@ -588,6 +616,14 @@ class TestEvalSolve:
         assert capsys.readouterr().err == "error: margin must be finite and non-negative, got inf\n"
         assert not out.exists()
 
+    def test_gen_to_a_file_fails_before_the_synthesis(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "data"
+        out.write_text("")
+        monkeypatch.setattr("tracemap.cli.build_dataset", lambda *a: pytest.fail("the synthesis ran"))
+        assert run(["gen", "--equation", "laplace", "--n", 40, "--samples", 5, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: --out {out} is not a directory\n"
+        assert out.read_text() == ""
+
     def test_gen_infinite_wavenumber_refused(self, tmp_path, capsys):
         out = tmp_path / "h"
         assert run(["gen", "--equation", "helmholtz", "--k", "inf", "--n", 40,
@@ -635,6 +671,11 @@ class TestQuadbench:
     def test_bad_r0_refused(self, capsys, r0):
         assert run(["quadbench", "--h", 0.2, f"--r0={r0}", "--fail-above", 1e-3]) == 1
         assert capsys.readouterr().err == f"error: r0 must be finite and positive, got {float(r0)!r}\n"
+
+    def test_report_to_a_directory_fails_before_the_benchmark(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("tracemap.cli.singular_log_integral", lambda *a: pytest.fail("the benchmark ran"))
+        assert run(["quadbench", "--h", 0.2, "--out", tmp_path]) == 1
+        assert capsys.readouterr().err == f"error: --out {tmp_path} is a directory\n"
 
     def test_nan_error_fails_the_gate(self, monkeypatch, capsys):
         monkeypatch.setattr("tracemap.cli.singular_log_integral", lambda *a: float("nan"))

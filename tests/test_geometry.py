@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,21 @@ class TestTriangulateSquare:
         with pytest.raises(InvalidDomainError):
             triangulate_square(1.5)
 
+    @pytest.mark.parametrize("h", [0.5, 0.1, 0.02, 0.013, 0.01])
+    def test_triangles_equal_the_per_cell_loop(self, h):
+        mesh = triangulate_square(h)
+        m = math.ceil(1.0 / h)
+        ref = np.empty((2 * m * m, 3), dtype=int)  # the former double loop
+        k = 0
+        for i in range(m):
+            for j in range(m):
+                v00, v10 = i * (m + 1) + j, (i + 1) * (m + 1) + j
+                v01, v11 = v00 + 1, v10 + 1
+                ref[k], ref[k + 1] = (v00, v10, v11), (v00, v11, v01)
+                k += 2
+        np.testing.assert_array_equal(mesh.triangles, ref)
+        assert mesh.triangles.dtype == ref.dtype
+
 
 MINIMAL_MSH = """$MeshFormat
 2.2 0 8
@@ -281,8 +297,26 @@ class TestMshParser:
 
     def test_missing_end_marker(self):
         bad = MINIMAL_MSH.replace("$EndNodes", "$Oops")
-        with pytest.raises(MshParseError):
+        with pytest.raises(MshParseError, match=r"^line 10: missing \$EndNodes$"):
             parse_msh(bad)
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("$EndElements", "$Oops", "line 16: missing $EndElements"),
+        ("$EndElements\n", "", "line 16: missing $EndElements"),
+        ("$Nodes\n4\n", "$Nodes\n-1\n", "line 5: expected node count, got '-1'"),
+        ("$Elements\n3\n", "$Elements\n-3\n", "line 12: expected element count, got '-3'"),
+        ("$Elements\n3\n", "$Elements\nthree\n", "line 12: expected element count, got 'three'"),
+        ("3 1 1 0\n4 0 1 0\n$EndNodes\n$Elements\n3\n1 1 2 0 1 1 2\n2 2 2 0 1 1 2 3\n3 2 2 0 1 1 3 4\n$EndElements\n",
+         "", "line 5: fewer node lines than declared"),
+        ("3 2 2 0 1 1 3 4\n$EndElements\n", "", "line 12: fewer element lines than declared"),
+        ("$Elements\n3\n1 1 2 0 1 1 2\n2 2 2 0 1 1 2 3\n3 2 2 0 1 1 3 4\n$EndElements\n", "$Elements\n",
+         "line 11: truncated $Elements section"),
+    ], ids=["end_elements", "end_elements_at_eof", "negative_nodes", "negative_elements",
+            "non_numeric_count", "truncated_nodes", "truncated_elements", "header_at_eof"])
+    def test_malformed_section_names_its_line(self, old, new, message):
+        assert old in MINIMAL_MSH
+        with pytest.raises(MshParseError, match="^" + re.escape(message) + "$"):
+            parse_msh(MINIMAL_MSH.replace(old, new))
 
     def test_csv_round_trip_up_to_permutation(self):
         mesh = parse_msh(MINIMAL_MSH)

@@ -525,6 +525,71 @@ class TestKernelGradient:
             kernel_normal_matrix(LAPLACE, np.zeros((2, 2)), np.ones((4, 3)), np.ones((4, 3)))
 
 
+def _reference_r2(xs, ys):
+    """Squared distances summed in coordinate order, (len(xs), len(ys))."""
+    xs, ys = np.atleast_2d(np.asarray(xs, dtype=float)), np.atleast_2d(np.asarray(ys, dtype=float))
+    diffs = [ys[None, :, c] - xs[:, None, c] for c in range(xs.shape[1])]
+    r2 = diffs[0] * diffs[0]
+    for d in diffs[1:]:
+        r2 += d * d
+    return r2
+
+
+def _reference_kernel_matrix(spec, xs, ys):
+    """The former ``kernel_matrix``: G from r^2 for the log kernel, else from r."""
+    r2 = _reference_r2(xs, ys)
+    if spec.family == "laplace2d":
+        return np.log(r2) * (-1.0 / (4.0 * math.pi))
+    r = np.sqrt(r2)
+    kr = spec.k * r
+    if spec.family == "helmholtz3d":
+        return np.divide(np.cos(kr) + 1j * np.sin(kr), 4.0 * math.pi * r)
+    g = np.empty(r.shape, dtype=complex)
+    g.real, g.imag = bessel_y0(kr) * -0.25, bessel_j0(kr) * 0.25
+    return g
+
+
+def _reference_kernel_gradient_y(spec, x, y):
+    """The former ``kernel_gradient_y``: (dG/dr) (y - x)/r, for the log kernel (y - x) (-1/(2 pi)) / r^2."""
+    d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+    r2 = _reference_r2([x], [y])[0, 0]
+    if spec.family == "laplace2d":
+        return d * (-1.0 / (2.0 * math.pi)) / r2
+    r = math.sqrt(r2)
+    kr = spec.k * r
+    if spec.family == "helmholtz3d":
+        dgdr = (math.cos(kr) + 1j * math.sin(kr)) * (1j * kr - 1.0) / (4.0 * math.pi * r * r)
+    else:
+        dgdr = complex(bessel_y1(kr) * 0.25 * spec.k, bessel_j1(kr) * -0.25 * spec.k)
+    return dgdr * d / r
+
+
+class TestViewsOfKernelMatrices:
+    """``kernel_matrix`` and ``kernel_gradient_y`` are views of ``kernel_matrices``;
+    their former formulas are kept here as references."""
+
+    SPECS = [LAPLACE, HELM1, KernelSpec("helmholtz2d", 10.0), HELM3D]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.family}-k{s.k:g}")
+    def test_kernel_matrix_bitwise_equal_to_the_former_formula(self, spec):
+        rng = np.random.default_rng(11)
+        # spans the Bessel evaluator's near, table and far regions at k = 10
+        xs = rng.uniform(-1.0, 1.0, (37, spec.dimension))
+        ys = rng.uniform(-2.0, 2.0, (53, spec.dimension))
+        got, want = kernel_matrix(spec, xs, ys), _reference_kernel_matrix(spec, xs, ys)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert kernel_value(spec, xs[0], ys[0]) == complex(want[0, 0])
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.family}-k{s.k:g}")
+    def test_kernel_gradient_y_equals_the_former_formula(self, spec):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            x, y = rng.uniform(-1.5, 1.5, (2, spec.dimension))
+            got, want = kernel_gradient_y(spec, x, y), _reference_kernel_gradient_y(spec, x, y)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def _shift(p, d, eps):
     q = np.asarray(p, dtype=float).copy()
     q[d] += eps

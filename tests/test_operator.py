@@ -445,6 +445,33 @@ class TestModelIO:
         with pytest.raises(ValueError, match="^" + re.escape(f"malformed model file: {message}") + "$"):
             load_model(json.dumps(payload))
 
+    @pytest.mark.parametrize("name,edit,message", [
+        ("input_layout", lambda b: b["indices"].__setitem__(5, 5.7),
+         "sidecar field 'input_layout[0].indices[5]' must be an integer, got 5.7"),
+        ("output_layout", lambda b: b["indices"].__setitem__(0, True),
+         "sidecar field 'output_layout[0].indices[0]' must be an integer, got True"),
+        ("input_layout", lambda b: b.__setitem__("indices", "012345"),
+         "sidecar field 'input_layout[0].indices' must be a list, got '012345'"),
+        ("input_layout", lambda b: b.__setitem__("trace", 1),
+         "sidecar field 'input_layout[0].trace' must be a string, got 1"),
+        ("output_layout", lambda b: b.__setitem__("segment", None),
+         "sidecar field 'output_layout[0].segment' must be a string, got None"),
+        ("output_layout", lambda b: b.pop("trace"), "sidecar field 'output_layout[0].trace' is missing"),
+    ])
+    def test_layout_record_read_by_the_typed_reader(self, rng, name, edit, message):
+        payload = json.loads(save_model(random_op(rng)))
+        edit(payload[name][0])
+        with pytest.raises(ValueError, match="^" + re.escape(f"malformed model file: {message}") + "$"):
+            load_model(json.dumps(payload))
+
+    def test_layout_that_is_not_a_list_of_records_refused(self, rng):
+        for record, message in (([[0, 1]], "sidecar field 'input_layout[0]' must be an object, got [0, 1]"),
+                                ({}, "sidecar field 'input_layout' must be a list, got {}")):
+            payload = json.loads(save_model(random_op(rng)))
+            payload["input_layout"] = record
+            with pytest.raises(ValueError, match="^" + re.escape(f"malformed model file: {message}") + "$"):
+                load_model(json.dumps(payload))
+
     def test_model_bytes_match_per_float_loop(self, rng):
         W = rng.normal(size=(4, 4))
         W[0] = [-0.0, 5e-324, -2.2250738585072014e-308, np.inf]

@@ -71,6 +71,20 @@ class TestSevenPointRule:
         with pytest.raises(DegenerateTriangleError):
             integrate_triangle(lambda p: np.ones(len(p)), (0, 0), (1, 1), (2, 2))
 
+    def test_equals_the_former_single_triangle_formula(self, rng):
+        def reference(f, v1, v2, v3):  # the affine map integrate_triangle did before
+            v = np.array([v1, v2, v3], dtype=float)
+            jac = (v[1, 0] - v[0, 0]) * (v[2, 1] - v[0, 1]) - (v[2, 0] - v[0, 0]) * (v[1, 1] - v[0, 1])
+            return 0.5 * abs(jac) * float(_WEIGHTS @ f(_NODES @ v))
+
+        funcs = [lambda p: np.exp(p[:, 0]) * (2.0 + np.cos(3.0 * p[:, 1])), lambda p: 1.0 + p[:, 0] ** 4 + p[:, 1] ** 2,
+                 lambda p: np.log(1.0 + p[:, 0] ** 2 + p[:, 1] ** 2)]
+        for _ in range(40):
+            tri = rng.uniform(-2, 2, size=(3, 2))  # either orientation
+            for f in funcs:
+                ref = reference(f, *tri)
+                assert abs(integrate_triangle(f, *tri) - ref) <= 1e-12 * abs(ref)
+
 
 class TestIntegrateMesh:
     def test_constant(self):
