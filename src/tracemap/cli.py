@@ -47,14 +47,7 @@ from .solvers import (
     solve_poisson,
     summary_to_json,
 )
-from .synthesis import (
-    Dataset,
-    DatasetSpec,
-    dataset_checksum,
-    dataset_from_csv,
-    dataset_to_csv,
-    build_dataset,
-)
+from .synthesis import Dataset, DatasetSpec, build_dataset, dataset_from_csv, write_dataset_csv
 from .textio import float_cells, parse_floats, table_text
 
 LOG_REFERENCE_CORNER = float(np.log(2.0) + np.pi / 2.0 - 3.0)
@@ -69,8 +62,11 @@ def _emit_provenance(args, *artifacts: Path) -> None:
     )
     print(f"config: {echo}")
     for path in artifacts:
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-        print(f"artifact: {path} sha256:{digest}")
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:  # in blocks: a dataset CSV may be large
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                digest.update(block)
+        print(f"artifact: {path} sha256:{digest.hexdigest()[:16]}")
 
 
 def _domain_from_name(name: str) -> DomainSpec:
@@ -142,11 +138,10 @@ def cmd_gen(args) -> int:
     _prepare_outputs(("--out", args.out, True))
     ds = build_dataset(spec)
     out = Path(args.out)
-    csv_text = dataset_to_csv(ds)
-    (out / "dataset.csv").write_text(csv_text)
+    digest = write_dataset_csv(ds, out / "dataset.csv")
     (out / "dataset.json").write_text(spec.to_json())
     print(f"wrote {ds.n_samples} samples ({spec.n_points} points) to {out}")
-    print(f"sha256 {dataset_checksum(csv_text)}")
+    print(f"sha256 {digest}")
     _emit_provenance(args, out / "dataset.csv", out / "dataset.json")
     return 0
 
@@ -154,7 +149,8 @@ def cmd_gen(args) -> int:
 def _load_dataset(data_dir: Path) -> Dataset:
     spec = DatasetSpec.from_json((data_dir / "dataset.json").read_text())
     grid = make_boundary_grid(spec.domain, spec.n_points)
-    return dataset_from_csv((data_dir / "dataset.csv").read_text(), spec, grid)
+    with open(data_dir / "dataset.csv") as lines:
+        return dataset_from_csv(lines, spec, grid)
 
 
 def cmd_train(args) -> int:

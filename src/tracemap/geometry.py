@@ -600,6 +600,8 @@ def parse_msh(text: str) -> TriMesh:
                     x, y = parse_floats(parts[1:3], "node coordinates")
                 except ValueError as exc:
                     raise MshParseError(f"line {ln}: bad node entry ({exc})") from None
+                if nid in nodes:
+                    raise MshParseError(f"line {ln}: repeated node id {nid}")
                 nodes[nid] = (x, y)
                 continue
             try:

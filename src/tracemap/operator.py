@@ -330,14 +330,19 @@ def _layout_payload(layout: Layout):
     ]
 
 
-def _layout_from_payload(payload: dict, name: str) -> Layout:
-    """The layout record ``payload[name]``; a ``ValueError`` names a missing or mistyped field."""
+def _layout_from_payload(payload: dict, name: str, n: int) -> Layout:
+    """The layout record ``payload[name]`` over an ``n``-point boundary; a
+    ``ValueError`` names a missing or mistyped field, or an index outside
+    ``0 <= i < n``."""
     layout = []
     for i, record in enumerate(json_field(payload, name, list)):
         where = f"{name}[{i}]"
         block, prefix = json_field({where: record}, where, dict), where + "."
         indices = json_field(block, "indices", list, prefix)
         indices = tuple(json_field({f"indices[{j}]": v}, f"indices[{j}]", int, prefix) for j, v in enumerate(indices))
+        for j, v in enumerate(indices):
+            if not 0 <= v < n:
+                raise ValueError(f"sidecar field '{prefix}indices[{j}]' must be in 0 <= i < {n}, got {v}")
         layout.append(LayoutBlock(json_field(block, "trace", str, prefix), json_field(block, "segment", str, prefix), indices))
     return tuple(layout)
 
@@ -374,8 +379,10 @@ def load_model(text: str) -> LinearBoundaryOperator:
         W = layers[0]
         for w in layers[1:]:
             W = w @ W
-        inp = _layout_from_payload(payload, "input_layout")
-        out = _layout_from_payload(payload, "output_layout")
+        if W.ndim != 2:
+            raise ValueError(f"the layers make a {W.ndim}-D array, not a matrix")
+        inp = _layout_from_payload(payload, "input_layout", W.shape[1])
+        out = _layout_from_payload(payload, "output_layout", W.shape[1])
         kernel = KernelSpec.from_payload(json_field(payload, "kernel", dict)) if "kernel" in payload else None
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"malformed model file: {exc}") from exc

@@ -64,7 +64,8 @@ def mesh_quadrature_nodes(mesh: TriMesh):
     """
     a, b, c = mesh.corner_arrays()
     areas = mesh.areas()
-    if np.any(np.abs(areas) < 0.5e-14):
+    edges_sq = [np.sum((p - q) ** 2, axis=1) for p, q in ((b, a), (c, b), (a, c))]
+    if np.any(np.abs(areas) <= 0.5e-14 * np.max(edges_sq, axis=0)):  # scale-free: zero area to rounding
         raise DegenerateTriangleError("mesh contains a degenerate triangle")
     pts = (
         _NODES[None, :, 0, None] * a[:, None, :]

@@ -18,6 +18,16 @@ def table_text(header: str, rows, end: str = "\r\n") -> str:
     return end.join([header, *map(",".join, rows), ""])
 
 
+def table_lines(header: str, rows, end: str = "\r\n"):
+    """The lines of :func:`table_text`, each made only when it is asked for, so
+    a writer can stream a table that is never held whole.  ``table_text`` keeps
+    its own one-join form: a generator frame per row made the 50 field files of
+    a Laplace ``eval`` about 0.3 s slower."""
+    yield header + end
+    for row in rows:
+        yield ",".join(row) + end
+
+
 def parse_floats(cells, where: str) -> np.ndarray:
     """``cells`` as floats; a ``ValueError`` names ``where`` for a non-numeric or non-finite cell."""
     try:

@@ -53,6 +53,17 @@ class TestGen:
              "--samples", 150, "--seed", 42, "--out", again])
         assert (again / "dataset.csv").read_bytes() == (data / "dataset.csv").read_bytes()
 
+    def test_dataset_bytes_and_printed_hash_equal_the_library_text(self, tmp_path, capsys):
+        from tracemap.synthesis import DatasetSpec, build_dataset, dataset_checksum, dataset_to_csv
+
+        out = tmp_path / "data"
+        assert run(["gen", "--equation", "helmholtz", "--k", 10, "--n", 40, "--samples", 20,
+                    "--seed", 5, "--out", out]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        text = dataset_to_csv(build_dataset(DatasetSpec.from_json((out / "dataset.json").read_text())))
+        assert (out / "dataset.csv").read_bytes() == text.encode()
+        assert f"sha256 {dataset_checksum(text)}" in printed
+
     def test_helmholtz_sidecar_notes_scale_only(self, tmp_path):
         out = tmp_path / "h"
         assert run(

@@ -311,8 +311,9 @@ class TestMshParser:
         ("3 2 2 0 1 1 3 4\n$EndElements\n", "", "line 12: fewer element lines than declared"),
         ("$Elements\n3\n1 1 2 0 1 1 2\n2 2 2 0 1 1 2 3\n3 2 2 0 1 1 3 4\n$EndElements\n", "$Elements\n",
          "line 11: truncated $Elements section"),
+        ("4 0 1 0\n", "2 0 1 0\n", "line 9: repeated node id 2"),
     ], ids=["end_elements", "end_elements_at_eof", "negative_nodes", "negative_elements",
-            "non_numeric_count", "truncated_nodes", "truncated_elements", "header_at_eof"])
+            "non_numeric_count", "truncated_nodes", "truncated_elements", "header_at_eof", "repeated_node"])
     def test_malformed_section_names_its_line(self, old, new, message):
         assert old in MINIMAL_MSH
         with pytest.raises(MshParseError, match="^" + re.escape(message) + "$"):

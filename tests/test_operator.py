@@ -457,6 +457,10 @@ class TestModelIO:
         ("output_layout", lambda b: b.__setitem__("segment", None),
          "sidecar field 'output_layout[0].segment' must be a string, got None"),
         ("output_layout", lambda b: b.pop("trace"), "sidecar field 'output_layout[0].trace' is missing"),
+        ("input_layout", lambda b: b["indices"].__setitem__(3, -1),
+         "sidecar field 'input_layout[0].indices[3]' must be in 0 <= i < 6, got -1"),
+        ("output_layout", lambda b: b["indices"].__setitem__(5, 6),
+         "sidecar field 'output_layout[0].indices[5]' must be in 0 <= i < 6, got 6"),
     ])
     def test_layout_record_read_by_the_typed_reader(self, rng, name, edit, message):
         payload = json.loads(save_model(random_op(rng)))
@@ -492,6 +496,12 @@ class TestModelIO:
         payload = json.loads(save_model(op))
         payload["layers"][0]["shape"] = [5, 6]
         with pytest.raises(ValueError):
+            load_model(json.dumps(payload))
+
+    def test_layers_that_make_no_matrix_rejected(self, rng):
+        payload = json.loads(save_model(random_op(rng)))
+        payload["layers"][0]["shape"] = [36]
+        with pytest.raises(ValueError, match="^malformed model file: the layers make a 1-D array, not a matrix$"):
             load_model(json.dumps(payload))
 
     @pytest.mark.parametrize("edit", ["empty", "nan", "inf"])

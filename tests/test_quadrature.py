@@ -71,6 +71,14 @@ class TestSevenPointRule:
         with pytest.raises(DegenerateTriangleError):
             integrate_triangle(lambda p: np.ones(len(p)), (0, 0), (1, 1), (2, 2))
 
+    def test_degeneracy_is_judged_relative_to_the_triangle_size(self):
+        one = lambda p: np.ones(len(p))
+        # well shaped at 1e-7 scale: its area 4e-15 is below any fixed 1e-14 cut
+        assert integrate_triangle(one, (0, 0), (1e-7, 0), (0.5e-7, 0.8e-7)) == pytest.approx(4e-15, rel=1e-12)
+        # a sliver of area 1000 whose height is 5e-16 of its 2e9 length
+        with pytest.raises(DegenerateTriangleError, match="^mesh contains a degenerate triangle$"):
+            integrate_triangle(one, (0, 0), (2e9, 0), (1e9, 1e-6))
+
     def test_equals_the_former_single_triangle_formula(self, rng):
         def reference(f, v1, v2, v3):  # the affine map integrate_triangle did before
             v = np.array([v1, v2, v3], dtype=float)

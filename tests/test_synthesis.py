@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,9 +29,23 @@ from tracemap.synthesis import (
     sample_simplex_weights,
     sample_source_points,
     synthesize_trace_pair,
+    write_dataset_csv,
 )
+from tracemap.textio import table_lines, table_text
 
 SQUARE = DomainSpec.unit_square()
+# How a test hands CSV text to dataset_from_csv: its splitlines(), or a file holding its
+# bytes, opened as the CLI opens it ("file") or with its line ends kept ("raw file").
+CSV_SOURCES = ["lines", "file", "raw file"]
+
+
+def read_csv(text, spec, grid, source, tmp_path):
+    if source == "lines":
+        return dataset_from_csv(text.splitlines(), spec, grid)
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(text.encode())
+    with open(path, newline=None if source == "file" else "") as lines:
+        return dataset_from_csv(lines, spec, grid)
 
 
 def small_spec(**kw):
@@ -410,16 +425,40 @@ class TestBuildDataset:
         b = build_dataset(small_spec(seed=2))
         assert dataset_checksum(dataset_to_csv(a)) != dataset_checksum(dataset_to_csv(b))
 
-    def test_csv_round_trip(self):
+    @pytest.mark.parametrize("source", CSV_SOURCES)
+    def test_csv_round_trip(self, source, tmp_path):
         spec = small_spec()
         grid = make_boundary_grid(SQUARE, 80)
         ds = build_dataset(spec, grid)
         text = dataset_to_csv(ds)
         assert text.splitlines()[0] == "kind,n_points"
         for end in ("\r\n", "\n"):
-            again = dataset_from_csv(text.replace("\r\n", end), spec, grid)
+            again = read_csv(text.replace("\r\n", end), spec, grid, source, tmp_path)
             assert again.g_rows.tobytes() == ds.g_rows.tobytes()
             assert again.h_rows.tobytes() == ds.h_rows.tobytes()
+
+    def test_write_and_read_hold_no_copy_of_the_text(self, tmp_path):
+        n_samples, n_points = 2000, 100
+        spec = small_spec(n_points=n_points, n_samples=n_samples)
+        grid = make_boundary_grid(SQUARE, n_points)
+        rng = np.random.default_rng(0)
+        ds = Dataset(spec=spec, grid=grid, g_rows=rng.normal(size=(n_samples, n_points)),
+                     h_rows=rng.normal(size=(n_samples, n_points)))
+        path = tmp_path / "dataset.csv"
+        tracemalloc.start()
+        try:
+            write_dataset_csv(ds, path)
+            with open(path) as lines:
+                again = dataset_from_csv(lines, spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text_bytes = path.stat().st_size
+        assert text_bytes > 7e6
+        arrays = again.g_rows.nbytes + again.h_rows.nbytes  # the one array reading fills
+        assert peak - arrays < text_bytes / 10
+        assert again.g_rows.tobytes() == ds.g_rows.tobytes()
+        assert again.h_rows.tobytes() == ds.h_rows.tobytes()
 
     def test_csv_bytes_match_csv_writer(self):
         def reference(ds):
@@ -440,6 +479,11 @@ class TestBuildDataset:
         ds = build_dataset(spec)
         assert dataset_to_csv(ds) == reference(ds)
 
+    def test_table_lines_are_the_lines_of_table_text(self):
+        for rows, end in (([["a", "1"], ["b", "2.5", "x"]], "\r\n"), ([], "\n")):
+            assert "".join(table_lines("h,x", rows, end)) == table_text("h,x", rows, end)
+
+    @pytest.mark.parametrize("source", CSV_SOURCES)
     @pytest.mark.parametrize("end", ["\r\n", "\n"])
     @pytest.mark.parametrize("line, edit, message", [
         (5, lambda row: "", "line 5: expected a 'h' row, found ''"),
@@ -450,22 +494,32 @@ class TestBuildDataset:
         (2, lambda row: "h" + row[1:], "line 2: expected a 'g' row"),
         (21, lambda row: None, "line 20: 'g' row without its 'h' row"),
     ], ids=["blank", "nan", "short", "long", "non-numeric", "order", "unpaired"])
-    def test_csv_defects_name_the_line(self, end, line, edit, message):
+    def test_csv_defects_name_the_line(self, source, end, line, edit, message, tmp_path):
         spec = small_spec()
         grid = make_boundary_grid(SQUARE, 80)
         rows = dataset_to_csv(build_dataset(spec, grid)).splitlines()
         rows[line - 1] = edit(rows[line - 1])
         text = end.join(row for row in rows if row is not None) + end
         with pytest.raises(ValueError, match="^" + message):
-            dataset_from_csv(text, spec, grid)
+            read_csv(text, spec, grid, source, tmp_path)
 
-    def test_csv_sample_count_must_match_the_spec(self):
+    @pytest.mark.parametrize("source", CSV_SOURCES)
+    @pytest.mark.parametrize("end", ["\r\n", "\n"])
+    def test_csv_sample_count_must_match_the_spec(self, source, end, tmp_path):
         spec = small_spec(n_samples=50)
         grid = make_boundary_grid(SQUARE, 80)
         rows = dataset_to_csv(build_dataset(spec, grid)).splitlines()
-        for n in (20, 0):
+        for n, kept in ((20, rows[: 1 + 2 * 20]), (0, rows[:1]), (60, rows + rows[1:21])):
             with pytest.raises(ValueError, match=f"^{n} samples, expected n_samples = 50$"):
-                dataset_from_csv("\n".join(rows[: 1 + 2 * n]) + "\n", spec, grid)
+                read_csv(end.join(kept) + end, spec, grid, source, tmp_path)
+
+    def test_csv_header_checked_before_the_rows_are_allocated(self):
+        grid = make_boundary_grid(SQUARE, 80)
+        for text in ("", "kind\n"):
+            with pytest.raises(ValueError, match="^line 1: expected dataset header 'kind,n_points'$"):
+                dataset_from_csv(text.splitlines(), small_spec(), grid)
+        with pytest.raises(ValueError, match="^n_samples = 1000000000000000 samples of 80 points do not fit"):
+            dataset_from_csv(["kind,n_points"], small_spec(n_samples=10**15), grid)
 
     def test_stored_arrays_are_read_only_views(self):
         g, h = np.arange(4.0), np.ones(4)
