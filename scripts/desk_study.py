@@ -26,16 +26,13 @@ from tracemap.operator import (
 )
 from tracemap.quadrature import BoundaryReconstructor
 from tracemap.solvers import (
+    SUITES,
     evaluate_suite,
     make_eval_grid,
-    make_test_suite,
-    plane_wave_3d,
-    poisson_cases,
     predict_normal_derivative_3d,
     relative_l2,
-    solve_dirichlet,
+    solve_case,
     solve_mixed,
-    solve_poisson,
 )
 from tracemap.synthesis import DatasetSpec, build_dataset
 
@@ -51,6 +48,19 @@ def train(ds, inp, out, method, epochs):
     cfg = TrainingConfig(epochs=epochs, seed=3)
     op, report = train_adam(X, T, inp, out, cfg)
     return op, report.best_loss
+
+
+def suite(name, k=None):
+    """The cases of ``eval --suite name`` on the square, at seed 7."""
+    return SUITES[name][1](SQUARE, k, 7)
+
+
+def errors(op, rec, cases, mesh=None):
+    """Mean du/dn error (nan where no case has an exact du/dn) and mean
+    interior error over the families of ``cases``."""
+    summ = evaluate_suite(cases, lambda case: solve_case(op, rec, case, mesh))
+    dudn = [s["mean_dudn_error"] for s in summ.values() if s["mean_dudn_error"] is not None]
+    return (np.mean(dudn) if dudn else float("nan")), np.mean([s["mean_total_error"] for s in summ.values()])
 
 
 def main():
@@ -74,26 +84,13 @@ def main():
     ds = build_dataset(spec, grid)
     op_lap, loss = train(ds, inp, out, args.method, args.epochs)
     rec = BoundaryReconstructor(KernelSpec("laplace2d"), grid, eval_pts)
-    cases = [c for f in ("u1", "u2", "u3", "u4", "u5")
-             for c in make_test_suite(f, SQUARE, seed=7, n_cases=10)]
-
-    def solve_lap(case):
-        fld = solve_dirichlet(op_lap, rec, case.dirichlet(grid), exact=case.u)
-        return fld, case.neumann(grid)
-
-    summ = evaluate_suite(cases, solve_lap)
-    tot = np.mean([s["mean_total_error"] for s in summ.values()])
-    dudn = np.mean([s["mean_dudn_error"] for s in summ.values()])
-    rows.append(("laplace dirichlet", loss, dudn, tot, time.time() - t0))
+    cases = suite("laplace")
+    rows.append(("laplace dirichlet", loss, *errors(op_lap, rec, cases), time.time() - t0))
 
     # Poisson via decomposition (same operator)
     t0 = time.time()
     mesh = triangulate_square(args.mesh_h)
-    errs = []
-    for case in poisson_cases():
-        fld = solve_poisson(op_lap, case.source, case.dirichlet(grid), mesh, rec, exact=case.u)
-        errs.append(fld.relative_l2)
-    rows.append(("poisson (2 cases)", loss, float("nan"), np.mean(errs), time.time() - t0))
+    rows.append(("poisson (2 cases)", loss, *errors(op_lap, rec, suite("poisson"), mesh), time.time() - t0))
 
     # Mixed boundary conditions, Dirichlet part = bottom edge
     t0 = time.time()
@@ -116,16 +113,7 @@ def main():
         ds_h = build_dataset(spec_h, grid)
         op_h, loss_h = train(ds_h, inp, out, args.method, args.epochs)
         rec_h = BoundaryReconstructor(KernelSpec("helmholtz2d", k), grid, eval_pts)
-        hcases = [c for f in ("sin_sin", "sin_sinh")
-                  for c in make_test_suite(f, SQUARE, k=k, seed=7, n_cases=10)]
-
-        def solve_h(case, op_h=op_h, rec_h=rec_h):
-            fld = solve_dirichlet(op_h, rec_h, case.dirichlet(grid), exact=case.u)
-            return fld, case.neumann(grid)
-
-        summ = evaluate_suite(hcases, solve_h)
-        tot = np.mean([s["mean_total_error"] for s in summ.values()])
-        dudn = np.mean([s["mean_dudn_error"] for s in summ.values()])
+        dudn, tot = errors(op_h, rec_h, suite("helmholtz", k))
         rows.append((f"helmholtz k={k:g}", loss_h, dudn, tot, time.time() - t0))
 
     # 3D boundary-only
@@ -137,7 +125,7 @@ def main():
     ds3 = build_dataset(spec3, grid3)
     inp3, out3 = dirichlet_layouts(1200)
     op3, loss3 = train(ds3, inp3, out3, "ls", args.epochs)
-    case3 = plane_wave_3d(1.0)
+    (case3,) = suite("helmholtz3d", 1.0)
     _, err3 = predict_normal_derivative_3d(op3, grid3, case3.dirichlet(grid3),
                                            case3.neumann(grid3))
     rows.append(("helmholtz 3d (boundary)", loss3,

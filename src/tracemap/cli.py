@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,18 +35,14 @@ from .operator import (
 )
 from .quadrature import BoundaryReconstructor, singular_log_integral
 from .solvers import (
-    HELMHOLTZ_FAMILIES,
-    LAPLACE_FAMILIES,
+    SUITES,
     evaluate_suite,
     make_eval_grid,
-    make_test_suite,
-    poisson_cases,
-    plane_wave_3d,
     predict_normal_derivative_3d,
+    solve_case,
     solve_dirichlet,
     solve_mixed,
     solve_poisson,
-    summary_to_json,
 )
 from .synthesis import Dataset, DatasetSpec, build_dataset, dataset_from_csv, write_dataset_csv
 from .textio import float_cells, parse_floats, table_text
@@ -69,26 +66,18 @@ def _emit_provenance(args, *artifacts: Path) -> None:
         print(f"artifact: {path} sha256:{digest.hexdigest()[:16]}")
 
 
-def _domain_from_name(name: str) -> DomainSpec:
-    presets = {
-        "square": DomainSpec.unit_square,
-        "circle": lambda: DomainSpec.polar(1.0),
-        "star5": lambda: DomainSpec.polar(0.65, [PolarTerm("sin", 0.2, 5)]),
-        "sphere": DomainSpec.sphere,
-    }
-    if name not in presets:
-        raise SystemExit(f"unknown domain {name!r}; choose from {sorted(presets)}")
-    return presets[name]()
+_DOMAINS = {
+    "square": DomainSpec.unit_square,
+    "circle": lambda: DomainSpec.polar(1.0),
+    "star5": lambda: DomainSpec.polar(0.65, [PolarTerm("sin", 0.2, 5)]),
+    "sphere": DomainSpec.sphere,
+}
 
 
 def _kernel(equation: str, k: float) -> KernelSpec:
     if equation == "laplace":
         return KernelSpec("laplace2d")
-    if equation == "helmholtz":
-        return KernelSpec("helmholtz2d", k)
-    if equation == "helmholtz3d":
-        return KernelSpec("helmholtz3d", k)
-    raise SystemExit(f"unknown equation {equation!r}")
+    return KernelSpec("helmholtz2d" if equation == "helmholtz" else "helmholtz3d", k)
 
 
 def _load_model_for(path: str, kernel: KernelSpec):
@@ -125,7 +114,7 @@ def _prepare_outputs(*outputs) -> None:
 
 def cmd_gen(args) -> int:
     kernel = _kernel(args.equation, args.k)
-    domain = _domain_from_name(args.domain)
+    domain = _DOMAINS[args.domain]()
     spec = DatasetSpec(
         kernel=kernel,
         domain=domain,
@@ -135,8 +124,9 @@ def cmd_gen(args) -> int:
         source_box=(args.box_lo, args.box_hi),
         seed=args.seed,
     )
+    grid = make_boundary_grid(domain, spec.n_points)
     _prepare_outputs(("--out", args.out, True))
-    ds = build_dataset(spec)
+    ds = build_dataset(spec, grid)
     out = Path(args.out)
     digest = write_dataset_csv(ds, out / "dataset.csv")
     (out / "dataset.json").write_text(spec.to_json())
@@ -154,6 +144,8 @@ def _load_dataset(data_dir: Path) -> Dataset:
 
 
 def cmd_train(args) -> int:
+    if args.method == "adam":  # refused before any output is created or data read
+        cfg = TrainingConfig(learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs, seed=args.seed)
     _prepare_outputs(("--out", args.out, False), ("--log", args.log, False))
     ds = _load_dataset(Path(args.data))
     kernel = ds.spec.kernel
@@ -171,16 +163,14 @@ def cmd_train(args) -> int:
         print(f"least-squares residual {residual:.6e}")
         log_text = "epoch,mean_loss,best_loss\n"
     else:
-        cfg = TrainingConfig(
-            learning_rate=args.lr, batch_size=min(args.batch, len(inputs)),
-            epochs=args.epochs, seed=args.seed,
-        )
+        cfg = replace(cfg, batch_size=min(cfg.batch_size, len(inputs)))
         op, report = train_adam(inputs, targets, inp_layout, out_layout, cfg)
         print(
             f"adam best loss {report.best_loss:.6e} at epoch {report.best_epoch} "
             f"({report.wall_time:.1f}s)"
         )
         log_text = report.to_csv()
+    del ds, inputs, targets  # so that the training data and the model text never add up in the peak
     print(f"constant annihilation {constant_annihilation(op):.3e}")
     op.kernel = kernel
     Path(args.out).write_text(save_model(op))
@@ -196,58 +186,47 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     # accept spellings like "laplace-u1..u5"
     args.suite = args.suite.split("-")[0]
-    if args.suite not in ("laplace", "helmholtz", "poisson", "helmholtz3d"):
+    if args.suite not in SUITES:
         raise SystemExit(f"unknown suite {args.suite!r}")
-    kernel = _kernel("laplace" if args.suite == "poisson" else args.suite, args.k)
+    equation, draw_cases = SUITES[args.suite]
+    kernel = _kernel(equation, args.k)
     op = _load_model_for(args.model, kernel)
-    domain = _domain_from_name(args.domain)
-    if args.suite == "helmholtz3d" and domain.dimension != 3:
-        raise ValueError(f"suite helmholtz3d needs a 3-D domain, got {domain.shape!r}")
+    domain = _DOMAINS[args.domain]()
+    if kernel.dimension == 3 and domain.dimension != 3:
+        raise ValueError(f"suite {args.suite} needs a 3-D domain, got {domain.shape!r}")
     grid = make_boundary_grid(domain, args.n)
-    if args.suite != "helmholtz3d":
+    if kernel.dimension == 2:
         eval_points = make_eval_grid(domain, 100, margin=args.margin)
-    if args.suite == "poisson":
-        mesh = _source_mesh(domain, args.domain, args.mesh_h)
+    cases = draw_cases(domain, args.k, args.seed)
+    has_source = any(case.source is not None for case in cases)
+    mesh = _source_mesh(domain, args.domain, args.mesh_h) if has_source else None
     _prepare_outputs(("--out", args.out, True))
     out_dir = Path(args.out)
 
-    if args.suite == "helmholtz3d":
-        case = plane_wave_3d(args.k)
+    if kernel.dimension == 3:  # boundary-only: no interior to rebuild
+        (case,) = cases
         _, err = predict_normal_derivative_3d(op, grid, case.dirichlet(grid), case.neumann(grid))
-        summary = {"plane3d": {"n_cases": 1, "dudn_error": err}}
-        (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
-        print(f"3D normal-derivative relative error {err:.4e}")
-        _emit_provenance(args, out_dir / "summary.json")
-        return 0
-
-    if args.suite == "poisson":
-        cases = poisson_cases()
+        summary = json.dumps({case.family: {"n_cases": 1, "dudn_error": err}}, indent=2)
+        report = f"3D normal-derivative relative error {err:.4e}"
     else:
-        families = LAPLACE_FAMILIES if args.suite == "laplace" else HELMHOLTZ_FAMILIES
-        cases = [c for fam in families for c in make_test_suite(fam, domain, k=args.k, seed=args.seed)]
+        def solve_one(case):
+            return solve_case(op, BoundaryReconstructor(kernel, grid, eval_points), case, mesh)
 
-    def solve_one(case):
-        g = case.dirichlet(grid)
-        rec = BoundaryReconstructor(kernel, grid, eval_points)
-        if args.suite == "poisson":  # h_trace is the harmonic part's: no exact trace to match
-            return solve_poisson(op, case.source, g, mesh, rec, exact=case.u), None
-        return solve_dirichlet(op, rec, g, exact=case.u), case.neumann(grid)
-
-    summary = evaluate_suite(cases, solve_one)
-    (out_dir / "summary.json").write_text(summary_to_json(summary))
-    for i, case in enumerate(cases):
-        fld, _ = solve_one(case)
-        (out_dir / f"case_{i:03d}_{case.family}.csv").write_text(fld.to_csv())
-    print(summary_to_json(summary))
+        summary = report = json.dumps(evaluate_suite(cases, solve_one), indent=2, sort_keys=True)
+        for i, case in enumerate(cases):
+            fld, _ = solve_one(case)
+            (out_dir / f"case_{i:03d}_{case.family}.csv").write_text(fld.to_csv())
+    (out_dir / "summary.json").write_text(summary)
+    print(report)
     _emit_provenance(args, out_dir / "summary.json")
     return 0
 
 
 def cmd_solve(args) -> int:
+    domain, n = _parse_grid_name(args.grid)
     _prepare_outputs(("--out", args.out, False))
     kernel = _kernel(args.equation, args.k)
     op = _load_model_for(args.model, kernel)
-    domain, n = _parse_grid_name(args.grid)
     grid = make_boundary_grid(domain, n)
     g = _read_column(Path(args.g))
     rec = BoundaryReconstructor(kernel, grid, make_eval_grid(domain, 100, margin=args.margin))
@@ -301,11 +280,12 @@ def _vertex_interpolant(mesh, vertex_values):
 
 
 def _parse_grid_name(name: str):
-    for prefix in ("square", "circle", "star5", "sphere"):
-        if name.startswith(prefix):
-            n = int(name[len(prefix) :] or "400")
-            return _domain_from_name(prefix), n
-    raise SystemExit(f"unknown grid {name!r} (expected e.g. square400)")
+    for prefix, domain in _DOMAINS.items():
+        size = name[len(prefix) :] or "400"
+        if name.startswith(prefix) and size.isdecimal():
+            return domain(), int(size)
+    names = "|".join(_DOMAINS)
+    raise ValueError(f"unknown grid {name!r}: expected {names} and a point count, e.g. square400")
 
 
 def _read_column(path: Path) -> np.ndarray:
@@ -347,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="synthesize a trace-pair dataset")
     p.add_argument("--equation", required=True, choices=["laplace", "helmholtz", "helmholtz3d"])
-    p.add_argument("--domain", default="square")
+    p.add_argument("--domain", choices=_DOMAINS, default="square")
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--n", type=int, default=400)
     p.add_argument("--samples", type=int, default=10_000)
@@ -373,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run an analytic test suite")
     p.add_argument("--model", required=True)
     p.add_argument("--suite", required=True,
-                   help="laplace | helmholtz | poisson | helmholtz3d (family suffixes tolerated)")
-    p.add_argument("--domain", default="square")
+                   help=f"{' | '.join(SUITES)} (family suffixes tolerated)")
+    p.add_argument("--domain", choices=_DOMAINS, default="square")
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--n", type=int, default=400)
     p.add_argument("--seed", type=int, default=0)

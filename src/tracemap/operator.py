@@ -171,6 +171,8 @@ class TrainingConfig:
             raise ValueError(f"learning_rate must be finite, got {self.learning_rate!r}")
         if self.learning_rate < 0.0:
             raise ValueError("learning rate must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(eq=False)

@@ -10,11 +10,18 @@ linear and bias-free, inference does not need the training-time Neumann
 scale: Laplace data is anchored at its first Dirichlet entry (the true map
 annihilates constants) and nothing else is done to it, so pipelines are
 homogeneous of degree one in the boundary data.
+
+The analytic test cases come from two tables.  ``_FAMILIES`` maps a family
+to its draw, ``(rng, domain, k) -> (params, u, grad_u)`` or None to reject
+it.  ``SUITES`` maps each ``eval --suite`` name to the equation of the model
+it checks and its cases: ``laplace`` u1-u5 and ``poisson`` the two source
+cases on the Laplace kernel, ``helmholtz`` sin_sin and sin_sinh on the 2-D
+Helmholtz kernel at k, ``helmholtz3d`` the plane wave (boundary only).
+:func:`solve_case` solves a 2-D case.  A new suite is one ``SUITES`` entry.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -247,11 +254,12 @@ class TestCase:
         return np.einsum("ij,ij->i", grad, grid.normals)
 
 
-LAPLACE_FAMILIES = ("u1", "u2", "u3", "u4", "u5")
-HELMHOLTZ_FAMILIES = ("sin_sin", "sin_sinh")
+def _u1(rng, domain, k):
+    m, n = rng.uniform(-4.0, 4.0, size=2)
+    p = np.array([m, n])
+    if contains(domain, p) or boundary_distance(domain, p) < 1e-3:
+        return None
 
-
-def _log_case(m, n):
     def u(p):
         return np.log((p[:, 0] - m) ** 2 + (p[:, 1] - n) ** 2)
 
@@ -259,22 +267,30 @@ def _log_case(m, n):
         r2 = (p[:, 0] - m) ** 2 + (p[:, 1] - n) ** 2
         return 2.0 * np.column_stack([p[:, 0] - m, p[:, 1] - n]) / r2[:, None]
 
-    return TestCase("u1", {"m": m, "n": n}, u, grad)
+    return {"m": m, "n": n}, u, grad
 
 
-def _harmonic_quadratic(m, n):
+def _u2(rng, domain, k):
+    m, n = rng.uniform(-4.0, 4.0, size=2)
+    if abs(m) + abs(n) < 1e-2:
+        return None
+
     def u(p):
         return m * (p[:, 0] ** 2 - p[:, 1] ** 2) + n * p[:, 0] * p[:, 1]
 
     def grad(p):
         return np.column_stack([2 * m * p[:, 0] + n * p[:, 1], -2 * m * p[:, 1] + n * p[:, 0]])
 
-    return TestCase("u2", {"m": m, "n": n}, u, grad)
+    return {"m": m, "n": n}, u, grad
 
 
-def _sin_exp(m, t1, t2):
+def _u3(rng, domain, k):
     # sin(m x - t1) e^{m y - t2}: harmonic for any m (the oscillation and
     # growth rates must match for the Laplacian to cancel).
+    m, t1, t2 = rng.uniform(-4.0, 4.0, size=3)
+    if abs(m) < 1e-2:
+        return None
+
     def u(p):
         return np.sin(m * p[:, 0] - t1) * np.exp(m * p[:, 1] - t2)
 
@@ -284,30 +300,38 @@ def _sin_exp(m, t1, t2):
             [m * np.cos(m * p[:, 0] - t1) * e, m * np.sin(m * p[:, 0] - t1) * e]
         )
 
-    return TestCase("u3", {"m": m, "t1": t1, "t2": t2}, u, grad)
+    return {"m": m, "t1": t1, "t2": t2}, u, grad
 
 
-def _linear(m, n):
+def _u4(rng, domain, k):
+    m, n = rng.uniform(-4.0, 4.0, size=2)
+    if abs(m) + abs(n) < 1e-2:
+        return None
+
     def u(p):
         return m * p[:, 0] + n * p[:, 1]
 
     def grad(p):
         return np.tile([m, n], (len(p), 1))
 
-    return TestCase("u4", {"m": m, "n": n}, u, grad)
+    return {"m": m, "n": n}, u, grad
 
 
-def _cubic():
+def _u5(rng, domain, k):
     def u(p):
         return p[:, 0] ** 3 - 3.0 * p[:, 0] * p[:, 1] ** 2
 
     def grad(p):
         return np.column_stack([3 * p[:, 0] ** 2 - 3 * p[:, 1] ** 2, -6 * p[:, 0] * p[:, 1]])
 
-    return TestCase("u5", {}, u, grad)
+    return {}, u, grad
 
 
-def _sin_sin(k, a, p1, p2):
+def _sin_sin(rng, domain, k):
+    if k is None:
+        raise ValueError("Helmholtz families need a wavenumber")
+    a = rng.uniform(0.05 * k, 0.95 * k)
+    p1, p2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
     b = math.sqrt(k * k - a * a)
 
     def u(p):
@@ -319,10 +343,16 @@ def _sin_sin(k, a, p1, p2):
              b * np.sin(a * p[:, 0] - p1) * np.cos(b * p[:, 1] - p2)]
         )
 
-    return TestCase("sin_sin", {"k": k, "a": a, "b": b, "p1": p1, "p2": p2}, u, grad)
+    return {"k": k, "a": a, "b": b, "p1": p1, "p2": p2}, u, grad
 
 
-def _sin_sinh(k, d, q1, q2):
+def _sin_sinh(rng, domain, k):
+    if k is None:
+        raise ValueError("Helmholtz families need a wavenumber")
+    # d <= sqrt(3) k keeps c <= 2k; the absolute cap keeps sinh's
+    # dynamic range resolvable at the fixed collocation density.
+    d = rng.uniform(0.05 * k, min(math.sqrt(3.0) * k, 6.0))
+    q1, q2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
     c = math.sqrt(k * k + d * d)
 
     def u(p):
@@ -334,12 +364,18 @@ def _sin_sinh(k, d, q1, q2):
              d * np.sin(c * p[:, 0] - q1) * np.cosh(d * p[:, 1] - q2)]
         )
 
-    return TestCase("sin_sinh", {"k": k, "c": c, "d": d, "q1": q1, "q2": q2}, u, grad)
+    return {"k": k, "c": c, "d": d, "q1": q1, "q2": q2}, u, grad
+
+
+_FAMILIES = {
+    "u1": _u1, "u2": _u2, "u3": _u3, "u4": _u4, "u5": _u5,
+    "sin_sin": _sin_sin, "sin_sinh": _sin_sinh,
+}
 
 
 def make_test_suite(
     family: str,
-    domain: DomainSpec | None = None,
+    domain: DomainSpec,
     k: float | None = None,
     seed: int = 0,
     n_cases: int = 10,
@@ -352,60 +388,22 @@ def make_test_suite(
     (0, k], c, d in (0, 2k], c > d.  Near-degenerate draws (vanishing trace norm) are
     rejected with bounded retries.
     """
-    if domain is None:
-        domain = DomainSpec.unit_square()
+    draw = _FAMILIES.get(family)
+    if draw is None:
+        raise ValueError(f"unknown test family {family!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     cases: list[TestCase] = []
     for _ in range(n_cases):
         for _attempt in range(64):
-            case = _draw_case(family, domain, k, rng)
-            if case is not None:
-                cases.append(case)
+            drawn = draw(rng, domain, k)
+            if drawn is not None:
+                cases.append(TestCase(family, *drawn))
                 break
         else:
             raise ValueError(f"could not draw a feasible {family} case")
     return cases
-
-
-def _draw_case(family, domain, k, rng):
-    if family == "u1":
-        m, n = rng.uniform(-4.0, 4.0, size=2)
-        p = np.array([m, n])
-        if contains(domain, p) or boundary_distance(domain, p) < 1e-3:
-            return None
-        return _log_case(m, n)
-    if family == "u2":
-        m, n = rng.uniform(-4.0, 4.0, size=2)
-        if abs(m) + abs(n) < 1e-2:
-            return None
-        return _harmonic_quadratic(m, n)
-    if family == "u3":
-        m, t1, t2 = rng.uniform(-4.0, 4.0, size=3)
-        if abs(m) < 1e-2:
-            return None
-        return _sin_exp(m, t1, t2)
-    if family == "u4":
-        m, n = rng.uniform(-4.0, 4.0, size=2)
-        if abs(m) + abs(n) < 1e-2:
-            return None
-        return _linear(m, n)
-    if family == "u5":
-        return _cubic()
-    if family == "sin_sin":
-        if k is None:
-            raise ValueError("Helmholtz families need a wavenumber")
-        a = rng.uniform(0.05 * k, 0.95 * k)
-        p1, p2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        return _sin_sin(k, a, p1, p2)
-    if family == "sin_sinh":
-        if k is None:
-            raise ValueError("Helmholtz families need a wavenumber")
-        # d <= sqrt(3) k keeps c <= 2k; the absolute cap keeps sinh's
-        # dynamic range resolvable at the fixed collocation density.
-        d = rng.uniform(0.05 * k, min(math.sqrt(3.0) * k, 6.0))
-        q1, q2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        return _sin_sinh(k, d, q1, q2)
-    raise ValueError(f"unknown test family {family!r}")
 
 
 def poisson_cases() -> list[TestCase]:
@@ -448,6 +446,27 @@ def plane_wave_3d(k: float = 1.0, direction=(math.sqrt(0.2), math.sqrt(0.3), mat
     return TestCase("plane3d", {"k": k, "direction": tuple(w)}, u, grad)
 
 
+def _families(*names):
+    return lambda domain, k, seed: [c for fam in names for c in make_test_suite(fam, domain, k=k, seed=seed)]
+
+
+SUITES = {  # name -> (equation, cases(domain, k, seed))
+    "laplace": ("laplace", _families("u1", "u2", "u3", "u4", "u5")),
+    "helmholtz": ("helmholtz", _families("sin_sin", "sin_sinh")),
+    "poisson": ("laplace", lambda domain, k, seed: poisson_cases()),
+    "helmholtz3d": ("helmholtz3d", lambda domain, k, seed: [plane_wave_3d(k)]),
+}
+
+
+def solve_case(op: LinearBoundaryOperator, reconstructor: BoundaryReconstructor, case: TestCase, mesh=None):
+    """``(field, exact du/dn)`` of a 2-D case: :func:`solve_poisson` over ``mesh`` for a case with
+    a source (no exact du/dn, None: its h_trace is the harmonic part's), else :func:`solve_dirichlet`."""
+    g = case.dirichlet(reconstructor.grid)
+    if case.source is not None:
+        return solve_poisson(op, case.source, g, mesh, reconstructor, exact=case.u), None
+    return solve_dirichlet(op, reconstructor, g, exact=case.u), case.neumann(reconstructor.grid)
+
+
 def evaluate_suite(
     cases,
     solve_one,
@@ -478,7 +497,3 @@ def evaluate_suite(
             "mean_imag_ratio": float(np.mean(rec["imag"])),
         }
     return summary
-
-
-def summary_to_json(summary: dict) -> str:
-    return json.dumps(summary, indent=2, sort_keys=True)

@@ -79,6 +79,8 @@ class DatasetSpec:
         for name in ("n_samples", "n_kernels_per_sample"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.min_boundary_distance < math.inf:
             raise ConfigurationError(
                 f"min_boundary_distance must be finite and positive, got {self.min_boundary_distance!r}"

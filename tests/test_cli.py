@@ -117,6 +117,20 @@ class TestGen:
         assert err.startswith("error: the wavenumber k = 1e+308 is so large") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_too_few_points_refused_before_the_output_is_made(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run(["gen", "--equation", "laplace", "--n", 7, "--samples", 2, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: need at least 8 collocation points\n"
+        assert not out.exists()
+
+    def test_unknown_domain_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        with pytest.raises(SystemExit) as exc:
+            run(["gen", "--equation", "laplace", "--domain", "hexagon", "--out", out])
+        assert exc.value.code == 2
+        assert "argument --domain: invalid choice: 'hexagon'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_samples_refused(self, tmp_path, capsys):
         out = tmp_path / "empty"
         assert run(["gen", "--equation", "laplace", "--n", 40, "--samples", 0, "--out", out]) == 1
@@ -142,6 +156,31 @@ class TestGen:
                 "--seed", 1, "--out", out]
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+class TestNegativeSeed:
+    """A negative --seed is refused by name, before any output is made."""
+
+    def test_gen(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run(["gen", "--equation", "laplace", "--n", 40, "--samples", 2, "--seed", -1, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
+
+    def test_train_adam(self, laplace_run, tmp_path, capsys, monkeypatch):
+        _, data, _ = laplace_run
+        model = tmp_path / "models" / "model.json"
+        monkeypatch.setattr("tracemap.cli._load_dataset", lambda *a: pytest.fail("the dataset was read"))
+        assert run(["train", "--data", data, "--method", "adam", "--seed", -1, "--out", model]) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not model.parent.exists()
+
+    def test_eval(self, laplace_run, tmp_path, capsys):
+        _, _, model = laplace_run
+        out = tmp_path / "eval"
+        assert run(["eval", "--model", model, "--suite", "laplace", "--n", 80, "--seed", -1, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
         assert not out.exists()
 
 
@@ -363,6 +402,17 @@ class TestEvalSolve:
         first = lines[1].split(",")
         x, y, u = float(first[0]), float(first[1]), float(first[2])
         assert u == pytest.approx(x + y, abs=5e-2)
+
+    @pytest.mark.parametrize("grid", ["squarex", "square-5", "hexagon400", ""])
+    def test_bad_grid_name_refused(self, laplace_run, tmp_path, capsys, grid):
+        _, _, model = laplace_run
+        g_file, out = tmp_path / "g.csv", tmp_path / "fields" / "field.csv"
+        g_file.write_text("1.0\n" * 80)
+        assert run(["solve", "--model", model, "--grid", grid, "--g", g_file, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown grid {grid!r}: expected square|circle|star5|sphere and a point count, e.g. square400\n"
+        )
+        assert not out.parent.exists()
 
     def test_solve_creates_the_output_directory(self, laplace_run, tmp_path):
         _, _, model = laplace_run

@@ -351,6 +351,10 @@ class TestTrainAdam:
         with pytest.raises(ValueError, match=f"{field} must be at least 1"):
             TrainingConfig(**{field: value})
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            TrainingConfig(seed=-1)
+
     @pytest.mark.parametrize("field", ["learning_rate"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rates_and_weights_refused(self, field, value):

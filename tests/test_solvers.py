@@ -6,6 +6,8 @@ import pytest
 from tracemap.geometry import (
     DomainSpec,
     InvalidDomainError,
+    PolarTerm,
+    boundary_distance,
     contains,
     make_boundary_grid,
     triangulate_square,
@@ -20,6 +22,7 @@ from tracemap.operator import (
 )
 from tracemap.quadrature import BoundaryReconstructor
 from tracemap.solvers import (
+    SUITES,
     SolutionField,
     UndefinedMetricError,
     evaluate_suite,
@@ -29,11 +32,13 @@ from tracemap.solvers import (
     poisson_cases,
     predict_normal_derivative_3d,
     relative_l2,
+    solve_case,
     solve_dirichlet,
     solve_helmholtz,
     solve_mixed,
     solve_poisson,
 )
+from tracemap.solvers import TestCase as Case  # aliased: pytest would collect a Test* name
 from tracemap.synthesis import DatasetSpec, build_dataset
 
 SQUARE = DomainSpec.unit_square()
@@ -341,8 +346,63 @@ class TestTestSuite:
         assert np.dot(w, w) == pytest.approx(1.0)
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown test family 'u9'$"):
             make_test_suite("u9", SQUARE)
+
+    @pytest.mark.parametrize("family", ["sin_sin", "sin_sinh"])
+    def test_helmholtz_family_needs_a_wavenumber(self, family):
+        with pytest.raises(ValueError, match="^Helmholtz families need a wavenumber$"):
+            make_test_suite(family, SQUARE)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            make_test_suite("u2", SQUARE, seed=-1)
+
+    @pytest.mark.parametrize(
+        "domain", [SQUARE, DomainSpec.polar(1.0), DomainSpec.polar(0.65, [PolarTerm("sin", 0.2, 5)])]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_draws_equal_the_reference_chain(self, domain, seed):
+        grid = make_boundary_grid(domain, 64)
+        for family, k in [("u1", None), ("u2", None), ("u3", None), ("u4", None), ("u5", None),
+                          ("sin_sin", 1.0), ("sin_sin", 10.0), ("sin_sinh", 1.0), ("sin_sinh", 10.0)]:
+            got = make_test_suite(family, domain, k=k, seed=seed)
+            want = _reference_suite(family, domain, k, seed)
+            assert len(got) == len(want) == 10
+            for a, b in zip(got, want):
+                assert (a.family, list(a.params)) == (b.family, list(b.params))
+                assert np.array(list(a.params.values())).tobytes() == np.array(list(b.params.values())).tobytes()
+                assert a.dirichlet(grid).tobytes() == b.dirichlet(grid).tobytes()
+                assert a.neumann(grid).tobytes() == b.neumann(grid).tobytes()
+
+    def test_suite_table(self):
+        assert {name: equation for name, (equation, _) in SUITES.items()} == {
+            "laplace": "laplace", "helmholtz": "helmholtz", "poisson": "laplace", "helmholtz3d": "helmholtz3d"}
+        families = {name: sorted({c.family for c in cases(SQUARE, 10.0, 0)}) for name, (_, cases) in SUITES.items()}
+        assert families == {
+            "laplace": ["u1", "u2", "u3", "u4", "u5"], "helmholtz": ["sin_sin", "sin_sinh"],
+            "poisson": ["poisson_quadratic", "poisson_quintic"], "helmholtz3d": ["plane3d"]}
+
+
+class TestSolveCase:
+    def test_a_case_without_a_source_is_a_dirichlet_solve(self, small_grid, small_laplace, lap_rec):
+        _, op = small_laplace
+        case = make_test_suite("u2", SQUARE, seed=2, n_cases=1)[0]
+        fld, h_exact = solve_case(op, lap_rec, case)
+        direct = solve_dirichlet(op, lap_rec, case.dirichlet(small_grid), exact=case.u)
+        np.testing.assert_array_equal(fld.pred, direct.pred)
+        np.testing.assert_array_equal(fld.exact, direct.exact)
+        np.testing.assert_array_equal(h_exact, case.neumann(small_grid))
+
+    def test_a_source_case_is_a_poisson_solve_with_no_exact_dudn(self, small_grid, small_laplace, lap_rec):
+        _, op = small_laplace
+        case = poisson_cases()[0]
+        mesh = triangulate_square(0.25)
+        fld, h_exact = solve_case(op, lap_rec, case, mesh)
+        direct = solve_poisson(op, case.source, case.dirichlet(small_grid), mesh, lap_rec, exact=case.u)
+        np.testing.assert_array_equal(fld.pred, direct.pred)
+        np.testing.assert_array_equal(fld.exact, direct.exact)
+        assert h_exact is None
 
 
 class TestSolutionField:
@@ -398,3 +458,144 @@ class TestSolutionField:
         summary = evaluate_suite(cases, solve_one)
         assert summary["u4"]["n_cases"] == 2
         assert 0 <= summary["u4"]["mean_total_error"] < 1.0
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-family constructors and the if-chain that drew the test
+# cases before the family table; the table must draw the same cases bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _reference_suite(family, domain, k, seed, n_cases=10):
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(n_cases):
+        for _attempt in range(64):
+            case = _reference_draw_case(family, domain, k, rng)
+            if case is not None:
+                cases.append(case)
+                break
+        else:
+            raise ValueError(f"could not draw a feasible {family} case")
+    return cases
+
+
+def _reference_draw_case(family, domain, k, rng):
+    if family == "u1":
+        m, n = rng.uniform(-4.0, 4.0, size=2)
+        p = np.array([m, n])
+        if contains(domain, p) or boundary_distance(domain, p) < 1e-3:
+            return None
+        return _ref_log_case(m, n)
+    if family == "u2":
+        m, n = rng.uniform(-4.0, 4.0, size=2)
+        if abs(m) + abs(n) < 1e-2:
+            return None
+        return _ref_harmonic_quadratic(m, n)
+    if family == "u3":
+        m, t1, t2 = rng.uniform(-4.0, 4.0, size=3)
+        if abs(m) < 1e-2:
+            return None
+        return _ref_sin_exp(m, t1, t2)
+    if family == "u4":
+        m, n = rng.uniform(-4.0, 4.0, size=2)
+        if abs(m) + abs(n) < 1e-2:
+            return None
+        return _ref_linear(m, n)
+    if family == "u5":
+        return _ref_cubic()
+    if family == "sin_sin":
+        if k is None:
+            raise ValueError("Helmholtz families need a wavenumber")
+        a = rng.uniform(0.05 * k, 0.95 * k)
+        p1, p2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        return _ref_sin_sin(k, a, p1, p2)
+    if family == "sin_sinh":
+        if k is None:
+            raise ValueError("Helmholtz families need a wavenumber")
+        d = rng.uniform(0.05 * k, min(math.sqrt(3.0) * k, 6.0))
+        q1, q2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        return _ref_sin_sinh(k, d, q1, q2)
+    raise ValueError(f"unknown test family {family!r}")
+
+
+def _ref_log_case(m, n):
+    def u(p):
+        return np.log((p[:, 0] - m) ** 2 + (p[:, 1] - n) ** 2)
+
+    def grad(p):
+        r2 = (p[:, 0] - m) ** 2 + (p[:, 1] - n) ** 2
+        return 2.0 * np.column_stack([p[:, 0] - m, p[:, 1] - n]) / r2[:, None]
+
+    return Case("u1", {"m": m, "n": n}, u, grad)
+
+
+def _ref_harmonic_quadratic(m, n):
+    def u(p):
+        return m * (p[:, 0] ** 2 - p[:, 1] ** 2) + n * p[:, 0] * p[:, 1]
+
+    def grad(p):
+        return np.column_stack([2 * m * p[:, 0] + n * p[:, 1], -2 * m * p[:, 1] + n * p[:, 0]])
+
+    return Case("u2", {"m": m, "n": n}, u, grad)
+
+
+def _ref_sin_exp(m, t1, t2):
+    def u(p):
+        return np.sin(m * p[:, 0] - t1) * np.exp(m * p[:, 1] - t2)
+
+    def grad(p):
+        e = np.exp(m * p[:, 1] - t2)
+        return np.column_stack([m * np.cos(m * p[:, 0] - t1) * e, m * np.sin(m * p[:, 0] - t1) * e])
+
+    return Case("u3", {"m": m, "t1": t1, "t2": t2}, u, grad)
+
+
+def _ref_linear(m, n):
+    def u(p):
+        return m * p[:, 0] + n * p[:, 1]
+
+    def grad(p):
+        return np.tile([m, n], (len(p), 1))
+
+    return Case("u4", {"m": m, "n": n}, u, grad)
+
+
+def _ref_cubic():
+    def u(p):
+        return p[:, 0] ** 3 - 3.0 * p[:, 0] * p[:, 1] ** 2
+
+    def grad(p):
+        return np.column_stack([3 * p[:, 0] ** 2 - 3 * p[:, 1] ** 2, -6 * p[:, 0] * p[:, 1]])
+
+    return Case("u5", {}, u, grad)
+
+
+def _ref_sin_sin(k, a, p1, p2):
+    b = math.sqrt(k * k - a * a)
+
+    def u(p):
+        return np.sin(a * p[:, 0] - p1) * np.sin(b * p[:, 1] - p2)
+
+    def grad(p):
+        return np.column_stack(
+            [a * np.cos(a * p[:, 0] - p1) * np.sin(b * p[:, 1] - p2),
+             b * np.sin(a * p[:, 0] - p1) * np.cos(b * p[:, 1] - p2)]
+        )
+
+    return Case("sin_sin", {"k": k, "a": a, "b": b, "p1": p1, "p2": p2}, u, grad)
+
+
+def _ref_sin_sinh(k, d, q1, q2):
+    c = math.sqrt(k * k + d * d)
+
+    def u(p):
+        return np.sin(c * p[:, 0] - q1) * np.sinh(d * p[:, 1] - q2)
+
+    def grad(p):
+        return np.column_stack(
+            [c * np.cos(c * p[:, 0] - q1) * np.sinh(d * p[:, 1] - q2),
+             d * np.sin(c * p[:, 0] - q1) * np.cosh(d * p[:, 1] - q2)]
+        )
+
+    return Case("sin_sinh", {"k": k, "c": c, "d": d, "q1": q1, "q2": q2}, u, grad)

@@ -638,6 +638,10 @@ class TestBuildDataset:
         with pytest.raises(ConfigurationError, match="n_samples must be at least 1"):
             small_spec(n_samples=n_samples)
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ConfigurationError, match="^seed must be non-negative, got -1$"):
+            small_spec(seed=-1)
+
     @pytest.mark.parametrize("count", [0, -1])
     def test_non_positive_kernels_per_sample_refused(self, count):
         with pytest.raises(ConfigurationError, match=f"^n_kernels_per_sample must be at least 1, got {count}$"):
