@@ -52,7 +52,8 @@ def train(ds, inp, out, method, epochs):
 
 def suite(name, k=None):
     """The cases of ``eval --suite name`` on the square, at seed 7."""
-    return SUITES[name][1](SQUARE, k, 7)
+    *_, cases = SUITES[name]
+    return cases(SQUARE, k, 7)
 
 
 def errors(op, rec, cases, mesh=None):

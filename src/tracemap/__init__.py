@@ -8,7 +8,6 @@ from .geometry import (
     TriMesh,
     contains,
     make_boundary_grid,
-    parse_msh,
     triangulate_square,
 )
 from .kernels import KernelSpec, kernel_gradient_y, kernel_value
@@ -25,7 +24,6 @@ from .operator import (
 )
 from .quadrature import (
     BoundaryReconstructor,
-    boundary_integral,
     integrate_mesh,
     integrate_triangle,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "TracePair",
     "TrainingConfig",
     "TriMesh",
-    "boundary_integral",
     "build_dataset",
     "compute_loss",
     "contains",
@@ -70,7 +67,6 @@ __all__ = [
     "make_test_suite",
     "mixed_layouts",
     "normalize_pair",
-    "parse_msh",
     "relative_l2",
     "save_model",
     "solve_dirichlet",

@@ -146,7 +146,6 @@ def _load_dataset(data_dir: Path) -> Dataset:
 def cmd_train(args) -> int:
     if args.method == "adam":  # refused before any output is created or data read
         cfg = TrainingConfig(learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs, seed=args.seed)
-    _prepare_outputs(("--out", args.out, False), ("--log", args.log, False))
     ds = _load_dataset(Path(args.data))
     kernel = ds.spec.kernel
     if args.dirichlet_edges:
@@ -156,6 +155,7 @@ def cmd_train(args) -> int:
     else:
         inp_layout, out_layout = dirichlet_layouts(ds.spec.n_points)
     inputs, targets = training_arrays(ds.g_rows, ds.h_rows, inp_layout, out_layout, kernel.anchored)
+    _prepare_outputs(("--out", args.out, False), ("--log", args.log, False))
 
     if args.method == "ls":
         op = fit_least_squares(inputs, targets, inp_layout, out_layout)
@@ -188,7 +188,12 @@ def cmd_eval(args) -> int:
     args.suite = args.suite.split("-")[0]
     if args.suite not in SUITES:
         raise SystemExit(f"unknown suite {args.suite!r}")
-    equation, draw_cases = SUITES[args.suite]
+    equation, reads, draw_cases = SUITES[args.suite]
+    for name, default in (("k", 1.0), ("seed", 0)):  # None: the flag is not on the command line
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in reads:
+            raise ValueError(f"suite {args.suite} does not read --{name}")
     kernel = _kernel(equation, args.k)
     op = _load_model_for(args.model, kernel)
     domain = _DOMAINS[args.domain]()
@@ -224,26 +229,23 @@ def cmd_eval(args) -> int:
 
 def cmd_solve(args) -> int:
     domain, n = _parse_grid_name(args.grid)
-    _prepare_outputs(("--out", args.out, False))
     kernel = _kernel(args.equation, args.k)
     op = _load_model_for(args.model, kernel)
+    g = _read_column(Path(args.g), n, "grid point")
+    if args.dirichlet_edges:
+        h = _read_column(Path(args.h), n, "grid point")
+    elif args.source:
+        mesh = _source_mesh(domain, args.grid, args.mesh_h)
+        f_vertex = _read_column(Path(args.source), len(mesh.vertices), "mesh vertex")
+    _prepare_outputs(("--out", args.out, False))
     grid = make_boundary_grid(domain, n)
-    g = _read_column(Path(args.g))
     rec = BoundaryReconstructor(kernel, grid, make_eval_grid(domain, 100, margin=args.margin))
 
     if args.dirichlet_edges:
-        h = _read_column(Path(args.h))
         edges = {f"G{e}" for e in args.dirichlet_edges.split(",")}
         fld = solve_mixed(op, rec, edges, g, h)
     elif args.source:
-        mesh = _source_mesh(domain, args.grid, args.mesh_h)
-        f_vertex = _read_column(Path(args.source))
-        if len(f_vertex) != len(mesh.vertices):
-            raise SystemExit(
-                f"source file has {len(f_vertex)} values, mesh has {len(mesh.vertices)} vertices"
-            )
-        f = _vertex_interpolant(mesh, f_vertex)
-        fld = solve_poisson(op, f, g, mesh, rec)
+        fld = solve_poisson(op, _vertex_interpolant(mesh, f_vertex), g, mesh, rec)
     else:
         fld = solve_dirichlet(op, rec, g)
     del rec  # free the kernel matrices before to_csv builds its text, so the two never add up in the peak
@@ -288,16 +290,18 @@ def _parse_grid_name(name: str):
     raise ValueError(f"unknown grid {name!r}: expected {names} and a point count, e.g. square400")
 
 
-def _read_column(path: Path) -> np.ndarray:
-    """One finite value per non-blank line; a ValueError names the file."""
+def _read_column(path: Path, count: int, per: str) -> np.ndarray:
+    """``count`` finite values, one per non-blank line and ``per``; a ValueError names the file."""
     vals = parse_floats([s for s in path.read_text().splitlines() if s.strip()], str(path))
-    if vals.size == 0:
-        raise ValueError(f"{path}: expected one finite value per line")
+    if vals.size != count:
+        raise ValueError(f"{path} has {vals.size} values, expected {count}: one per {per}")
     return vals
 
 
 def cmd_quadbench(args) -> int:
-    _prepare_outputs(("--out", args.out, False))
+    meshes = [triangulate_square(h) for h in args.h]
+    if not (np.isfinite(args.r0) and args.r0 > 0.0):
+        raise ValueError(f"r0 must be finite and positive, got {args.r0!r}")
     integrands = {
         "ln(x2+y2)": ((0.0, 0.0), LOG_REFERENCE_CORNER),
         "ln((x-0.5)2+(y-0.5)2)": ((0.5, 0.5), LOG_REFERENCE_CENTER),
@@ -306,9 +310,9 @@ def cmd_quadbench(args) -> int:
         if args.kernel not in integrands:
             raise SystemExit(f"unknown benchmark kernel {args.kernel!r}")
         integrands = {args.kernel: integrands[args.kernel]}
+    _prepare_outputs(("--out", args.out, False))
     rows, rels = [], []
-    for h in args.h:
-        mesh = triangulate_square(h)
+    for h, mesh in zip(args.h, meshes):
         for label, (x0, ref) in integrands.items():
             val = singular_log_integral(mesh, x0, args.r0)
             rels.append(abs(val - ref) / abs(ref))
@@ -355,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    help=f"{' | '.join(SUITES)} (family suffixes tolerated)")
     p.add_argument("--domain", choices=_DOMAINS, default="square")
-    p.add_argument("--k", type=float, default=1.0)
+    p.add_argument("--k", type=float, help="default 1.0; only for suites that read it")
     p.add_argument("--n", type=int, default=400)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="default 0; only for suites that read it")
     p.add_argument("--margin", type=float, default=0.05)
     p.add_argument("--mesh-h", type=float, default=0.02)
     p.add_argument("--out", required=True)

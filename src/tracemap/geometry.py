@@ -4,10 +4,10 @@ Domains are described by a :class:`DomainSpec` (unit square, star-shaped
 polar curve, annulus between two polar curves, or a 3D sphere surface).
 ``make_boundary_grid`` discretizes the boundary into collocation points
 with outward unit normals and arc-length quadrature weights suitable for
-trapezoidal boundary integration.  ``triangulate_square`` / ``parse_msh``
-provide triangle meshes for volume quadrature: the square's triangles come
-from index arithmetic on its vertex grid, and ``parse_msh`` reads $Nodes and
-$Elements through one section reader, ``_msh_section``.
+trapezoidal boundary integration.  ``triangulate_square`` gives the triangle
+mesh for volume quadrature, from index arithmetic on its vertex grid;
+``TriMesh.to_csv`` and ``trimesh_from_csv`` write and read a mesh as one
+row of corner coordinates per triangle.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class InvalidDomainError(ValueError):
 
 
 class MshParseError(ValueError):
-    """Malformed MSH input; message carries the offending line number."""
+    """Malformed triangle CSV (:func:`trimesh_from_csv`); the message names the line."""
 
 
 @dataclass(frozen=True)
@@ -249,12 +249,6 @@ class BoundaryGrid:
     def min_spacing(self) -> float:
         d = np.diff(self.points, axis=0, append=self.points[:1])
         return float(np.linalg.norm(d, axis=1).min())
-
-    def to_csv(self) -> str:
-        coord = ["x", "y", "z"][: self.points.shape[1]]
-        header = ",".join([*coord, *(f"n{c}" for c in coord), "weight", "segment"])
-        columns = map(float_cells, [*self.points.T, *self.normals.T, self.weights])
-        return table_text(header, zip(*columns, self.segment_id))
 
 
 def make_boundary_grid(spec: DomainSpec, n: int = 400) -> BoundaryGrid:
@@ -549,81 +543,3 @@ def _oriented_mesh(vertices: np.ndarray, triangles: np.ndarray) -> TriMesh:
     flipped = triangles.copy()
     flipped[neg] = flipped[neg][:, [0, 2, 1]]
     return TriMesh(vertices, flipped)
-
-
-def _msh_section(lines: list[str], i: int, name: str):
-    """The entries of the MSH section whose ``$name`` header is ``lines[i]``,
-    as (line number, fields) pairs, and the index of the line after its
-    ``$End`` marker: its count, length and marker are checked here."""
-    word = name[:-1].lower()
-    if i + 1 >= len(lines):
-        raise MshParseError(f"line {i + 1}: truncated ${name} section")
-    try:
-        count = int(lines[i + 1])
-    except ValueError:
-        count = -1
-    if count < 0:
-        raise MshParseError(f"line {i + 2}: expected {word} count, got {lines[i + 1].strip()!r}")
-    end = i + 2 + count
-    if end > len(lines):
-        raise MshParseError(f"line {i + 2}: fewer {word} lines than declared")
-    if end == len(lines) or lines[end].strip() != f"$End{name}":
-        raise MshParseError(f"line {end + 1}: missing $End{name}")
-    return [(ln + 1, lines[ln].split()) for ln in range(i + 2, end)], end + 1
-
-
-def parse_msh(text: str) -> TriMesh:
-    """Parse an MSH version-2 ASCII mesh (subset).
-
-    Reads $Nodes and $Elements; keeps 3-node triangles (type 2), skips
-    lines, points, and any other element type.  Node ids are remapped to
-    dense 0-based indices and triangle orientation is normalized to
-    positive area.  Raises :class:`MshParseError` with a line number on
-    malformed input.
-    """
-    lines = text.splitlines()
-    nodes: dict[int, tuple[float, float]] = {}
-    tris: list[tuple[int, list[int]]] = []  # (line number, node ids)
-    i = 0
-    while i < len(lines):
-        if lines[i].strip() not in ("$Nodes", "$Elements"):
-            i += 1
-            continue
-        name = lines[i].strip()[1:]
-        entries, i = _msh_section(lines, i, name)
-        for ln, parts in entries:
-            if name == "Nodes":
-                if len(parts) < 3:
-                    raise MshParseError(f"line {ln}: node needs id and at least x y")
-                try:
-                    nid = int(parts[0])
-                    x, y = parse_floats(parts[1:3], "node coordinates")
-                except ValueError as exc:
-                    raise MshParseError(f"line {ln}: bad node entry ({exc})") from None
-                if nid in nodes:
-                    raise MshParseError(f"line {ln}: repeated node id {nid}")
-                nodes[nid] = (x, y)
-                continue
-            try:
-                vals = [int(p) for p in parts]
-            except ValueError:
-                raise MshParseError(f"line {ln}: non-numeric element entry") from None
-            if len(vals) < 3:
-                raise MshParseError(f"line {ln}: element needs id, type, tag count")
-            if vals[1] == 2:  # other element types (lines, points, quads, ...) are skipped
-                conn = vals[3 + vals[2]:]
-                if len(conn) != 3:
-                    raise MshParseError(f"line {ln}: triangle needs exactly 3 nodes")
-                tris.append((ln, conn))
-
-    if not tris:
-        raise MshParseError("no triangles found in $Elements")
-    remap = {nid: k for k, nid in enumerate(sorted(nodes))}
-    vertices = np.array([nodes[nid] for nid in sorted(nodes)], dtype=float)
-    triangles = np.empty((len(tris), 3), dtype=int)
-    for t, (ln, tri) in enumerate(tris):
-        for j, nid in enumerate(tri):
-            if nid not in remap:
-                raise MshParseError(f"line {ln}: element references unknown node {nid}")
-            triangles[t, j] = remap[nid]
-    return _oriented_mesh(vertices, triangles)

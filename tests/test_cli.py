@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +182,55 @@ class TestNegativeSeed:
         out = tmp_path / "eval"
         assert run(["eval", "--model", model, "--suite", "laplace", "--n", 80, "--seed", -1, "--out", out]) == 1
         assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
+
+
+class TestFailedRunLeavesNoOutput:
+    """A run refused for one of its inputs exits 1 by name and creates no output path."""
+
+    @pytest.mark.parametrize("case", [
+        "train_no_data", "solve_no_model", "solve_no_g", "solve_no_source", "solve_short_g", "solve_short_h",
+        "solve_short_source", "quadbench_h", "quadbench_r0",
+    ])
+    def test_refused_before_the_outputs_are_made(self, laplace_run, tmp_path, capsys, monkeypatch, case):
+        _, data, model = laplace_run
+        monkeypatch.chdir(tmp_path)
+        Path("g.csv").write_text("0.5\n" * 80)
+        Path("g79.csv").write_text("0.5\n" * 79)
+        Path("f.csv").write_text("1.0\n" * 8)  # triangulate_square(0.5) has 9 vertices
+        solve = ["solve", "--model", model, "--grid", "square80", "--out", "s/f.csv"]
+        argv, outputs, message = {
+            "train_no_data": (["train", "--data", "nodata", "--out", "m/model.json", "--log", "l2/log.csv"],
+                              ["m", "l2"], "[Errno 2] No such file or directory: 'nodata/dataset.json'"),
+            "solve_no_model": ([*solve, "--model", "nomodel.json", "--g", "g.csv"],
+                               ["s"], "[Errno 2] No such file or directory: 'nomodel.json'"),
+            "solve_no_g": ([*solve, "--g", "missing.csv"], ["s"], "[Errno 2] No such file or directory: 'missing.csv'"),
+            "solve_no_source": ([*solve, "--g", "g.csv", "--source", "missing.csv", "--mesh-h", 0.5],
+                                ["s"], "[Errno 2] No such file or directory: 'missing.csv'"),
+            "solve_short_g": ([*solve, "--g", "g79.csv"], ["s"], "g79.csv has 79 values, expected 80: one per grid point"),
+            "solve_short_h": ([*solve, "--g", "g.csv", "--h", "g79.csv", "--dirichlet-edges", "1"],
+                              ["s"], "g79.csv has 79 values, expected 80: one per grid point"),
+            "solve_short_source": ([*solve, "--g", "g.csv", "--source", "f.csv", "--mesh-h", 0.5],
+                                   ["s"], "f.csv has 8 values, expected 9: one per mesh vertex"),
+            "quadbench_h": (["quadbench", "--h", 0.1, "--h", 0, "--out", "q/q.csv"],
+                            ["q"], "element size must satisfy 0 < h < 1"),
+            "quadbench_r0": (["quadbench", "--h", 0.5, "--r0", 0, "--out", "q/q.csv"],
+                             ["q"], "r0 must be finite and positive, got 0.0"),
+        }[case]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p for p in outputs if Path(p).exists()] == []
+
+    @pytest.mark.parametrize("suite,flag,value", [
+        ("laplace", "--k", 1.0), ("poisson", "--k", 10), ("poisson", "--seed", 0), ("helmholtz3d", "--seed", 7),
+    ])
+    def test_eval_refuses_a_flag_its_suite_does_not_read(self, laplace_run, tmp_path, capsys, monkeypatch,
+                                                         suite, flag, value):
+        _, _, model = laplace_run
+        monkeypatch.setattr("tracemap.cli._load_model_for", lambda *a: pytest.fail("the model was read"))
+        out = tmp_path / "eval"
+        assert run(["eval", "--model", model, "--suite", suite, flag, value, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: suite {suite} does not read {flag}\n"
         assert not out.exists()
 
 
@@ -426,7 +476,7 @@ class TestEvalSolve:
         g_file = tmp_path / "g.csv"
         g_file.write_text("1.0\n" * 80)
         (tmp_path / "file").write_text("")
-        monkeypatch.setattr("tracemap.cli._load_model_for", lambda *a: pytest.fail("the solve started"))
+        monkeypatch.setattr("tracemap.cli.BoundaryReconstructor", lambda *a: pytest.fail("the solve started"))
         assert run(["solve", "--model", model, "--grid", "square80", "--g", g_file,
                     "--out", tmp_path / "file" / "field.csv"]) == 1
         assert "error: " in capsys.readouterr().err
@@ -436,7 +486,7 @@ class TestEvalSolve:
         g_file, out = tmp_path / "g.csv", tmp_path / "fields"
         g_file.write_text("1.0\n" * 80)
         out.mkdir()
-        monkeypatch.setattr("tracemap.cli._load_model_for", lambda *a: pytest.fail("the solve started"))
+        monkeypatch.setattr("tracemap.cli.BoundaryReconstructor", lambda *a: pytest.fail("the solve started"))
         assert run(["solve", "--model", model, "--grid", "square80", "--g", g_file, "--out", out]) == 1
         assert capsys.readouterr().err == f"error: --out {out} is a directory\n"
 
@@ -482,10 +532,10 @@ class TestEvalSolve:
             ["solve", "--model", model, "--grid", "square80", "--g", g_file,
              "--source", src, "--mesh-h", 0.5, "--out", out]
         ) == 1
-        assert "g_dirichlet has 79 values, the grid has 80 points" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {g_file} has 79 values, expected 80: one per grid point\n"
         assert not out.exists()
 
-    def test_eval_poisson_has_no_dudn_error(self, laplace_run, tmp_path):
+    def test_eval_poisson_has_no_dudn_error(self, laplace_run, tmp_path, capsys):
         # the solver's h_trace is the harmonic part's, not the full solution's du/dn
         _, _, model = laplace_run
         out = tmp_path / "eval"
@@ -498,6 +548,8 @@ class TestEvalSolve:
         for fam in summary.values():
             assert fam["mean_dudn_error"] is None
             assert fam["mean_total_error"] < 0.5
+        config = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("config: "))
+        assert {"k=1.0", "seed=0"} <= set(config.split())  # the defaults of the flags not given
 
     def test_poisson_refused_off_the_unit_square(self, laplace_run, tmp_path, capsys):
         _, _, model = laplace_run
@@ -585,7 +637,7 @@ class TestEvalSolve:
                 ["solve", "--model", mixed, "--grid", "square80", "--g", files["--g"],
                  "--h", files["--h"], "--dirichlet-edges", "1", "--out", out]
             ) == 1
-            assert f"has {n} values, the grid has 80 points" in capsys.readouterr().err
+            assert capsys.readouterr().err == f"error: {wrong} has {n} values, expected 80: one per grid point\n"
             assert not out.exists()
 
     def test_model_for_another_kernel_refused(self, laplace_run, tmp_path, capsys):

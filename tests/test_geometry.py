@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -13,14 +12,12 @@ from tracemap.geometry import (
     BoundaryGrid,
     DomainSpec,
     InvalidDomainError,
-    MshParseError,
     PolarCurve,
     PolarTerm,
     TriMesh,
     boundary_distance,
     contains,
     make_boundary_grid,
-    parse_msh,
     triangulate_square,
     trimesh_from_csv,
 )
@@ -242,92 +239,11 @@ class TestTriangulateSquare:
         assert mesh.triangles.dtype == ref.dtype
 
 
-MINIMAL_MSH = """$MeshFormat
-2.2 0 8
-$EndMeshFormat
-$Nodes
-4
-1 0 0 0
-2 1 0 0
-3 1 1 0
-4 0 1 0
-$EndNodes
-$Elements
-3
-1 1 2 0 1 1 2
-2 2 2 0 1 1 2 3
-3 2 2 0 1 1 3 4
-$EndElements
-"""
-
-
-class TestMshParser:
-    def test_minimal_square(self):
-        mesh = parse_msh(MINIMAL_MSH)
-        assert mesh.n_triangles == 2
-        assert mesh.areas().sum() == pytest.approx(1.0)
-
-    def test_negative_orientation_normalized(self):
-        flipped = MINIMAL_MSH.replace("2 2 2 0 1 1 2 3", "2 2 2 0 1 1 3 2")
-        mesh = parse_msh(flipped)
+class TestTrimeshFromCsv:
+    def test_clockwise_rows_are_normalized(self):
+        mesh = trimesh_from_csv("x1,y1,x2,y2,x3,y3\n0,0,1,1,1,0\n0,0,1,1,0,1\n")
         assert (mesh.areas() > 0).all()
-
-    def test_quad_element_skipped(self):
-        with_quad = MINIMAL_MSH.replace(
-            "$Elements\n3\n", "$Elements\n4\n4 3 2 0 1 1 2 3 4\n"
-        )
-        mesh = parse_msh(with_quad)
-        assert mesh.n_triangles == 2
-
-    def test_dangling_node_reference(self):
-        bad = MINIMAL_MSH.replace("2 2 2 0 1 1 2 3", "2 2 2 0 1 1 2 99")
-        with pytest.raises(MshParseError, match=r"line \d+.*99"):
-            parse_msh(bad)
-
-    def test_non_numeric_token(self):
-        bad = MINIMAL_MSH.replace("2 1 0 0", "2 x 0 0")
-        with pytest.raises(MshParseError, match="line 7"):
-            parse_msh(bad)
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_node_coordinate_refused(self, value):
-        bad = MINIMAL_MSH.replace("2 1 0 0", f"2 {value} 0 0")
-        with pytest.raises(MshParseError, match=f"^line 7: bad node entry \\(node coordinates: non-finite value {value}\\)$"):
-            parse_msh(bad)
-
-    def test_missing_end_marker(self):
-        bad = MINIMAL_MSH.replace("$EndNodes", "$Oops")
-        with pytest.raises(MshParseError, match=r"^line 10: missing \$EndNodes$"):
-            parse_msh(bad)
-
-    @pytest.mark.parametrize("old,new,message", [
-        ("$EndElements", "$Oops", "line 16: missing $EndElements"),
-        ("$EndElements\n", "", "line 16: missing $EndElements"),
-        ("$Nodes\n4\n", "$Nodes\n-1\n", "line 5: expected node count, got '-1'"),
-        ("$Elements\n3\n", "$Elements\n-3\n", "line 12: expected element count, got '-3'"),
-        ("$Elements\n3\n", "$Elements\nthree\n", "line 12: expected element count, got 'three'"),
-        ("3 1 1 0\n4 0 1 0\n$EndNodes\n$Elements\n3\n1 1 2 0 1 1 2\n2 2 2 0 1 1 2 3\n3 2 2 0 1 1 3 4\n$EndElements\n",
-         "", "line 5: fewer node lines than declared"),
-        ("3 2 2 0 1 1 3 4\n$EndElements\n", "", "line 12: fewer element lines than declared"),
-        ("$Elements\n3\n1 1 2 0 1 1 2\n2 2 2 0 1 1 2 3\n3 2 2 0 1 1 3 4\n$EndElements\n", "$Elements\n",
-         "line 11: truncated $Elements section"),
-        ("4 0 1 0\n", "2 0 1 0\n", "line 9: repeated node id 2"),
-    ], ids=["end_elements", "end_elements_at_eof", "negative_nodes", "negative_elements",
-            "non_numeric_count", "truncated_nodes", "truncated_elements", "header_at_eof", "repeated_node"])
-    def test_malformed_section_names_its_line(self, old, new, message):
-        assert old in MINIMAL_MSH
-        with pytest.raises(MshParseError, match="^" + re.escape(message) + "$"):
-            parse_msh(MINIMAL_MSH.replace(old, new))
-
-    def test_csv_round_trip_up_to_permutation(self):
-        mesh = parse_msh(MINIMAL_MSH)
-        again = trimesh_from_csv(mesh.to_csv())
-        def tri_set(m):
-            a, b, c = m.corner_arrays()
-            return {
-                tuple(sorted(map(tuple, tri))) for tri in np.stack([a, b, c], axis=1)
-            }
-        assert tri_set(mesh) == tri_set(again)
+        np.testing.assert_array_equal(mesh.corner_arrays()[1], [[1.0, 0.0], [1.0, 1.0]])
 
 
 def _reference_locate(mesh, pts):
@@ -368,21 +284,11 @@ def _reference_boundary_distance(mesh, pts):
 
 
 # One triangle of the 2 x 1 rectangle is written clockwise.
-FLIPPED_MSH = """$Nodes
-5
-1 0 0 0
-2 2 0 0
-3 2 1 0
-4 0 1 0
-5 1 0.5 0
-$EndNodes
-$Elements
-4
-1 2 0 1 2 5
-2 2 0 5 3 2
-3 2 0 3 4 5
-4 2 0 4 1 5
-$EndElements
+FLIPPED_CSV = """x1,y1,x2,y2,x3,y3
+0,0,2,0,1,0.5
+1,0.5,2,1,2,0
+2,1,0,1,1,0.5
+0,1,0,0,1,0.5
 """
 
 
@@ -408,7 +314,7 @@ class TestMeshLocator:
         corners = np.stack([a[tri[held]], b[tri[held]], c[tri[held]]], axis=1)
         np.testing.assert_allclose(np.einsum("ik,ikd->id", bary[held], corners), pts[held], atol=1e-15)
 
-    @pytest.mark.parametrize("mesh", [triangulate_square(0.1), parse_msh(FLIPPED_MSH)], ids=["square", "flipped_msh"])
+    @pytest.mark.parametrize("mesh", [triangulate_square(0.1), trimesh_from_csv(FLIPPED_CSV)], ids=["square", "flipped"])
     def test_matches_the_reference_loops(self, mesh):
         rng = np.random.default_rng(11)
         lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
@@ -433,7 +339,7 @@ class TestMeshLocator:
         assert mesh.boundary_distance(pts).tobytes() == _reference_boundary_distance(mesh, pts).tobytes()
 
     def test_locate_rows_are_cached_read_only(self):
-        mesh = parse_msh(FLIPPED_MSH)
+        mesh = trimesh_from_csv(FLIPPED_CSV)
         pts = np.array([[1.8, 0.5], [1.0, 0.5], [0.2, 0.9], [2.5, 0.5], [1.0, 0.0]])
         want = _reference_locate(mesh, pts)
         rows = mesh._locate_rows
@@ -448,18 +354,12 @@ class TestMeshLocator:
         np.testing.assert_array_equal(np.vstack([b for _, b in singles]), want[1])
 
     def test_flipped_triangle_is_located(self):
-        mesh = parse_msh(FLIPPED_MSH)
+        mesh = trimesh_from_csv(FLIPPED_CSV)
         tri, bary = mesh.locate(np.array([[1.8, 0.5], [1.0, 0.5]]))
         assert tri[0] == 1
         assert (bary[0] > 0.0).all()
         assert tri[1] == 0  # the shared centre vertex: the first triangle wins
         np.testing.assert_allclose(bary[1], [0.0, 0.0, 1.0], atol=1e-15)
-
-
-def test_boundary_grid_csv_has_documented_header(square_grid):
-    text = square_grid.to_csv()
-    assert text.splitlines()[0] == "x,y,nx,ny,weight,segment"
-    assert len(text.splitlines()) == 401
 
 
 # Signed zero, subnormals, the largest finite float and infinities.
@@ -468,31 +368,6 @@ ODD_VALUES = np.array([-0.0, 5e-324, -2.2250738585072014e-308, 1e308, np.inf, -n
 
 class TestCsvBytes:
     """The writers emit the bytes of the ``csv.writer`` loops they replaced."""
-
-    def test_boundary_grid_matches_csv_writer(self, square_grid):
-        def reference(grid):
-            buf = io.StringIO()
-            w = csv.writer(buf)
-            coord = ["x", "y", "z"][: grid.points.shape[1]]
-            w.writerow(coord + [f"n{c}" for c in coord] + ["weight", "segment"])
-            for i in range(grid.n_points):
-                row = [repr(float(v)) for v in grid.points[i]]
-                row += [repr(float(v)) for v in grid.normals[i]]
-                row += [repr(float(grid.weights[i])), grid.segment_id[i]]
-                w.writerow(row)
-            return buf.getvalue()
-
-        v = ODD_VALUES
-        grids = [
-            square_grid,
-            make_boundary_grid(DomainSpec.sphere(), 60),
-            BoundaryGrid(np.column_stack([v, v[::-1]]), np.column_stack([-v, v]), v, ("G1",) * 8,
-                         DomainSpec.unit_square()),
-            BoundaryGrid(np.column_stack([v, -v, v[::-1]]), np.ones((8, 3)), v[::-1], ("S",) * 8,
-                         DomainSpec.sphere()),
-        ]
-        for grid in grids:
-            assert grid.to_csv() == reference(grid)
 
     def test_trimesh_matches_csv_writer(self):
         def reference(mesh):
@@ -505,7 +380,7 @@ class TestCsvBytes:
             return buf.getvalue()
 
         odd = TriMesh(ODD_VALUES.reshape(4, 2), np.array([[0, 1, 2], [1, 2, 3]]))
-        for mesh in (triangulate_square(0.1), parse_msh(MINIMAL_MSH), odd):
+        for mesh in (triangulate_square(0.1), odd):
             assert mesh.to_csv() == reference(mesh)
 
     @pytest.mark.parametrize("line, edit", [

@@ -376,12 +376,23 @@ class TestTestSuite:
                 assert a.neumann(grid).tobytes() == b.neumann(grid).tobytes()
 
     def test_suite_table(self):
-        assert {name: equation for name, (equation, _) in SUITES.items()} == {
-            "laplace": "laplace", "helmholtz": "helmholtz", "poisson": "laplace", "helmholtz3d": "helmholtz3d"}
-        families = {name: sorted({c.family for c in cases(SQUARE, 10.0, 0)}) for name, (_, cases) in SUITES.items()}
+        assert {name: (equation, reads) for name, (equation, reads, _) in SUITES.items()} == {
+            "laplace": ("laplace", {"seed"}), "helmholtz": ("helmholtz", {"k", "seed"}),
+            "poisson": ("laplace", set()), "helmholtz3d": ("helmholtz3d", {"k"})}
+        families = {name: sorted({c.family for c in cases(SQUARE, 10.0, 0)}) for name, (*_, cases) in SUITES.items()}
         assert families == {
             "laplace": ["u1", "u2", "u3", "u4", "u5"], "helmholtz": ["sin_sin", "sin_sinh"],
             "poisson": ["poisson_quadratic", "poisson_quintic"], "helmholtz3d": ["plane3d"]}
+
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_a_suite_reads_exactly_its_declared_parameters(self, name):
+        _, reads, cases = SUITES[name]
+
+        def params(k, seed):
+            return [(c.family, c.params) for c in cases(SQUARE, k, seed)]
+
+        assert (params(12.0, 0) != params(10.0, 0)) == ("k" in reads)
+        assert (params(10.0, 1) != params(10.0, 0)) == ("seed" in reads)
 
 
 class TestSolveCase:
