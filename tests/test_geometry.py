@@ -12,6 +12,7 @@ from tracemap.geometry import (
     BoundaryGrid,
     DomainSpec,
     InvalidDomainError,
+    MshParseError,
     PolarCurve,
     PolarTerm,
     TriMesh,
@@ -244,6 +245,37 @@ class TestTrimeshFromCsv:
         mesh = trimesh_from_csv("x1,y1,x2,y2,x3,y3\n0,0,1,1,1,0\n0,0,1,1,0,1\n")
         assert (mesh.areas() > 0).all()
         np.testing.assert_array_equal(mesh.corner_arrays()[1], [[1.0, 0.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("mesh", [
+        triangulate_square(0.25),
+        TriMesh(np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 0.5]]), np.array([[0, 1, 3], [3, 2, 1]])),
+    ], ids=["square", "one_clockwise"])
+    def test_csv_round_trip_up_to_permutation(self, mesh):
+        again = trimesh_from_csv(mesh.to_csv())
+
+        def tri_set(m):
+            return {tuple(sorted(map(tuple, tri))) for tri in np.stack(m.corner_arrays(), axis=1)}
+
+        assert tri_set(again) == tri_set(mesh)
+        assert (again.areas() > 0).all()
+
+    def test_missing_header_refused(self):
+        rows = triangulate_square(0.5).to_csv().splitlines()
+        with pytest.raises(MshParseError, match=r"^line 1: expected triangle CSV header$"):
+            trimesh_from_csv("\n".join(rows[1:]))
+
+    def test_wrong_coordinate_count_names_its_line(self):
+        rows = triangulate_square(0.5).to_csv().splitlines()
+        rows[2] += ",0.5"
+        with pytest.raises(MshParseError, match=r"^line 3: 7 coordinates, expected 6$"):
+            trimesh_from_csv("\n".join(rows))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_refused(self, value):
+        rows = triangulate_square(0.5).to_csv().splitlines()
+        rows[1] = ",".join([value, *rows[1].split(",")[1:]])
+        with pytest.raises(ValueError, match=f"^line 2: non-finite value {value}$"):
+            trimesh_from_csv("\n".join(rows))
 
 
 def _reference_locate(mesh, pts):
