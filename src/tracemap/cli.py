@@ -24,7 +24,6 @@ from .operator import (
     TrainingConfig,
     TrainingDivergedError,
     compute_loss,
-    constant_annihilation,
     dirichlet_layouts,
     fit_least_squares,
     load_model,
@@ -155,6 +154,7 @@ def cmd_train(args) -> int:
     else:
         inp_layout, out_layout = dirichlet_layouts(ds.spec.n_points)
     inputs, targets = training_arrays(ds.g_rows, ds.h_rows, inp_layout, out_layout, kernel.anchored)
+    del ds  # the fit holds the training data once
     _prepare_outputs(("--out", args.out, False), ("--log", args.log, False))
 
     if args.method == "ls":
@@ -170,8 +170,7 @@ def cmd_train(args) -> int:
             f"({report.wall_time:.1f}s)"
         )
         log_text = report.to_csv()
-    del ds, inputs, targets  # so that the training data and the model text never add up in the peak
-    print(f"constant annihilation {constant_annihilation(op):.3e}")
+    del inputs, targets  # so that the training data and the model text never add up in the peak
     op.kernel = kernel
     Path(args.out).write_text(save_model(op))
     written = [Path(args.out)]
@@ -189,11 +188,11 @@ def cmd_eval(args) -> int:
     if args.suite not in SUITES:
         raise SystemExit(f"unknown suite {args.suite!r}")
     equation, reads, draw_cases = SUITES[args.suite]
-    for name, default in (("k", 1.0), ("seed", 0)):  # None: the flag is not on the command line
+    for name, default in (("k", 1.0), ("seed", 0), ("margin", 0.05), ("mesh_h", 0.02)):  # None: not given
         if getattr(args, name) is None:
             setattr(args, name, default)
         elif name not in reads:
-            raise ValueError(f"suite {args.suite} does not read --{name}")
+            raise ValueError(f"suite {args.suite} does not read --{name.replace('_', '-')}")
     kernel = _kernel(equation, args.k)
     op = _load_model_for(args.model, kernel)
     domain = _DOMAINS[args.domain]()
@@ -203,8 +202,7 @@ def cmd_eval(args) -> int:
     if kernel.dimension == 2:
         eval_points = make_eval_grid(domain, 100, margin=args.margin)
     cases = draw_cases(domain, args.k, args.seed)
-    has_source = any(case.source is not None for case in cases)
-    mesh = _source_mesh(domain, args.domain, args.mesh_h) if has_source else None
+    mesh = _source_mesh(domain, args.domain, args.mesh_h) if "mesh_h" in reads else None  # a suite with a source
     _prepare_outputs(("--out", args.out, True))
     out_dir = Path(args.out)
 
@@ -256,7 +254,8 @@ def cmd_solve(args) -> int:
 
 
 def _check_solve_flags(parser, args) -> None:
-    """Refuse flag combinations that name no single problem (exit 2).
+    """Refuse flag combinations that name no single problem, and flags the
+    problem never reads (exit 2); then fill in the defaults of the latter.
     Mixed and source problems are solved with the Laplace kernel."""
     if args.dirichlet_edges and not args.h:
         parser.error("solve --dirichlet-edges needs --h (the Neumann values, one per line)")
@@ -266,6 +265,12 @@ def _check_solve_flags(parser, args) -> None:
         parser.error("solve --source and --dirichlet-edges cannot be combined")
     if args.equation == "helmholtz" and (args.source or args.dirichlet_edges):
         parser.error("solve --equation helmholtz takes neither --source nor --dirichlet-edges")
+    if args.k is not None and args.equation != "helmholtz":
+        parser.error("solve --k is the Helmholtz wavenumber; it needs --equation helmholtz")
+    if args.mesh_h is not None and not args.source:
+        parser.error("solve --mesh-h is the source mesh size; it needs --source")
+    args.k = 1.0 if args.k is None else args.k  # None: the flag is not on the command line
+    args.mesh_h = 0.02 if args.mesh_h is None else args.mesh_h
 
 
 def _vertex_interpolant(mesh, vertex_values):
@@ -362,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, help="default 1.0; only for suites that read it")
     p.add_argument("--n", type=int, default=400)
     p.add_argument("--seed", type=int, help="default 0; only for suites that read it")
-    p.add_argument("--margin", type=float, default=0.05)
-    p.add_argument("--mesh-h", type=float, default=0.02)
+    p.add_argument("--margin", type=float, help="default 0.05; only for 2-D suites")
+    p.add_argument("--mesh-h", type=float, help="default 0.02; only for suites with a source")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_eval)
 
@@ -371,12 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--grid", default="square400")
     p.add_argument("--equation", choices=["laplace", "helmholtz"], default="laplace")
-    p.add_argument("--k", type=float, default=1.0)
+    p.add_argument("--k", type=float, help="default 1.0; only with --equation helmholtz")
     p.add_argument("--g", required=True, help="single-column CSV, grid order")
     p.add_argument("--h", default="", help="single-column CSV for the Neumann part (mixed)")
     p.add_argument("--dirichlet-edges", default="")
     p.add_argument("--source", default="", help="per-vertex source values (CSV column)")
-    p.add_argument("--mesh-h", type=float, default=0.02)
+    p.add_argument("--mesh-h", type=float, help="default 0.02; only with --source")
     p.add_argument("--margin", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_solve)

@@ -511,7 +511,10 @@ def trimesh_from_csv(text: str) -> TriMesh:
     verts: dict[tuple[float, float], int] = {}
     tris = []
     for ln, line in enumerate(lines[1:], start=2):
-        coords = parse_floats(line.split(","), f"line {ln}").tolist()
+        try:
+            coords = parse_floats(line.split(","), f"line {ln}").tolist()
+        except ValueError as exc:
+            raise MshParseError(str(exc)) from None
         if len(coords) != 6:
             raise MshParseError(f"line {ln}: {len(coords)} coordinates, expected 6")
         tris.append([verts.setdefault((coords[k], coords[k + 1]), len(verts)) for k in (0, 2, 4)])

@@ -8,8 +8,8 @@ which points and which trace type (g or h) each slot carries.
 Training minimizes the mean squared trace misfit over the batch and the
 output slots, with plain Adam on the matrix entries and a best-loss
 checkpoint.  Because the model is linear the loss gradient is
-matrix algebra; no autodiff framework is involved.  A normal-equations
-solve provides the ridge-regularized minimizer as an independent oracle.
+matrix algebra; no autodiff framework is involved.  The truncated-SVD
+least-squares minimizer is the independent oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .kernels import KernelSpec
 from .textio import float_cells, json_field, parse_floats, table_text
 
 _ADAM_B1, _ADAM_B2, _ADAM_EPS = 0.9, 0.999, 1e-8
-_RIDGE = 1e-10  # the ridge is this times the mean diagonal of the data Gram matrix
+_CUTOFF = 1e-8  # the least-squares fit drops singular values below this times the largest
 
 
 class LayoutError(ValueError):
@@ -38,7 +38,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 class IllConditionedError(np.linalg.LinAlgError):
-    """Normal equations unsolvable even with the ridge term."""
+    """Training data the least-squares fit refuses: non-finite or all zero (rank 0)."""
 
 
 @dataclass(frozen=True)
@@ -100,12 +100,23 @@ def training_arrays(
     """Full-trace sample rows as the input and target matrices of a layout
     pair.  ``anchored`` data (Laplace) has its Dirichlet values re-anchored
     at the first input slot's point, which the inputs at solve time also
-    know (a no-op for Dirichlet layouts: the dataset is anchored there)."""
-    n = g_rows.shape[1]
-    traces = np.hstack([g_rows, h_rows])
-    if anchored:
-        traces[:, :n] -= traces[:, [input_layout[0].indices[0]]]
-    return traces[:, _slots(input_layout, n)], traces[:, _slots(output_layout, n)]
+    know (a no-op for Dirichlet layouts: the dataset is anchored there).
+    Each matrix is gathered straight from the rows, block by block."""
+    anchor = g_rows[:, [input_layout[0].indices[0]]]
+
+    def gather(layout):
+        out = np.empty((len(g_rows), layout_size(layout)))
+        pos = 0
+        for b in layout:
+            cols = out[:, pos : pos + len(b.indices)]
+            # mode "clip" (the indices are in range) copies with no temporary, unlike "raise"
+            np.take(g_rows if b.trace == "g" else h_rows, b.indices, axis=1, out=cols, mode="clip")
+            if anchored and b.trace == "g":
+                cols -= anchor
+            pos += len(b.indices)
+        return out
+
+    return gather(input_layout), gather(output_layout)
 
 
 @dataclass(eq=False)
@@ -293,30 +304,19 @@ def fit_least_squares(
     input_layout: Layout,
     output_layout: Layout,
 ) -> LinearBoundaryOperator:
-    """Ridge-regularized minimizer via the normal equations.
-
-    Solves ``(X^T X + eps I) W^T = X^T T`` with
-    ``eps = 1e-10 * trace(X^T X) / n`` so the conditioning guard is scale
-    invariant.
-    """
+    """The minimum-norm least-squares ``W`` over the singular directions of
+    the inputs above ``1e-8`` times the largest singular value (truncated
+    SVD, LAPACK ``gelsd``).  Non-finite or all-zero data is refused before
+    LAPACK sees it."""
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    n_in = layout_size(input_layout)
-    n_out = layout_size(output_layout)
-    if inputs.shape[1] != n_in or targets.shape[1] != n_out:
+    if inputs.shape[1] != layout_size(input_layout) or targets.shape[1] != layout_size(output_layout):
         raise LayoutError("dataset shapes do not match the layouts")
-    gram = inputs.T @ inputs
-    eps = _RIDGE * np.trace(gram) / n_in
-    if not eps > 0.0 or not np.isfinite(eps):
-        raise IllConditionedError("data Gram matrix has no usable scale")
-    gram[np.diag_indices_from(gram)] += eps
-    try:
-        wt = np.linalg.solve(gram, inputs.T @ targets)
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(gram))
-        raise IllConditionedError(
-            f"normal equations unsolvable (cond ~ {cond:.2e}) despite ridge {eps:.2e}"
-        ) from exc
+    if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
+        raise IllConditionedError("training data holds non-finite values")
+    if not inputs.any():
+        raise IllConditionedError("training inputs are all zero (rank 0)")
+    wt = np.linalg.lstsq(inputs, targets, rcond=_CUTOFF)[0]
     return LinearBoundaryOperator(wt.T, input_layout, output_layout)
 
 
@@ -390,12 +390,3 @@ def load_model(text: str) -> LinearBoundaryOperator:
         raise ValueError(f"malformed model file: {exc}") from exc
     return LinearBoundaryOperator(W, inp, out, kernel)
 
-
-def constant_annihilation(op: LinearBoundaryOperator) -> float:
-    """||W 1|| / sqrt(n): how well the operator kills constant shifts.
-
-    Quality metric for Laplace-mode operators (the true Neumann trace of a
-    constant is zero); tracked, not asserted, during training.
-    """
-    ones = np.ones(op.input_dim)
-    return float(np.linalg.norm(op.apply(ones)) / np.sqrt(op.input_dim))

@@ -14,7 +14,8 @@ homogeneous of degree one in the boundary data.
 The analytic test cases come from two tables.  ``_FAMILIES`` maps a family
 to its draw, ``(rng, domain, k) -> (params, u, grad_u)`` or None to reject
 it.  ``SUITES`` maps each ``eval --suite`` name to the equation of the model
-it checks, which of ``k`` and ``seed`` its cases read, and its cases:
+it checks, which ``eval`` parameters it reads (``k``, ``seed``, ``margin`` of
+a 2-D evaluation grid, ``mesh_h`` of a source mesh), and its cases:
 ``laplace`` u1-u5 and ``poisson`` the two source cases on the Laplace kernel,
 ``helmholtz`` sin_sin and sin_sinh on the 2-D Helmholtz kernel at k,
 ``helmholtz3d`` the plane wave (boundary only).
@@ -452,9 +453,9 @@ def _families(*names):
 
 
 SUITES = {  # name -> (equation, the parameters its cases read, cases(domain, k, seed))
-    "laplace": ("laplace", {"seed"}, _families("u1", "u2", "u3", "u4", "u5")),
-    "helmholtz": ("helmholtz", {"k", "seed"}, _families("sin_sin", "sin_sinh")),
-    "poisson": ("laplace", set(), lambda domain, k, seed: poisson_cases()),
+    "laplace": ("laplace", {"seed", "margin"}, _families("u1", "u2", "u3", "u4", "u5")),
+    "helmholtz": ("helmholtz", {"k", "seed", "margin"}, _families("sin_sin", "sin_sinh")),
+    "poisson": ("laplace", {"margin", "mesh_h"}, lambda domain, k, seed: poisson_cases()),
     "helmholtz3d": ("helmholtz3d", {"k"}, lambda domain, k, seed: [plane_wave_3d(k)]),
 }
 

@@ -27,7 +27,6 @@ from tracemap.kernels import KernelSpec, kernel_gradient_y, kernel_value
 from tracemap.operator import (
     TrainingConfig,
     compute_loss,
-    constant_annihilation,
     dirichlet_layouts,
     fit_least_squares,
     mixed_layouts,
@@ -83,8 +82,8 @@ def laplace_rec(square_grid, eval100):
 
 
 @pytest.fixture(scope="module")
-def laplace_desk(square_grid):
-    """Desk-scale Laplace dataset with both operators; timed once."""
+def laplace_desk_ls(square_grid):
+    """Desk-scale Laplace dataset with its least-squares operator; timed once."""
     t0 = time.perf_counter()
     spec = DatasetSpec(
         kernel=LAPLACE, domain=SQUARE, n_points=400,
@@ -94,19 +93,19 @@ def laplace_desk(square_grid):
     inp, out = dirichlet_layouts(400)
     op_ls = fit_least_squares(ds.g_rows, ds.h_rows, inp, out)
     t_ls = time.perf_counter() - t0
+    record_info(f"desk Laplace: LS loss {compute_loss(op_ls, ds.g_rows, ds.h_rows):.3e}")
+    return {"dataset": ds, "ls": op_ls, "time_data_ls": t_ls}
+
+
+@pytest.fixture(scope="module")
+def laplace_desk(laplace_desk_ls):
+    """The LS fixture plus the Adam operator trained on the same data; timed once."""
+    ds = laplace_desk_ls["dataset"]
     t1 = time.perf_counter()
-    op_adam, report = train_adam(ds.g_rows, ds.h_rows, inp, out, ADAM_CFG)
+    op_adam, report = train_adam(ds.g_rows, ds.h_rows, *dirichlet_layouts(400), ADAM_CFG)
     t_adam = time.perf_counter() - t1
-    record_info(
-        f"desk Laplace: LS loss {compute_loss(op_ls, ds.g_rows, ds.h_rows):.3e}, "
-        f"Adam best loss {report.best_loss:.3e} (epoch {report.best_epoch}), "
-        f"constant annihilation LS {constant_annihilation(op_ls):.2e} / "
-        f"Adam {constant_annihilation(op_adam):.2e}"
-    )
-    return {
-        "dataset": ds, "ls": op_ls, "adam": op_adam, "report": report,
-        "time_data_ls": t_ls, "time_adam": t_adam,
-    }
+    record_info(f"desk Laplace: Adam best loss {report.best_loss:.3e} (epoch {report.best_epoch})")
+    return {**laplace_desk_ls, "adam": op_adam, "report": report, "time_adam": t_adam}
 
 
 def laplace_suite():
@@ -226,21 +225,20 @@ def test_criterion_05_adam_vs_ls_agreement(laplace_desk):
     )
     assert fro <= 0.1, (
         f"Frobenius agreement {fro:.3f} > 0.1: the desk data is numerically "
-        "rank-deficient (rank 66 of 400 at 1e-8 sigma_max), and the ridge "
-        "minimizer puts most of its norm into near-null directions that the "
-        "loss barely sees, which Adam from W = 0 does not learn; see "
-        "ROADMAP.md, 'The one red'"
+        "rank-deficient (rank 66 of 400 at 1e-8 sigma_max), and the truncated-SVD "
+        "minimizer fits directions down to 1e-8 sigma_max that the loss barely "
+        "sees, which Adam from W = 0 does not learn; see ROADMAP.md, 'The one red'"
     )
     assert loss_adam <= 2.0 * loss_ls
 
 
-def test_criterion_06_desk_scale_poisson(square_grid, laplace_desk, eval100, laplace_rec):
+def test_criterion_06_desk_scale_poisson(square_grid, laplace_desk_ls, eval100, laplace_rec):
     t0 = time.perf_counter()
     mesh = triangulate_square(0.02)
     errs = {}
     for case in poisson_cases():
         fld = solve_poisson(
-            laplace_desk["ls"], case.source, case.dirichlet(square_grid), mesh, laplace_rec, exact=case.u,
+            laplace_desk_ls["ls"], case.source, case.dirichlet(square_grid), mesh, laplace_rec, exact=case.u,
         )
         errs[case.family] = fld.relative_l2
         assert fld.relative_l2 <= 5e-2, f"{case.family}: {fld.relative_l2:.2e}"
@@ -284,8 +282,8 @@ def test_criterion_07_desk_scale_helmholtz(square_grid, eval100, k, enforce):
             assert s["mean_imag_ratio"] <= 1e-3, f"k={k} {fam} imaginary diagnostic"
 
 
-def test_criterion_08_mixed_boundary_conditions(square_grid, laplace_desk, eval100, laplace_rec):
-    ds = laplace_desk["dataset"]
+def test_criterion_08_mixed_boundary_conditions(square_grid, laplace_desk_ls, eval100, laplace_rec):
+    ds = laplace_desk_ls["dataset"]
     inp, out = mixed_layouts(square_grid, {"G1"})
     X, T = training_arrays(ds.g_rows, ds.h_rows, inp, out, ds.spec.kernel.anchored)
     op = fit_least_squares(X, T, inp, out)

@@ -223,6 +223,7 @@ class TestFailedRunLeavesNoOutput:
 
     @pytest.mark.parametrize("suite,flag,value", [
         ("laplace", "--k", 1.0), ("poisson", "--k", 10), ("poisson", "--seed", 0), ("helmholtz3d", "--seed", 7),
+        ("helmholtz3d", "--margin", 0.05), ("laplace", "--mesh-h", 0.02), ("helmholtz3d", "--mesh-h", 0.1),
     ])
     def test_eval_refuses_a_flag_its_suite_does_not_read(self, laplace_run, tmp_path, capsys, monkeypatch,
                                                          suite, flag, value):
@@ -423,7 +424,8 @@ class TestEvalSolve:
         assert set(summary) == {"plane3d"}
         assert summary["plane3d"]["n_cases"] == 1 and np.isfinite(summary["plane3d"]["dudn_error"])
         config, artifact = capsys.readouterr().out.splitlines()[-2:]
-        assert config.startswith("config: ") and {"domain=sphere", "suite=helmholtz3d"} <= set(config.split())
+        assert config.startswith("config: ")
+        assert {"domain=sphere", "suite=helmholtz3d", "margin=0.05", "mesh_h=0.02"} <= set(config.split())
         assert artifact.startswith(f"artifact: {out / 'summary.json'} sha256:")
 
     def test_eval_helmholtz3d_on_a_2d_domain_refused(self, sphere_model, tmp_path, capsys):
@@ -549,7 +551,7 @@ class TestEvalSolve:
             assert fam["mean_dudn_error"] is None
             assert fam["mean_total_error"] < 0.5
         config = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("config: "))
-        assert {"k=1.0", "seed=0"} <= set(config.split())  # the defaults of the flags not given
+        assert {"k=1.0", "seed=0", "margin=0.05"} <= set(config.split())  # the defaults of the flags not given
 
     def test_poisson_refused_off_the_unit_square(self, laplace_run, tmp_path, capsys):
         _, _, model = laplace_run
@@ -675,7 +677,10 @@ class TestEvalSolve:
         (["--equation", "helmholtz", "--k", 3, "--dirichlet-edges", "1", "--h", "G"],
          "solve --equation helmholtz takes neither --source nor --dirichlet-edges"),
         (["--h", "G"], "solve --h is the Neumann part of a mixed problem; it needs --dirichlet-edges"),
-    ], ids=["source-and-mixed", "helmholtz-source", "helmholtz-mixed", "h-alone"])
+        (["--k", 3], "solve --k is the Helmholtz wavenumber; it needs --equation helmholtz"),
+        (["--mesh-h", 0.1, "--dirichlet-edges", "1", "--h", "G"], "solve --mesh-h is the source mesh size; it needs --source"),
+    ], ids=["source-and-mixed", "helmholtz-source", "helmholtz-mixed", "h-alone", "k-without-helmholtz",
+            "mesh-h-without-source"])
     def test_contradictory_solve_flags_are_usage_errors(self, laplace_run, tmp_path, capsys, flags, message):
         _, _, model = laplace_run
         g_file = tmp_path / "g.csv"

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -270,11 +271,14 @@ class TestTrimeshFromCsv:
         with pytest.raises(MshParseError, match=r"^line 3: 7 coordinates, expected 6$"):
             trimesh_from_csv("\n".join(rows))
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_coordinate_refused(self, value):
+    @pytest.mark.parametrize("value,message", [
+        ("nan", "non-finite value nan"), ("inf", "non-finite value inf"), ("-inf", "non-finite value -inf"),
+        ("abc", "could not convert string to float: 'abc'"),
+    ], ids=["nan", "inf", "-inf", "abc"])
+    def test_non_finite_coordinate_refused(self, value, message):
         rows = triangulate_square(0.5).to_csv().splitlines()
         rows[1] = ",".join([value, *rows[1].split(",")[1:]])
-        with pytest.raises(ValueError, match=f"^line 2: non-finite value {value}$"):
+        with pytest.raises(MshParseError, match=f"^line 2: {re.escape(message)}$"):
             trimesh_from_csv("\n".join(rows))
 
 

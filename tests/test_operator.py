@@ -15,7 +15,6 @@ from tracemap.operator import (
     TrainingDivergedError,
     _loss_and_grad,
     compute_loss,
-    constant_annihilation,
     dirichlet_layouts,
     fit_least_squares,
     load_model,
@@ -133,6 +132,16 @@ def _reference_mixed_training_arrays(g_rows, h_rows, input_layout, output_layout
     return inputs, targets
 
 
+def _reference_stacked_training_arrays(g_rows, h_rows, input_layout, output_layout, anchored):
+    """The former ``training_arrays``, which gathered from one stacked copy ``[g, h]``."""
+    n = g_rows.shape[1]
+    traces = np.hstack([g_rows, h_rows])
+    if anchored:
+        traces[:, :n] -= traces[:, [input_layout[0].indices[0]]]
+    slots = lambda layout: np.concatenate([np.add(b.indices, n if b.trace == "h" else 0) for b in layout])
+    return traces[:, slots(input_layout)], traces[:, slots(output_layout)]
+
+
 def _reference_complete(op, g, h, anchored):
     """The former solver-side completion: gather, anchor, apply, two scatters."""
     shift = g[op.input_layout[0].indices[0]] if anchored else 0.0
@@ -172,6 +181,17 @@ class TestSlotConvention:
                 X_ref = np.array([_reference_assemble(inp, g, h) for g, h in zip(g_rows, h_rows)])
                 T_ref = np.array([_reference_assemble(out, g, h) for g, h in zip(g_rows, h_rows)])
             assert X.tobytes() == X_ref.tobytes() and T.tobytes() == T_ref.tobytes()
+
+    @pytest.mark.parametrize("anchored", [True, False])
+    @pytest.mark.parametrize("name", ["dirichlet", "G1", "G1,G3"])
+    def test_training_arrays_match_the_stacked_gather(self, dataset, rng, name, anchored):
+        inp, out = self.layouts(name)
+        g_rows = rng.normal(size=(7, self.N))
+        g_rows[0, 3] = -0.0
+        for rows in ((dataset.g_rows, dataset.h_rows), (g_rows, rng.normal(size=(7, self.N)))):
+            got = training_arrays(*rows, inp, out, anchored)
+            want = _reference_stacked_training_arrays(*rows, inp, out, anchored)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
     @pytest.mark.parametrize("anchored", [True, False])
     def test_dirichlet_training_arrays_are_the_dataset_rows(self, dataset, anchored):
@@ -397,12 +417,25 @@ class TestLeastSquares:
         rel = np.linalg.norm(op.W - Wstar) / np.linalg.norm(Wstar)
         assert rel < 1e-8
 
-    def test_underdetermined_takes_ridge_path(self, rng):
-        X = rng.normal(size=(8, 12))  # fewer samples than slots
-        T = rng.normal(size=(8, 12))
+    @pytest.mark.parametrize("shape", ["underdetermined", "duplicated_columns"])
+    def test_rank_deficient_fit_is_the_minimum_norm_solution(self, rng, shape):
+        if shape == "underdetermined":
+            X = rng.normal(size=(8, 12))  # fewer samples than slots
+        else:
+            X = np.tile(rng.normal(size=(30, 6)), 2)  # rank 6 of 12
+        T = rng.normal(size=(len(X), 12))
         inp, out = dirichlet_layouts(12)
         op = fit_least_squares(X, T, inp, out)
-        assert np.isfinite(compute_loss(op, X, T))
+        np.testing.assert_allclose(op.W, (np.linalg.pinv(X, rcond=1e-8) @ T).T, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["inputs", "targets"])
+    def test_non_finite_data_refused_before_lapack(self, rng, capfd, value, where):
+        data = {"inputs": rng.normal(size=(20, 4)), "targets": rng.normal(size=(20, 4))}
+        data[where][3, 2] = value
+        with pytest.raises(IllConditionedError, match="non-finite"):
+            fit_least_squares(data["inputs"], data["targets"], *dirichlet_layouts(4))
+        assert capfd.readouterr().err == ""
 
     def test_zero_data_is_ill_conditioned(self):
         inp, out = dirichlet_layouts(4)
@@ -536,12 +569,3 @@ class TestModelIO:
         np.testing.assert_array_equal(op.W, L2 @ L1)
         v = rng.normal(size=3)
         np.testing.assert_allclose(op.apply(v), L2 @ (L1 @ v), rtol=1e-14)
-
-    def test_constant_annihilation_metric(self):
-        n = 4
-        inp, out = dirichlet_layouts(n)
-        op = LinearBoundaryOperator(np.eye(n), inp, out)
-        assert constant_annihilation(op) == pytest.approx(1.0)
-        row_killer = np.eye(n) - np.full((n, n), 1.0 / n)
-        op2 = LinearBoundaryOperator(row_killer, inp, out)
-        assert constant_annihilation(op2) < 1e-14

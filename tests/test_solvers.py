@@ -377,8 +377,8 @@ class TestTestSuite:
 
     def test_suite_table(self):
         assert {name: (equation, reads) for name, (equation, reads, _) in SUITES.items()} == {
-            "laplace": ("laplace", {"seed"}), "helmholtz": ("helmholtz", {"k", "seed"}),
-            "poisson": ("laplace", set()), "helmholtz3d": ("helmholtz3d", {"k"})}
+            "laplace": ("laplace", {"seed", "margin"}), "helmholtz": ("helmholtz", {"k", "seed", "margin"}),
+            "poisson": ("laplace", {"margin", "mesh_h"}), "helmholtz3d": ("helmholtz3d", {"k"})}
         families = {name: sorted({c.family for c in cases(SQUARE, 10.0, 0)}) for name, (*_, cases) in SUITES.items()}
         assert families == {
             "laplace": ["u1", "u2", "u3", "u4", "u5"], "helmholtz": ["sin_sin", "sin_sinh"],
