@@ -43,7 +43,7 @@ def train(ds, inp, out, method, epochs):
     """The operator fitted to ``ds`` for the layouts ``(inp, out)``, and its training loss."""
     X, T = training_arrays(ds.g_rows, ds.h_rows, inp, out, ds.spec.kernel.anchored)
     if method == "ls":
-        op = fit_least_squares(X, T, inp, out)
+        op, _ = fit_least_squares(X, T, inp, out)
         return op, compute_loss(op, X, T)
     cfg = TrainingConfig(epochs=epochs, seed=3)
     op, report = train_adam(X, T, inp, out, cfg)

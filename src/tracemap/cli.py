@@ -21,6 +21,7 @@ import numpy as np
 from .geometry import DomainSpec, PolarTerm, make_boundary_grid, triangulate_square
 from .kernels import KernelSpec
 from .operator import (
+    CUTOFF,
     TrainingConfig,
     TrainingDivergedError,
     compute_loss,
@@ -79,11 +80,23 @@ def _kernel(equation: str, k: float) -> KernelSpec:
     return KernelSpec("helmholtz2d" if equation == "helmholtz" else "helmholtz3d", k)
 
 
-def _load_model_for(path: str, kernel: KernelSpec):
-    """The model at ``path``; refused if it records another training kernel."""
+def _domain_name(domain: DomainSpec | None) -> str:
+    if domain is None:
+        return "an unrecorded domain"
+    return next((name for name, make in _DOMAINS.items() if make() == domain), domain.shape)
+
+
+def _load_model_for(path: str, kernel: KernelSpec, domain: DomainSpec, n: int):
+    """The model at ``path``; refused if it records another training kernel
+    or domain, or maps another number of boundary points than the run's ``n``."""
     op = load_model(Path(path).read_text())
     if op.kernel not in (None, kernel):
         raise ValueError(f"{path}: model was trained on {op.kernel} data, this run needs {kernel}")
+    if op.domain not in (None, domain) or op.input_dim != n:
+        raise ValueError(
+            f"{path}: model was trained on {op.input_dim} points of {_domain_name(op.domain)}, "
+            f"this run has {n} points of {_domain_name(domain)}"
+        )
     return op
 
 
@@ -146,7 +159,7 @@ def cmd_train(args) -> int:
     if args.method == "adam":  # refused before any output is created or data read
         cfg = TrainingConfig(learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs, seed=args.seed)
     ds = _load_dataset(Path(args.data))
-    kernel = ds.spec.kernel
+    kernel, domain = ds.spec.kernel, ds.spec.domain
     if args.dirichlet_edges:
         if kernel.family != "laplace2d":  # the one kernel solve_mixed takes
             raise ValueError(f"{args.data}: mixed operators are trained on laplace2d data only, not {kernel}")
@@ -158,10 +171,9 @@ def cmd_train(args) -> int:
     _prepare_outputs(("--out", args.out, False), ("--log", args.log, False))
 
     if args.method == "ls":
-        op = fit_least_squares(inputs, targets, inp_layout, out_layout)
+        op, rank = fit_least_squares(inputs, targets, inp_layout, out_layout)
         residual = compute_loss(op, inputs, targets)
-        print(f"least-squares residual {residual:.6e}")
-        log_text = "epoch,mean_loss,best_loss\n"
+        print(f"least-squares residual {residual:.6e}, rank {rank} of {op.input_dim} at cutoff {CUTOFF:g}")
     else:
         cfg = replace(cfg, batch_size=min(cfg.batch_size, len(inputs)))
         op, report = train_adam(inputs, targets, inp_layout, out_layout, cfg)
@@ -169,13 +181,12 @@ def cmd_train(args) -> int:
             f"adam best loss {report.best_loss:.6e} at epoch {report.best_epoch} "
             f"({report.wall_time:.1f}s)"
         )
-        log_text = report.to_csv()
     del inputs, targets  # so that the training data and the model text never add up in the peak
-    op.kernel = kernel
+    op.kernel, op.domain = kernel, domain
     Path(args.out).write_text(save_model(op))
     written = [Path(args.out)]
-    if args.log:
-        Path(args.log).write_text(log_text)
+    if args.log:  # adam only (_check_flags)
+        Path(args.log).write_text(report.to_csv())
         written.append(Path(args.log))
     print(f"wrote model to {args.out}")
     _emit_provenance(args, *written)
@@ -183,18 +194,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    # accept spellings like "laplace-u1..u5"
-    args.suite = args.suite.split("-")[0]
-    if args.suite not in SUITES:
-        raise SystemExit(f"unknown suite {args.suite!r}")
     equation, reads, draw_cases = SUITES[args.suite]
-    for name, default in (("k", 1.0), ("seed", 0), ("margin", 0.05), ("mesh_h", 0.02)):  # None: not given
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-        elif name not in reads:
-            raise ValueError(f"suite {args.suite} does not read --{name.replace('_', '-')}")
     kernel = _kernel(equation, args.k)
-    op = _load_model_for(args.model, kernel)
     domain = _DOMAINS[args.domain]()
     if kernel.dimension == 3 and domain.dimension != 3:
         raise ValueError(f"suite {args.suite} needs a 3-D domain, got {domain.shape!r}")
@@ -203,6 +204,7 @@ def cmd_eval(args) -> int:
         eval_points = make_eval_grid(domain, 100, margin=args.margin)
     cases = draw_cases(domain, args.k, args.seed)
     mesh = _source_mesh(domain, args.domain, args.mesh_h) if "mesh_h" in reads else None  # a suite with a source
+    op = _load_model_for(args.model, kernel, domain, args.n)
     _prepare_outputs(("--out", args.out, True))
     out_dir = Path(args.out)
 
@@ -228,16 +230,16 @@ def cmd_eval(args) -> int:
 def cmd_solve(args) -> int:
     domain, n = _parse_grid_name(args.grid)
     kernel = _kernel(args.equation, args.k)
-    op = _load_model_for(args.model, kernel)
     g = _read_column(Path(args.g), n, "grid point")
     if args.dirichlet_edges:
         h = _read_column(Path(args.h), n, "grid point")
     elif args.source:
         mesh = _source_mesh(domain, args.grid, args.mesh_h)
         f_vertex = _read_column(Path(args.source), len(mesh.vertices), "mesh vertex")
+    eval_points = make_eval_grid(domain, 100, margin=args.margin)
+    op = _load_model_for(args.model, kernel, domain, n)
     _prepare_outputs(("--out", args.out, False))
-    grid = make_boundary_grid(domain, n)
-    rec = BoundaryReconstructor(kernel, grid, make_eval_grid(domain, 100, margin=args.margin))
+    rec = BoundaryReconstructor(kernel, make_boundary_grid(domain, n), eval_points)
 
     if args.dirichlet_edges:
         edges = {f"G{e}" for e in args.dirichlet_edges.split(",")}
@@ -253,24 +255,48 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _check_solve_flags(parser, args) -> None:
-    """Refuse flag combinations that name no single problem, and flags the
-    problem never reads (exit 2); then fill in the defaults of the latter.
-    Mixed and source problems are solved with the Laplace kernel."""
-    if args.dirichlet_edges and not args.h:
-        parser.error("solve --dirichlet-edges needs --h (the Neumann values, one per line)")
-    if args.h and not args.dirichlet_edges:
-        parser.error("solve --h is the Neumann part of a mixed problem; it needs --dirichlet-edges")
-    if args.source and args.dirichlet_edges:
-        parser.error("solve --source and --dirichlet-edges cannot be combined")
-    if args.equation == "helmholtz" and (args.source or args.dirichlet_edges):
-        parser.error("solve --equation helmholtz takes neither --source nor --dirichlet-edges")
-    if args.k is not None and args.equation != "helmholtz":
-        parser.error("solve --k is the Helmholtz wavenumber; it needs --equation helmholtz")
-    if args.mesh_h is not None and not args.source:
-        parser.error("solve --mesh-h is the source mesh size; it needs --source")
-    args.k = 1.0 if args.k is None else args.k  # None: the flag is not on the command line
-    args.mesh_h = 0.02 if args.mesh_h is None else args.mesh_h
+# The flags that only some runs read, with their defaults; argparse leaves
+# them None, so that _check_flags can tell a flag given from one not given.
+_PARTIAL_FLAGS = {
+    "gen": {"k": 1.0},
+    "train": {"epochs": 50_000, "lr": 1e-4, "batch": 1000, "log": ""},
+    "eval": {"k": 1.0, "seed": 0, "margin": 0.05, "mesh_h": 0.02},
+    "solve": {"k": 1.0, "mesh_h": 0.02},
+}
+
+
+def _check_flags(parser, args) -> None:
+    """Refuse, with exit 2 and before any command runs, a flag the run never
+    reads and a solve whose flags name no single problem; then fill in the
+    defaults of the flags not given.  Mixed and source problems are solved
+    with the Laplace kernel."""
+    unread = {}
+    if args.command == "gen" and args.equation == "laplace":
+        unread["k"] = "gen --equation laplace takes no --k (the Helmholtz wavenumber)"
+    elif args.command == "train" and args.method == "ls":
+        unread = {name: f"train --method ls takes no --{name} (an adam flag)" for name in _PARTIAL_FLAGS["train"]}
+    elif args.command == "eval":
+        reads = SUITES[args.suite][1]
+        unread = {name: f"suite {args.suite} does not read --{name.replace('_', '-')}"
+                  for name in _PARTIAL_FLAGS["eval"] if name not in reads}
+    elif args.command == "solve":
+        if args.dirichlet_edges and not args.h:
+            parser.error("solve --dirichlet-edges needs --h (the Neumann values, one per line)")
+        if args.h and not args.dirichlet_edges:
+            parser.error("solve --h is the Neumann part of a mixed problem; it needs --dirichlet-edges")
+        if args.source and args.dirichlet_edges:
+            parser.error("solve --source and --dirichlet-edges cannot be combined")
+        if args.equation == "helmholtz" and (args.source or args.dirichlet_edges):
+            parser.error("solve --equation helmholtz takes neither --source nor --dirichlet-edges")
+        if args.equation != "helmholtz":
+            unread["k"] = "solve --k is the Helmholtz wavenumber; it needs --equation helmholtz"
+        if not args.source:
+            unread["mesh_h"] = "solve --mesh-h is the source mesh size; it needs --source"
+    for name, default in _PARTIAL_FLAGS.get(args.command, {}).items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name in unread:
+            parser.error(unread[name])
 
 
 def _vertex_interpolant(mesh, vertex_values):
@@ -311,10 +337,6 @@ def cmd_quadbench(args) -> int:
         "ln(x2+y2)": ((0.0, 0.0), LOG_REFERENCE_CORNER),
         "ln((x-0.5)2+(y-0.5)2)": ((0.5, 0.5), LOG_REFERENCE_CENTER),
     }
-    if args.kernel != "both":
-        if args.kernel not in integrands:
-            raise SystemExit(f"unknown benchmark kernel {args.kernel!r}")
-        integrands = {args.kernel: integrands[args.kernel]}
     _prepare_outputs(("--out", args.out, False))
     rows, rels = [], []
     for h, mesh in zip(args.h, meshes):
@@ -337,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="synthesize a trace-pair dataset")
     p.add_argument("--equation", required=True, choices=["laplace", "helmholtz", "helmholtz3d"])
     p.add_argument("--domain", choices=_DOMAINS, default="square")
-    p.add_argument("--k", type=float, default=1.0)
+    p.add_argument("--k", type=float, help="default 1.0; only for the Helmholtz equations")
     p.add_argument("--n", type=int, default=400)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--kernels-per-sample", type=int, default=3)
@@ -350,19 +372,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit the boundary operator")
     p.add_argument("--data", required=True)
     p.add_argument("--method", choices=["adam", "ls"], default="ls")
-    p.add_argument("--epochs", type=int, default=50_000)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--batch", type=int, default=1000)
+    p.add_argument("--epochs", type=int, help="default 50000; adam only")
+    p.add_argument("--lr", type=float, help="default 1e-4; adam only")
+    p.add_argument("--batch", type=int, help="default 1000; adam only")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dirichlet-edges", default="", help="e.g. '1,3' for a mixed operator")
     p.add_argument("--out", required=True)
-    p.add_argument("--log", default="")
+    p.add_argument("--log", help="the per-epoch training log (CSV); adam only")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="run an analytic test suite")
     p.add_argument("--model", required=True)
-    p.add_argument("--suite", required=True,
-                   help=f"{' | '.join(SUITES)} (family suffixes tolerated)")
+    p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--domain", choices=_DOMAINS, default="square")
     p.add_argument("--k", type=float, help="default 1.0; only for suites that read it")
     p.add_argument("--n", type=int, default=400)
@@ -389,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quadbench", help="singular log-kernel integral benchmark")
     p.add_argument("--h", type=float, action="append", required=True)
     p.add_argument("--r0", type=float, default=0.01)
-    p.add_argument("--kernel", default="both", help='"ln(x2+y2)", "ln((x-0.5)2+(y-0.5)2)", or "both"')
     p.add_argument("--fail-above", type=float, default=np.inf)
     p.add_argument("--out", default="")
     p.set_defaults(fn=cmd_quadbench)
@@ -399,8 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "solve":
-        _check_solve_flags(parser, args)
+    _check_flags(parser, args)
     try:
         return args.fn(args)
     except (ValueError, OSError, np.linalg.LinAlgError, TrainingDivergedError) as exc:

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundaryGrid
+from .geometry import BoundaryGrid, DomainSpec
 from .kernels import KernelSpec
 from .textio import float_cells, json_field, parse_floats, table_text
 
 _ADAM_B1, _ADAM_B2, _ADAM_EPS = 0.9, 0.999, 1e-8
-_CUTOFF = 1e-8  # the least-squares fit drops singular values below this times the largest
+CUTOFF = 1e-8  # the least-squares fit drops singular values below this times the largest
 
 
 class LayoutError(ValueError):
@@ -122,12 +122,14 @@ def training_arrays(
 @dataclass(eq=False)
 class LinearBoundaryOperator:
     """One bias-free dense matrix ``W``; ``apply`` maps ``v`` to ``W v``.
-    ``kernel``, when known, is the fundamental solution of the training data."""
+    ``kernel`` and ``domain``, when known, are the fundamental solution and
+    the domain of the training data."""
 
     W: np.ndarray
     input_layout: Layout
     output_layout: Layout
     kernel: KernelSpec | None = None
+    domain: DomainSpec | None = None
 
     def __post_init__(self):
         want = (layout_size(self.output_layout), layout_size(self.input_layout))
@@ -303,11 +305,12 @@ def fit_least_squares(
     targets: np.ndarray,
     input_layout: Layout,
     output_layout: Layout,
-) -> LinearBoundaryOperator:
+) -> tuple[LinearBoundaryOperator, int]:
     """The minimum-norm least-squares ``W`` over the singular directions of
-    the inputs above ``1e-8`` times the largest singular value (truncated
-    SVD, LAPACK ``gelsd``).  Non-finite or all-zero data is refused before
-    LAPACK sees it."""
+    the inputs above ``CUTOFF`` times the largest singular value (truncated
+    SVD, LAPACK ``gelsd``), and the number of those directions (the
+    numerical rank).  Non-finite or all-zero data is refused before LAPACK
+    sees it."""
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if inputs.shape[1] != layout_size(input_layout) or targets.shape[1] != layout_size(output_layout):
@@ -316,8 +319,8 @@ def fit_least_squares(
         raise IllConditionedError("training data holds non-finite values")
     if not inputs.any():
         raise IllConditionedError("training inputs are all zero (rank 0)")
-    wt = np.linalg.lstsq(inputs, targets, rcond=_CUTOFF)[0]
-    return LinearBoundaryOperator(wt.T, input_layout, output_layout)
+    wt, _, rank, _ = np.linalg.lstsq(inputs, targets, rcond=CUTOFF)
+    return LinearBoundaryOperator(wt.T, input_layout, output_layout), int(rank)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +353,8 @@ def _layout_from_payload(payload: dict, name: str, n: int) -> Layout:
 
 
 def save_model(op: LinearBoundaryOperator) -> str:
-    """JSON text; ``W`` is stored as the single entry of a ``"layers"`` list."""
+    """JSON text; ``W`` is stored as the single entry of a ``"layers"`` list,
+    followed by the ``"kernel"`` and ``"domain"`` records when known."""
     payload = {
         "input_layout": _layout_payload(op.input_layout),
         "output_layout": _layout_payload(op.output_layout),
@@ -360,33 +364,27 @@ def save_model(op: LinearBoundaryOperator) -> str:
     }
     if op.kernel is not None:
         payload["kernel"] = op.kernel.to_payload()
+    if op.domain is not None:
+        payload["domain"] = op.domain.to_payload()
     return json.dumps(payload)
 
 
 def load_model(text: str) -> LinearBoundaryOperator:
-    """Inverse of :func:`save_model`.
-
-    Files with several ``"layers"`` entries (linear stacks applied in file
-    order) load as their product ``W = L_k @ ... @ L_1``.  Files without a
-    ``"kernel"`` record load with ``kernel=None``.
-    """
+    """Inverse of :func:`save_model`.  A file without a ``"kernel"`` or
+    ``"domain"`` record loads with ``None`` in its place."""
     try:
         payload = json.loads(text)
-        layers = [
-            parse_floats(layer["entries"], f"layer {i}").reshape(layer["shape"])
-            for i, layer in enumerate(payload["layers"])
-        ]
-        if not layers:
-            raise ValueError("no layers")
-        W = layers[0]
-        for w in layers[1:]:
-            W = w @ W
+        if len(payload["layers"]) != 1:
+            raise ValueError(f"expected 1 layer, got {len(payload['layers'])}")
+        (layer,) = payload["layers"]
+        W = parse_floats(layer["entries"], "layer 0").reshape(layer["shape"])
         if W.ndim != 2:
             raise ValueError(f"the layers make a {W.ndim}-D array, not a matrix")
         inp = _layout_from_payload(payload, "input_layout", W.shape[1])
         out = _layout_from_payload(payload, "output_layout", W.shape[1])
         kernel = KernelSpec.from_payload(json_field(payload, "kernel", dict)) if "kernel" in payload else None
+        domain = DomainSpec.from_payload(json_field(payload, "domain", dict)) if "domain" in payload else None
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"malformed model file: {exc}") from exc
-    return LinearBoundaryOperator(W, inp, out, kernel)
+    return LinearBoundaryOperator(W, inp, out, kernel, domain)
 

@@ -435,9 +435,10 @@ def poisson_cases() -> list[TestCase]:
     ]
 
 
-def plane_wave_3d(k: float = 1.0, direction=(math.sqrt(0.2), math.sqrt(0.3), math.sqrt(0.5))) -> TestCase:
-    """sin(w . x) with |w| = k; solves the 3D Helmholtz equation."""
-    w = np.asarray(direction, dtype=float)
+def plane_wave_3d(k: float = 1.0) -> TestCase:
+    """sin(w . x) with the unit vector w = (sqrt 0.2, sqrt 0.3, sqrt 0.5); it
+    solves the 3D Helmholtz equation at k = 1 only (``k`` is recorded, not read)."""
+    w = np.sqrt([0.2, 0.3, 0.5])
 
     def u(p):
         return np.sin(p @ w)

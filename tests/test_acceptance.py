@@ -91,7 +91,7 @@ def laplace_desk_ls(square_grid):
     )
     ds = build_dataset(spec, square_grid)
     inp, out = dirichlet_layouts(400)
-    op_ls = fit_least_squares(ds.g_rows, ds.h_rows, inp, out)
+    op_ls, _ = fit_least_squares(ds.g_rows, ds.h_rows, inp, out)
     t_ls = time.perf_counter() - t0
     record_info(f"desk Laplace: LS loss {compute_loss(op_ls, ds.g_rows, ds.h_rows):.3e}")
     return {"dataset": ds, "ls": op_ls, "time_data_ls": t_ls}
@@ -257,7 +257,7 @@ def test_criterion_07_desk_scale_helmholtz(square_grid, eval100, k, enforce):
     )
     ds = build_dataset(spec, square_grid)
     inp, out = dirichlet_layouts(400)
-    op = fit_least_squares(ds.g_rows, ds.h_rows, inp, out)
+    op, _ = fit_least_squares(ds.g_rows, ds.h_rows, inp, out)
     rec = BoundaryReconstructor(KernelSpec("helmholtz2d", k), square_grid, eval100)
     cases = [
         c
@@ -286,7 +286,7 @@ def test_criterion_08_mixed_boundary_conditions(square_grid, laplace_desk_ls, ev
     ds = laplace_desk_ls["dataset"]
     inp, out = mixed_layouts(square_grid, {"G1"})
     X, T = training_arrays(ds.g_rows, ds.h_rows, inp, out, ds.spec.kernel.anchored)
-    op = fit_least_squares(X, T, inp, out)
+    op, _ = fit_least_squares(X, T, inp, out)
     idx_d = square_grid.segment_indices("G1")
     idx_n = np.setdiff1d(np.arange(400), idx_d)
 
@@ -320,7 +320,7 @@ def test_criterion_09_helmholtz_3d_boundary_only():
     )
     ds = build_dataset(spec, grid)
     inp, out = dirichlet_layouts(1200)
-    op = fit_least_squares(ds.g_rows, ds.h_rows, inp, out)
+    op, _ = fit_least_squares(ds.g_rows, ds.h_rows, inp, out)
     case = plane_wave_3d(1.0)
     _, err = predict_normal_derivative_3d(op, grid, case.dirichlet(grid), case.neumann(grid))
     record_info(f"3d helmholtz boundary-only dudn error {err:.2e}")

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -24,10 +25,7 @@ def laplace_run(tmp_path_factory):
         ["gen", "--equation", "laplace", "--domain", "square", "--n", 80,
          "--samples", 150, "--seed", 42, "--out", data]
     ) == 0
-    assert run(
-        ["train", "--data", data, "--method", "ls", "--out", model,
-         "--log", root / "train_log.csv"]
-    ) == 0
+    assert run(["train", "--data", data, "--method", "ls", "--out", model]) == 0
     return root, data, model
 
 
@@ -97,7 +95,8 @@ class TestGen:
     @pytest.mark.parametrize("equation", ["laplace", "helmholtz"])
     def test_bad_source_box_refused(self, tmp_path, capsys, box, message, equation):
         out = tmp_path / "data"
-        argv = ["gen", "--equation", equation, "--k", 10, "--n", 40, "--samples", 5, *box, "--out", out]
+        k = ["--k", 10] if equation == "helmholtz" else []
+        argv = ["gen", "--equation", equation, *k, "--n", 40, "--samples", 5, *box, "--out", out]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning on the way to the refusal
             assert run(argv) == 1
@@ -153,7 +152,8 @@ class TestGen:
     ])
     def test_kernel_of_another_dimension_refused(self, tmp_path, capsys, equation, domain, message):
         out = tmp_path / "data"
-        argv = ["gen", "--equation", equation, "--domain", domain, "--k", 2, "--n", 40, "--samples", 2,
+        k = ["--k", 2] if equation == "helmholtz3d" else []
+        argv = ["gen", "--equation", equation, "--domain", domain, *k, "--n", 40, "--samples", 2,
                 "--seed", 1, "--out", out]
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -200,7 +200,8 @@ class TestFailedRunLeavesNoOutput:
         Path("f.csv").write_text("1.0\n" * 8)  # triangulate_square(0.5) has 9 vertices
         solve = ["solve", "--model", model, "--grid", "square80", "--out", "s/f.csv"]
         argv, outputs, message = {
-            "train_no_data": (["train", "--data", "nodata", "--out", "m/model.json", "--log", "l2/log.csv"],
+            "train_no_data": (["train", "--data", "nodata", "--method", "adam", "--out", "m/model.json",
+                               "--log", "l2/log.csv"],
                               ["m", "l2"], "[Errno 2] No such file or directory: 'nodata/dataset.json'"),
             "solve_no_model": ([*solve, "--model", "nomodel.json", "--g", "g.csv"],
                                ["s"], "[Errno 2] No such file or directory: 'nomodel.json'"),
@@ -230,9 +231,40 @@ class TestFailedRunLeavesNoOutput:
         _, _, model = laplace_run
         monkeypatch.setattr("tracemap.cli._load_model_for", lambda *a: pytest.fail("the model was read"))
         out = tmp_path / "eval"
-        assert run(["eval", "--model", model, "--suite", suite, flag, value, "--out", out]) == 1
-        assert capsys.readouterr().err == f"error: suite {suite} does not read {flag}\n"
+        with pytest.raises(SystemExit) as exc:
+            run(["eval", "--model", model, "--suite", suite, flag, value, "--out", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"tracemap: error: suite {suite} does not read {flag}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["gen", "--equation", "laplace", "--k", 5, "--n", 40, "--samples", 2, "--out", "o"],
+         "gen --equation laplace takes no --k (the Helmholtz wavenumber)"),
+        *[(["train", "--data", "d", "--method", "ls", flag, value, "--out", "o/model.json"],
+           f"train --method ls takes no {flag} (an adam flag)")
+          for flag, value in (("--epochs", 3), ("--lr", 9), ("--batch", 7), ("--log", "l/log.csv"))],
+    ], ids=["gen-laplace-k", "ls-epochs", "ls-lr", "ls-batch", "ls-log"])
+    def test_flag_the_run_does_not_read_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tracemap ") and err.endswith(f"tracemap: error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,message", [
+        (["eval", "--model", "m.json", "--suite", "laplace-u1", "--out", "o"],
+         "error: argument --suite: invalid choice: 'laplace-u1'"),
+        (["quadbench", "--h", 0.1, "--kernel", "x", "--out", "o/q.csv"], "error: unrecognized arguments: --kernel x"),
+    ], ids=["eval-suite-suffix", "quadbench-kernel"])
+    def test_unknown_suite_or_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrain:
@@ -257,11 +289,20 @@ class TestTrain:
         assert capsys.readouterr().err.startswith(f"error: learning_rate must be finite, got {lr}")
         assert not model.exists()
 
-    def test_ls_model_written_with_log(self, laplace_run):
-        root, _, model = laplace_run
+    def test_ls_model_records_matrix_kernel_and_domain(self, laplace_run):
+        _, _, model = laplace_run
         payload = json.loads(model.read_text())
         assert payload["layers"][0]["shape"] == [80, 80]
-        assert (root / "train_log.csv").read_text().startswith("epoch,mean_loss,best_loss")
+        assert payload["kernel"] == {"family": "laplace2d", "k": 0.0}
+        assert payload["domain"] == {"shape": "unit_square"}
+
+    def test_ls_prints_its_rank_and_takes_a_seed(self, laplace_run, tmp_path, capsys):
+        _, data, model = laplace_run
+        again = tmp_path / "model.json"
+        assert run(["train", "--data", data, "--method", "ls", "--seed", 4, "--out", again]) == 0
+        assert again.read_bytes() == model.read_bytes()
+        residual = capsys.readouterr().out.splitlines()[0]
+        assert re.fullmatch(r"least-squares residual \S+, rank \d+ of 80 at cutoff 1e-08", residual)
 
     def test_adam_deterministic_model_bytes(self, laplace_run, tmp_path):
         _, data, _ = laplace_run
@@ -281,8 +322,8 @@ class TestTrain:
         model = tmp_path / "model.json"
         for edit in ("", rows[4].replace(",", ",nan,", 1).rsplit(",", 1)[0], rows[4].rsplit(",", 1)[0]):
             (bad / "dataset.csv").write_text("\n".join([*rows[:4], edit, *rows[5:]]) + "\n")
-            for method in ("ls", "adam"):
-                assert run(["train", "--data", bad, "--method", method, "--epochs", 2, "--out", model]) == 1
+            for flags in (["--method", "ls"], ["--method", "adam", "--epochs", 2]):
+                assert run(["train", "--data", bad, *flags, "--out", model]) == 1
                 assert capsys.readouterr().err.startswith("error: line 5: ")
         assert not model.exists()
 
@@ -357,8 +398,8 @@ class TestTrain:
         _, data, _ = laplace_run
         (tmp_path / "file").write_text("")
         paths = {"--out": tmp_path / "model.json", "--log": tmp_path / "log.csv", flag: tmp_path / "file" / "x"}
-        monkeypatch.setattr("tracemap.cli.fit_least_squares", lambda *a: pytest.fail("the fit ran"))
-        assert run(["train", "--data", data, "--method", "ls", *(a for kv in paths.items() for a in kv)]) == 1
+        monkeypatch.setattr("tracemap.cli.train_adam", lambda *a: pytest.fail("the fit ran"))
+        assert run(["train", "--data", data, "--method", "adam", *(a for kv in paths.items() for a in kv)]) == 1
         assert "error: " in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
 
@@ -367,8 +408,8 @@ class TestTrain:
         _, data, _ = laplace_run
         paths = {"--out": tmp_path / "model.json", "--log": tmp_path / "log.csv", flag: tmp_path / "dir"}
         paths[flag].mkdir()
-        monkeypatch.setattr("tracemap.cli.fit_least_squares", lambda *a: pytest.fail("the fit ran"))
-        assert run(["train", "--data", data, "--method", "ls", *(a for kv in paths.items() for a in kv)]) == 1
+        monkeypatch.setattr("tracemap.cli.train_adam", lambda *a: pytest.fail("the fit ran"))
+        assert run(["train", "--data", data, "--method", "adam", *(a for kv in paths.items() for a in kv)]) == 1
         assert capsys.readouterr().err == f"error: {flag} {paths[flag]} is a directory\n"
         assert not (tmp_path / "model.json").exists() and not (tmp_path / "log.csv").exists()
 
@@ -658,6 +699,39 @@ class TestEvalSolve:
             err = capsys.readouterr().err
             assert "'laplace2d'" in err and "'helmholtz2d', k=10.0" in err
         assert not out.exists()
+
+    def test_model_for_another_grid_refused(self, laplace_run, tmp_path, capsys):
+        _, _, model = laplace_run
+        g_file = tmp_path / "g.csv"
+        g_file.write_text("\n".join(["0.5"] * 80))
+        out = tmp_path / "out"
+        for argv, run_side in (
+            (["eval", "--model", model, "--suite", "laplace", "--n", 40, "--out", out], "40 points of square"),
+            (["eval", "--model", model, "--suite", "laplace", "--domain", "star5", "--n", 80, "--out", out],
+             "80 points of star5"),
+            (["solve", "--model", model, "--grid", "circle80", "--g", g_file, "--out", out / "field.csv"],
+             "80 points of circle"),
+        ):
+            assert run(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: {model}: model was trained on 80 points of square, this run has {run_side}\n"
+            )
+            assert not out.exists()
+
+    def test_model_without_a_domain_record_checked_by_size_alone(self, laplace_run, tmp_path, capsys):
+        _, _, model = laplace_run
+        legacy = tmp_path / "legacy.json"
+        payload = json.loads(model.read_text())
+        del payload["domain"]
+        legacy.write_text(json.dumps(payload))
+        g_file, out = tmp_path / "g.csv", tmp_path / "field.csv"
+        g_file.write_text("\n".join(["0.5"] * 80))
+        assert run(["solve", "--model", legacy, "--grid", "circle80", "--g", g_file, "--out", out]) == 0
+        g_file.write_text("\n".join(["0.5"] * 40))
+        assert run(["solve", "--model", legacy, "--grid", "square40", "--g", g_file, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {legacy}: model was trained on 80 points of an unrecorded domain, this run has 40 points of square\n"
+        )
 
     def test_mixed_solve_without_h_is_usage_error(self, laplace_run, tmp_path, capsys):
         _, _, model = laplace_run

@@ -23,7 +23,7 @@ from tracemap.operator import (
     train_adam,
     training_arrays,
 )
-from tracemap.geometry import DomainSpec, make_boundary_grid
+from tracemap.geometry import DomainSpec, PolarTerm, make_boundary_grid
 from tracemap.kernels import KernelSpec
 from tracemap.synthesis import DatasetSpec, build_dataset
 
@@ -413,9 +413,9 @@ class TestLeastSquares:
         Wstar = rng.normal(size=(12, 12))
         X = rng.normal(size=(100, 12))
         inp, out = dirichlet_layouts(12)
-        op = fit_least_squares(X, X @ Wstar.T, inp, out)
+        op, rank = fit_least_squares(X, X @ Wstar.T, inp, out)
         rel = np.linalg.norm(op.W - Wstar) / np.linalg.norm(Wstar)
-        assert rel < 1e-8
+        assert rel < 1e-8 and rank == 12
 
     @pytest.mark.parametrize("shape", ["underdetermined", "duplicated_columns"])
     def test_rank_deficient_fit_is_the_minimum_norm_solution(self, rng, shape):
@@ -425,8 +425,9 @@ class TestLeastSquares:
             X = np.tile(rng.normal(size=(30, 6)), 2)  # rank 6 of 12
         T = rng.normal(size=(len(X), 12))
         inp, out = dirichlet_layouts(12)
-        op = fit_least_squares(X, T, inp, out)
+        op, rank = fit_least_squares(X, T, inp, out)
         np.testing.assert_allclose(op.W, (np.linalg.pinv(X, rcond=1e-8) @ T).T, rtol=1e-10, atol=1e-12)
+        assert rank == {"underdetermined": 8, "duplicated_columns": 6}[shape]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["inputs", "targets"])
@@ -447,7 +448,7 @@ class TestLeastSquares:
         inp, out = mixed_layouts(grid, {"G1"})
         X = rng.normal(size=(30, 8))
         T = rng.normal(size=(30, 8))
-        op = fit_least_squares(X, T, inp, out)
+        op, _ = fit_least_squares(X, T, inp, out)
         base = compute_loss(op, X, T)
         for w in (op.W + 1e-6 * rng.normal(size=(8, 8)) for _ in range(3)):
             other = LinearBoundaryOperator(w, inp, out)
@@ -469,6 +470,23 @@ class TestModelIO:
         assert load_model(save_model(op)).kernel is None
         op.kernel = KernelSpec("helmholtz2d", 10.0)
         assert load_model(save_model(op)).kernel == KernelSpec("helmholtz2d", 10.0)
+
+    @pytest.mark.parametrize("domain", [
+        DomainSpec.unit_square(), DomainSpec.polar(0.65, [PolarTerm("sin", 0.2, 5)]), DomainSpec.sphere(),
+    ])
+    def test_domain_recorded_when_known(self, rng, domain):
+        op = random_op(rng)
+        assert "domain" not in json.loads(save_model(op))
+        assert load_model(save_model(op)).domain is None
+        op.domain = domain
+        assert load_model(save_model(op)).domain == domain
+
+    def test_domain_record_read_by_the_typed_reader(self, rng):
+        payload = json.loads(save_model(random_op(rng)))
+        payload["domain"] = {"shape": "polar_curve", "outer": {"base": "1", "terms": [], "center": [0, 0]}}
+        message = "sidecar field 'domain.outer.base' must be a number, got '1'"
+        with pytest.raises(ValueError, match="^" + re.escape(f"malformed model file: {message}") + "$"):
+            load_model(json.dumps(payload))
 
     @pytest.mark.parametrize("record,message", [
         ({"family": "laplace2d", "k": True}, "sidecar field 'kernel.k' must be a number, got True"),
@@ -551,21 +569,9 @@ class TestModelIO:
         with pytest.raises(ValueError, match="malformed model file"):
             load_model(json.dumps(payload))
 
-    def test_legacy_two_layer_file_loads_as_product(self, rng):
-        # Stacks saved by earlier versions apply their layers in file order.
-        inp, out = dirichlet_layouts(3)
-        L1 = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
-        L2 = np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 3.0]])
-        text = json.dumps({
-            "input_layout": [{"trace": "g", "segment": "all", "indices": [0, 1, 2]}],
-            "output_layout": [{"trace": "h", "segment": "all", "indices": [0, 1, 2]}],
-            "layers": [
-                {"shape": [2, 3], "entries": ["1.0", "2.0", "0.0", "0.0", "1.0", "-1.0"]},
-                {"shape": [3, 2], "entries": ["1.0", "0.0", "0.5", "1.0", "0.0", "3.0"]},
-            ],
-        })
-        op = load_model(text)
-        assert op.input_layout == inp and op.output_layout == out
-        np.testing.assert_array_equal(op.W, L2 @ L1)
-        v = rng.normal(size=3)
-        np.testing.assert_allclose(op.apply(v), L2 @ (L1 @ v), rtol=1e-14)
+    def test_two_layer_file_refused(self, rng):
+        # save_model writes one matrix; a stack of layers is not a model
+        payload = json.loads(save_model(random_op(rng)))
+        payload["layers"] *= 2
+        with pytest.raises(ValueError, match="^malformed model file: expected 1 layer, got 2$"):
+            load_model(json.dumps(payload))

@@ -59,7 +59,7 @@ def small_laplace(small_grid):
     )
     ds = build_dataset(spec, small_grid)
     inp, out = dirichlet_layouts(N_SMALL)
-    return ds, fit_least_squares(ds.g_rows, ds.h_rows, inp, out)
+    return ds, fit_least_squares(ds.g_rows, ds.h_rows, inp, out)[0]
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +166,7 @@ def mixed_setup(small_grid, small_laplace):
     ds, _ = small_laplace
     inp, out = mixed_layouts(small_grid, {"G1"})
     X, T = training_arrays(ds.g_rows, ds.h_rows, inp, out, ds.spec.kernel.anchored)
-    return fit_least_squares(X, T, inp, out)
+    return fit_least_squares(X, T, inp, out)[0]
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +178,7 @@ def helm_setup(small_grid):
     )
     ds = build_dataset(spec, small_grid)
     inp, out = dirichlet_layouts(N_SMALL)
-    return k, fit_least_squares(ds.g_rows, ds.h_rows, inp, out)
+    return k, fit_least_squares(ds.g_rows, ds.h_rows, inp, out)[0]
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +286,7 @@ class TestPredict3D:
         )
         ds = build_dataset(spec, grid)
         inp, out = dirichlet_layouts(200)
-        op = fit_least_squares(ds.g_rows, ds.h_rows, inp, out)
+        op, _ = fit_least_squares(ds.g_rows, ds.h_rows, inp, out)
         case = plane_wave_3d(1.0)
         g = case.dirichlet(grid)
         h_pred, err = predict_normal_derivative_3d(op, grid, g, case.neumann(grid))
