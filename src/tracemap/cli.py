@@ -52,8 +52,9 @@ LOG_REFERENCE_CENTER = float(np.pi / 2.0 - np.log(2.0) - 3.0)
 
 
 def _emit_provenance(args, *artifacts: Path) -> None:
-    """One-line config echo plus a hash per written artifact."""
-    skip = {"fn", "command"}
+    """One-line config echo, without the flags the run never reads, plus a
+    hash per written artifact."""
+    skip = {"fn", "command", *_unread_flags(args)}
     echo = " ".join(
         f"{k}={v}" for k, v in sorted(vars(args).items()) if k not in skip and v != ""
     )
@@ -248,7 +249,7 @@ def cmd_solve(args) -> int:
         fld = solve_poisson(op, _vertex_interpolant(mesh, f_vertex), g, mesh, rec)
     else:
         fld = solve_dirichlet(op, rec, g)
-    del rec  # free the kernel matrices before to_csv builds its text, so the two never add up in the peak
+    del rec  # free helmholtz2d's kernel matrices before to_csv builds its text, so the two never add up in the peak
     Path(args.out).write_text(fld.to_csv())
     print(f"wrote field ({len(fld.points)} points) to {args.out}")
     _emit_provenance(args, Path(args.out))
@@ -265,21 +266,31 @@ _PARTIAL_FLAGS = {
 }
 
 
+def _unread_flags(args) -> dict:
+    """The flags of ``_PARTIAL_FLAGS`` that this run never reads, each with
+    the message that refuses it."""
+    if args.command == "gen" and args.equation == "laplace":
+        return {"k": "gen --equation laplace takes no --k (the Helmholtz wavenumber)"}
+    if args.command == "train" and args.method == "ls":
+        return {name: f"train --method ls takes no --{name} (an adam flag)" for name in _PARTIAL_FLAGS["train"]}
+    if args.command == "eval":
+        reads = SUITES[args.suite][1]
+        return {name: f"suite {args.suite} does not read --{name.replace('_', '-')}"
+                for name in _PARTIAL_FLAGS["eval"] if name not in reads}
+    unread = {}
+    if args.command == "solve" and args.equation != "helmholtz":
+        unread["k"] = "solve --k is the Helmholtz wavenumber; it needs --equation helmholtz"
+    if args.command == "solve" and not args.source:
+        unread["mesh_h"] = "solve --mesh-h is the source mesh size; it needs --source"
+    return unread
+
+
 def _check_flags(parser, args) -> None:
     """Refuse, with exit 2 and before any command runs, a flag the run never
     reads and a solve whose flags name no single problem; then fill in the
     defaults of the flags not given.  Mixed and source problems are solved
     with the Laplace kernel."""
-    unread = {}
-    if args.command == "gen" and args.equation == "laplace":
-        unread["k"] = "gen --equation laplace takes no --k (the Helmholtz wavenumber)"
-    elif args.command == "train" and args.method == "ls":
-        unread = {name: f"train --method ls takes no --{name} (an adam flag)" for name in _PARTIAL_FLAGS["train"]}
-    elif args.command == "eval":
-        reads = SUITES[args.suite][1]
-        unread = {name: f"suite {args.suite} does not read --{name.replace('_', '-')}"
-                  for name in _PARTIAL_FLAGS["eval"] if name not in reads}
-    elif args.command == "solve":
+    if args.command == "solve":
         if args.dirichlet_edges and not args.h:
             parser.error("solve --dirichlet-edges needs --h (the Neumann values, one per line)")
         if args.h and not args.dirichlet_edges:
@@ -288,10 +299,7 @@ def _check_flags(parser, args) -> None:
             parser.error("solve --source and --dirichlet-edges cannot be combined")
         if args.equation == "helmholtz" and (args.source or args.dirichlet_edges):
             parser.error("solve --equation helmholtz takes neither --source nor --dirichlet-edges")
-        if args.equation != "helmholtz":
-            unread["k"] = "solve --k is the Helmholtz wavenumber; it needs --equation helmholtz"
-        if not args.source:
-            unread["mesh_h"] = "solve --mesh-h is the source mesh size; it needs --source"
+    unread = _unread_flags(args)
     for name, default in _PARTIAL_FLAGS.get(args.command, {}).items():
         if getattr(args, name) is None:
             setattr(args, name, default)

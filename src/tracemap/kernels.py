@@ -21,7 +21,8 @@ library is used.
 ``kernel_matrices`` builds the G and dG/dn_y matrices of every family in
 row blocks, weighted per column when given weights.  It is the one kernel
 evaluator: ``kernel_matrix``, ``kernel_normal_matrix``, ``kernel_value`` and
-``kernel_gradient_y`` are views of its result.
+``kernel_gradient_y`` are views of its result, and the streamed
+``quadrature.BoundaryReconstructor`` runs its block filler, ``_fill_rows``.
 
 All kernels here satisfy L G = -delta (potential-theory sign), so the
 interior representation used elsewhere is
@@ -322,88 +323,125 @@ def _laplace_value(r2: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _laplace_normal_derivative(diffs, r2: np.ndarray, normals: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Laplace dG/dn_y = ((y - x) . n) (-1/(2 pi)) / r^2, into ``out``; the
-    projection is summed in coordinate order from its first term."""
+    projection is summed in coordinate order from its first term, and each
+    later difference is scaled by its normal component in place."""
     dg = np.multiply(diffs[0], normals[..., 0], out=out)
     for c in range(1, len(diffs)):
-        dg += diffs[c] * normals[..., c]
+        diffs[c] *= normals[..., c]
+        dg += diffs[c]
     dg *= _LAPLACE_DG
     dg /= r2
     return dg
 
 
-def _pairwise(xs, ys):
-    """Per-coordinate differences y_j - x_i, each (len(xs), len(ys)), the squared
-    distances r^2 summed in coordinate order and each row's smallest r^2; a
-    coincident pair (r^2 = 0) raises before any kernel is evaluated."""
+def _points(xs, ys):
+    """``xs`` and ``ys`` as 2-D float arrays of one dimension and finite coordinates."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if xs.shape[1] != ys.shape[1]:
         raise ValueError(f"point sets of dimension {xs.shape[1]} and {ys.shape[1]}")
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("kernel matrix of non-finite point coordinates")
-    diffs = [ys[None, :, c] - xs[:, None, c] for c in range(xs.shape[1])]
-    r2 = diffs[0] * diffs[0]
+    return xs, ys
+
+
+def _pairwise(xs, y_coords, scratch, r2_min=None):
+    """Per-coordinate differences y_j - x_i into ``scratch[:dim]`` and the
+    squared distances r^2, summed in coordinate order, into ``scratch[dim]``
+    (``scratch[dim + 1]`` holds the later squares), each ``(len(xs), n)``.
+    ``y_coords`` holds the n y points per coordinate, ``(dim, n)``, so that
+    each difference reads a contiguous row.  Each row's smallest r^2 goes
+    into ``r2_min``, and a coincident pair (r^2 = 0) raises before any kernel
+    is evaluated; ``r2_min=None`` skips both, for points checked before.
+    Returns ``(diffs, r2)``."""
+    dim = len(y_coords)
+    diffs, r2 = scratch[:dim], scratch[dim]
+    for c in range(dim):
+        np.subtract(y_coords[c], xs[:, None, c], out=diffs[c])
+    np.multiply(diffs[0], diffs[0], out=r2)
     for d in diffs[1:]:
-        r2 += d * d
-    r2_min = r2.min(axis=1, initial=np.inf)
-    if r2_min.min(initial=np.inf) == 0.0:
-        raise SingularEvaluationError("kernel matrix has coincident point pairs")
-    return diffs, r2, r2_min
+        r2 += np.multiply(d, d, out=scratch[dim + 1])
+    if r2_min is not None:
+        np.min(r2, axis=1, initial=np.inf, out=r2_min)
+        if r2_min.min(initial=np.inf) == 0.0:
+            raise SingularEvaluationError("kernel matrix has coincident point pairs")
+    return diffs, r2
+
+
+def _projection(diffs, r2, normals, out):
+    """``(proj, r)`` for the Helmholtz kernels: r = sqrt(r^2) in place of
+    ``r2`` and the normal projections (y_j - x_i) . n_j / r_ij, summed from
+    +0.0 in coordinate order, into ``out``; ``diffs`` are overwritten."""
+    r = np.sqrt(r2, out=r2)
+    out.fill(0.0)
+    for d, n in zip(diffs, normals.T):
+        d *= n
+        out += d
+    out /= r
+    return out, r
 
 
 def _pairwise_projection(xs, ys, normals):
-    """``(proj, r, r2_min)`` for the Helmholtz kernels: the normal projections
-    (y_j - x_i) . n_j / r_ij summed from +0.0 in coordinate order, r and r2_min."""
-    diffs, r2, r2_min = _pairwise(xs, ys)
-    r = np.sqrt(r2, out=r2)
-    proj = np.zeros_like(r)
-    for d, n in zip(diffs, normals.T):
-        proj += d * n
-    proj /= r
-    return proj, r, r2_min
+    """``(proj, r, r2_min)`` of :func:`_projection` for whole point sets."""
+    xs, ys = _points(xs, ys)
+    scratch, r2_min = np.empty((xs.shape[1] + 2, len(xs), len(ys))), np.empty(len(xs))
+    diffs, r2 = _pairwise(xs, np.ascontiguousarray(ys.T), scratch, r2_min)
+    return (*_projection(diffs, r2, np.asarray(normals, dtype=float), scratch[-1]), r2_min)
 
 
-def _fill_rows(spec: KernelSpec, xs, ys, normals, g, dg, weights):
-    """One row block of :func:`kernel_matrices`: its rows of G and dG/dn_y,
-    weighted, and their smallest r^2; the block's temporaries die on return.
+def _fill_rows(spec: KernelSpec, xs, y_coords, normals, weights, g, dg, r2_min, scratch):
+    """One row block of :func:`kernel_matrices`: into ``g`` and ``dg`` its
+    rows of G and dG/dn_y, weighted, and into ``r2_min`` their smallest r^2
+    (see :func:`_pairwise` for ``y_coords`` and ``r2_min``).
+    ``scratch`` holds dim + 2 float arrays of the block's shape; the Laplace
+    block writes only into it and the outputs, so it allocates nothing.
     The 3D kernel is G = e^{ikr}/(4 pi r), dG/dr = e^{ikr} (ikr - 1)/(4 pi r^2).
     The 2D Helmholtz kernel fills only its geometry here: the normal
     projection into ``g.real``, k r into ``g.imag``."""
+    diffs, r2 = _pairwise(xs, y_coords, scratch, r2_min)
     if spec.family == "laplace2d":
-        diffs, r2, r2_min = _pairwise(xs, ys)
         _laplace_normal_derivative(diffs, r2, normals, out=dg)
         _laplace_value(r2, out=g)
     else:
-        proj, r, r2_min = _pairwise_projection(xs, ys, normals)
+        proj, r = _projection(diffs, r2, normals, scratch[-1])
         if spec.family == "helmholtz2d":
             g.real[...] = proj
             np.multiply(r, spec.k, out=g.imag)
-            return r2_min
+            return
         kr = spec.k * r
         phase = np.cos(kr) + 1j * np.sin(kr)
-        np.divide(phase * (1j * kr - 1.0), 4.0 * math.pi * r * r, out=dg)
+        # named, so numpy never takes the product below in place (it reuses
+        # temporaries above 256 KiB), which rounds differently: bits would
+        # then depend on the block size
+        ikr = 1j * kr - 1.0
+        np.divide(phase * ikr, 4.0 * math.pi * r * r, out=dg)
         dg *= proj
         np.divide(phase, 4.0 * math.pi * r, out=g)
     if weights is not None:
         np.multiply(g, weights, out=g)
         np.multiply(dg, weights, out=dg)
-    return r2_min
 
 
 def kernel_matrices(spec: KernelSpec, xs, ys, normals, weights=None):
     """``(G, dG/dn_y, r2_min)`` for point sets with unit normals at the y
-    points, filled in row blocks of about ``_BLOCK`` entries, with each
-    row's smallest r^2; column j is scaled by ``weights[j]`` when given.
+    points, filled in row blocks of about ``_BLOCK`` entries through one
+    block of scratch, with each row's smallest r^2; column j is scaled by
+    ``weights[j]`` when given.
     For 2D Helmholtz, J0, Y0, J1 and Y1 then each run once over all of k r
     (the traced call count pins that), straight into the matrices: Y1 and
     J1 into dG/dn_y (times the projection), Y0 and J0 over the geometry."""
-    xs, ys, normals = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (xs, ys, normals))
+    xs, ys = _points(xs, ys)
+    normals = np.atleast_2d(np.asarray(normals, dtype=float))
     shape, dtype = (len(xs), len(ys)), complex if spec.is_complex else float
     g, dg, r2_min = np.empty(shape, dtype), np.empty(shape, dtype), np.empty(len(xs))
     step = max(1, _BLOCK // max(1, len(ys)))
+    scratch = np.empty((xs.shape[1] + 2, min(step, len(xs)), len(ys)))
+    y_coords = np.ascontiguousarray(ys.T)
     for start in range(0, len(xs), step):
         blk = slice(start, start + step)
-        r2_min[blk] = _fill_rows(spec, xs[blk], ys, normals, g[blk], dg[blk], weights)
+        rows = len(xs[blk])
+        _fill_rows(spec, xs[blk], y_coords, normals, weights, g[blk], dg[blk], r2_min[blk], scratch[:, :rows])
+    del scratch  # before the Bessel passes, which take their own
     if spec.family == "helmholtz2d":
         _helmholtz2d_radial_derivative(g.imag, spec.k, dg)
         dg *= g.real

@@ -13,6 +13,11 @@ quadrature nodes inside a small disc of radius ``r0`` around the
 evaluation point and adding the disc contribution analytically with the
 source density frozen at its value at the center; the induced error is
 O(r0^2 |log r0|).
+
+The interior reconstruction, :class:`BoundaryReconstructor`, streams the
+boundary integrals: it fills the weighted kernel rows of ``_ROWS`` points
+at a time and applies each block to the traces at once, so it holds no
+kernel matrix, except for the 2D Helmholtz kernel (see the class).
 """
 
 from __future__ import annotations
@@ -22,9 +27,20 @@ import math
 import numpy as np
 
 from .geometry import BoundaryGrid, TriMesh, _point_blocks
-from .kernels import KernelSpec, kernel_matrices
+from .kernels import KernelSpec, _fill_rows, _pairwise, _points, kernel_matrices
 
 _R0 = 0.01  # exclusion radius of the Newton potential's analytic disc term
+# Rows per streamed reconstructor block.  A power of two: with OpenBLAS each
+# block's products then equal the whole matrix's rows to the last bit.
+_ROWS = 256
+
+
+def _row_blocks(n_points: int) -> list[slice]:
+    """The ``_ROWS``-row blocks of the streamed reconstructor.  A lone last
+    row joins the block before it: numpy takes a one-row product as a dot,
+    whose sum can differ in its last bit from that row of a GEMV."""
+    stops = [*range(_ROWS, n_points - 1, _ROWS), n_points]
+    return [slice(start, stop) for start, stop in zip([0, *stops[:-1]], stops)]
 
 
 def _seven_point_rule():
@@ -171,30 +187,64 @@ def _estimate_inside_angle(mesh: TriMesh, x0: np.ndarray, r0: float) -> float:
 class BoundaryReconstructor:
     """Interior evaluation from boundary traces.
 
-    Each instance builds ``single`` (w_j G) and ``double`` (w_j dG/dn_y)
-    once, with one :func:`kernels.kernel_matrices` call (peak: the two
-    matrices plus block-sized scratch); each row's smallest r^2 gives its
-    near flag.  Nothing is shared between instances.
-
     Implements ``u(x) = sum_i w_i [G(x, y_i) h_i - g_i dG/dn(x, y_i)]``;
     the sign convention is fixed by the requirement that exact traces of
     u = 1 reproduce 1 (the tests' ``double_layer_identity``).
+
+    The build refuses non-finite points and points on a node, and flags
+    the points within twice the grid's least spacing of a node; for every
+    family but ``helmholtz2d`` it does so in one r^2-min pass over row
+    blocks and keeps no kernel matrix.  Each :meth:`field` call then fills
+    w G and w dG/dn ``_ROWS`` rows at a time through scratch allocated once
+    per call and applies each block at once, so its peak is its output
+    plus one block, whatever the number of points.  A ``helmholtz2d``
+    build keeps ``single`` (w_j G) and ``double`` (w_j dG/dn_y) from one
+    :func:`kernels.kernel_matrices` call instead: there each of J0, Y0, J1
+    and Y1 runs once over all of k r, which the traced Bessel call count
+    pins.  Nothing is shared between instances.
     """
 
     def __init__(self, kernel: KernelSpec, grid: BoundaryGrid, points):
         self.kernel = kernel
         self.grid = grid
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.single, self.double, r2_min = kernel_matrices(
-            kernel, self.points, grid.points, grid.normals, weights=grid.weights
-        )
+        self.points, nodes = _points(points, grid.points)
+        self._node_coords = np.ascontiguousarray(nodes.T)  # per coordinate, for _pairwise
+        self.single = self.double = None
+        if kernel.family == "helmholtz2d":
+            self.single, self.double, r2_min = kernel_matrices(
+                kernel, self.points, nodes, grid.normals, weights=grid.weights
+            )
+        else:
+            r2_min, scratch = np.empty(len(self.points)), self._scratch()
+            for blk in _row_blocks(len(self.points)):
+                _pairwise(self.points[blk], self._node_coords, scratch[:, :blk.stop - blk.start], r2_min[blk])
         # sqrt is monotone and correctly rounded: sqrt(min r^2) = min r
         self.near_flags = np.sqrt(r2_min, out=r2_min) < 2.0 * grid.min_spacing()
 
+    def _scratch(self) -> np.ndarray:
+        """The block scratch of :func:`kernels._pairwise`."""
+        return np.empty((self.points.shape[1] + 2, min(_ROWS + 1, len(self.points)), self.grid.n_points))
+
     def field(self, g, h) -> np.ndarray:
+        """The field of the traces ``g`` and ``h``, each ``(n,)`` or ``(n, m)``
+        for m trace pairs at once; one kernel pass serves all of them."""
         g = np.asarray(g)
         h = np.asarray(h)
-        if g.shape[0] != self.grid.n_points or h.shape[0] != self.grid.n_points:
+        grid, pts = self.grid, self.points
+        if g.shape[0] != grid.n_points or h.shape[0] != grid.n_points:
             raise ValueError("trace length does not match the grid")
-        return self.single @ h - self.double @ g
-
+        if self.single is not None:
+            return self.single @ h - self.double @ g
+        dtype = complex if self.kernel.is_complex else float
+        out = np.empty((len(pts), *h.shape[1:]), np.result_type(dtype, g, h))
+        scratch = self._scratch()
+        rows = scratch.shape[1]
+        single, double = np.empty((2, rows, grid.n_points), dtype)
+        double_g = np.empty((rows, *g.shape[1:]), out.dtype)
+        for blk in _row_blocks(len(pts)):
+            m = blk.stop - blk.start  # the build checked these points: no r^2 minimum
+            _fill_rows(self.kernel, pts[blk], self._node_coords, grid.normals, grid.weights,
+                       single[:m], double[:m], None, scratch[:, :m])
+            np.matmul(single[:m], h, out=out[blk])
+            out[blk] -= np.matmul(double[:m], g, out=double_g[:m])
+        return out

@@ -436,15 +436,16 @@ def poisson_cases() -> list[TestCase]:
 
 
 def plane_wave_3d(k: float = 1.0) -> TestCase:
-    """sin(w . x) with the unit vector w = (sqrt 0.2, sqrt 0.3, sqrt 0.5); it
-    solves the 3D Helmholtz equation at k = 1 only (``k`` is recorded, not read)."""
+    """sin(k w . x) with the unit vector w = (sqrt 0.2, sqrt 0.3, sqrt 0.5),
+    a solution of the 3D Helmholtz equation at wavenumber k."""
     w = np.sqrt([0.2, 0.3, 0.5])
+    kw = k * w
 
     def u(p):
-        return np.sin(p @ w)
+        return np.sin(p @ kw)
 
     def grad(p):
-        return np.cos(p @ w)[:, None] * w[None, :]
+        return np.cos(p @ kw)[:, None] * kw[None, :]
 
     return TestCase("plane3d", {"k": k, "direction": tuple(w)}, u, grad)
 

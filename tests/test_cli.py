@@ -304,6 +304,18 @@ class TestTrain:
         residual = capsys.readouterr().out.splitlines()[0]
         assert re.fullmatch(r"least-squares residual \S+, rank \d+ of 80 at cutoff 1e-08", residual)
 
+    def test_ls_echo_leaves_out_the_adam_flags(self, laplace_run, tmp_path, capsys):
+        _, data, _ = laplace_run
+        model = tmp_path / "model.json"
+        assert run(["train", "--data", data, "--method", "ls", "--out", model]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [
+            f"wrote model to {model}",
+            f"config: data={data} method=ls out={model} seed=0",
+            lines[-1],
+        ]
+        assert lines[-1].startswith(f"artifact: {model} sha256:")
+
     def test_adam_deterministic_model_bytes(self, laplace_run, tmp_path):
         _, data, _ = laplace_run
         m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
@@ -466,7 +478,9 @@ class TestEvalSolve:
         assert summary["plane3d"]["n_cases"] == 1 and np.isfinite(summary["plane3d"]["dudn_error"])
         config, artifact = capsys.readouterr().out.splitlines()[-2:]
         assert config.startswith("config: ")
-        assert {"domain=sphere", "suite=helmholtz3d", "margin=0.05", "mesh_h=0.02"} <= set(config.split())
+        echo = set(config.split())
+        assert {"domain=sphere", "suite=helmholtz3d", "k=2.0"} <= echo
+        assert not any(item.startswith(("seed=", "margin=", "mesh_h=")) for item in echo)  # boundary only
         assert artifact.startswith(f"artifact: {out / 'summary.json'} sha256:")
 
     def test_eval_helmholtz3d_on_a_2d_domain_refused(self, sphere_model, tmp_path, capsys):
@@ -592,7 +606,9 @@ class TestEvalSolve:
             assert fam["mean_dudn_error"] is None
             assert fam["mean_total_error"] < 0.5
         config = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("config: "))
-        assert {"k=1.0", "seed=0", "margin=0.05"} <= set(config.split())  # the defaults of the flags not given
+        echo = set(config.split())
+        assert {"margin=0.05", "mesh_h=0.5"} <= echo  # a default and a given flag the suite reads
+        assert not any(item.startswith(("k=", "seed=")) for item in echo)  # the suite reads neither
 
     def test_poisson_refused_off_the_unit_square(self, laplace_run, tmp_path, capsys):
         _, _, model = laplace_run

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bessel_series_oracle, j0_first_zero, laplace_kernel_oracle, laplacian_stencil
+from tracemap import kernels
 from tracemap._bessel_coeffs import FAR_X, NEAR_X
 from tracemap.geometry import DomainSpec, make_boundary_grid
 from tracemap.kernels import (
@@ -26,7 +27,7 @@ from tracemap.kernels import (
     kernel_normal_matrix,
     kernel_value,
 )
-from tracemap.quadrature import BoundaryReconstructor
+from tracemap.quadrature import _ROWS, BoundaryReconstructor
 
 # Frozen from the arbitrary-precision oracle (tests/oracles.py).
 J0_FIRST_ZERO = 2.404825557695773
@@ -292,6 +293,28 @@ class TestBlockedEvaluator:
             tracemalloc.stop()
         assert peak <= 80e6
 
+    def test_helmholtz_build_makes_four_whole_array_bessel_calls(self, monkeypatch):
+        # the benchmark's traced pin solve.bessel.calls = 4 rests on this: a
+        # streamed helmholtz2d build would make four calls per row block
+        grid = make_boundary_grid(DomainSpec.unit_square(), 40)
+        pts = np.random.default_rng(5).uniform(0.001, 0.999, (3 * (_BLOCK // 40) + 1, 2))
+        assert len(pts) > 2 * _ROWS
+        calls = []
+
+        def counted(name, evaluate):
+            def call(x, out=None):
+                calls.append((name, np.size(x)))
+                return evaluate(x, out=out)
+            return call
+
+        for name in ("bessel_j0", "bessel_j1", "bessel_y0", "bessel_y1"):
+            monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+        rec = BoundaryReconstructor(KernelSpec("helmholtz2d", 10.0), grid, pts)
+        assert sorted(calls) == [(name, len(pts) * grid.n_points)
+                                 for name in ("bessel_j0", "bessel_j1", "bessel_y0", "bessel_y1")]
+        rec.field(np.ones(grid.n_points), np.zeros(grid.n_points))
+        assert len(calls) == 4
+
 
 class TestKernelValue:
     def test_log_kernel_at_unit_distance(self):
@@ -418,19 +441,23 @@ class TestLaplaceKernel:
                 with pytest.raises(SingularEvaluationError):
                     call()
 
-    def test_build_peak_is_its_outputs_plus_block_scratch(self):
+    @pytest.mark.parametrize("n_points", [10**4, 4 * 10**4])
+    def test_build_and_field_peak_is_block_scratch_plus_point_vectors(self, n_points):
+        # a build holding both whole matrices peaks at 17.2 and 65.4 MB here
         grid = make_boundary_grid(DomainSpec.unit_square(), 100)
-        pts = np.random.default_rng(5).uniform(0.001, 0.999, (10**4, 2))
+        pts = np.random.default_rng(5).uniform(0.001, 0.999, (n_points, 2))
+        g, h = np.random.default_rng(6).normal(size=(2, grid.n_points))
         tracemalloc.start()
         try:
-            rec = BoundaryReconstructor(LAPLACE, grid, pts)
+            u = BoundaryReconstructor(LAPLACE, grid, pts).field(g, h)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block_bytes = (_BLOCK // grid.n_points) * grid.n_points * 8
-        assert rec.single.nbytes + rec.double.nbytes == 16e6
-        # differences, r^2 and one product per block; no G, dG/dn or r arrays
-        assert peak - rec.single.nbytes - rec.double.nbytes < 6 * block_bytes
+        assert u.shape == (n_points,)
+        block_bytes = (_ROWS + 1) * grid.n_points * 8
+        # differences, r^2, a square and the two weighted kernel blocks; the
+        # field, the smallest r^2 and the near flags per point
+        assert peak < 8 * block_bytes + 3 * n_points * 8
 
 
 class TestKernelGradient:

@@ -340,10 +340,20 @@ class TestTestSuite:
         b = make_test_suite("u2", SQUARE, seed=5, n_cases=4)
         assert [c.params for c in a] == [c.params for c in b]
 
-    def test_plane_wave_3d_solves_helmholtz(self):
-        case = plane_wave_3d(1.0)
+    @pytest.mark.parametrize("k", [1.0, 2.0, 5.0])
+    def test_plane_wave_3d_solves_helmholtz(self, k):
+        case = plane_wave_3d(k)
         w = np.asarray(case.params["direction"])
-        assert np.dot(w, w) == pytest.approx(1.0)
+        assert np.dot(w, w) == pytest.approx(1.0) and case.params["k"] == k
+        p = np.random.default_rng(2).uniform(-0.5, 0.5, (20, 3))
+        step = 1e-3  # central differences, O(step^2 k^4) off
+        shifted = [(case.u(p + step * e), case.u(p - step * e)) for e in np.eye(3)]
+        laplacian = sum(up - 2.0 * case.u(p) + down for up, down in shifted) / step**2
+        np.testing.assert_allclose(laplacian + k * k * case.u(p), 0.0, atol=1e-6 * k**4)
+        gradient = np.column_stack([(up - down) / (2.0 * step) for up, down in shifted])
+        np.testing.assert_allclose(case.grad_u(p), gradient, atol=1e-6 * k**3)
+        if k == 1.0:  # the unit wave keeps its bits
+            assert case.u(p).tobytes() == np.sin(p @ w).tobytes()
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="^unknown test family 'u9'$"):
